@@ -12,7 +12,7 @@
 // rebuilds only the pages whose adjacency runs changed and shares the rest
 // by pointer, so a small batch costs O(touched pages) and a graph copy costs
 // O(pages) pointer bumps — the copy-on-write substrate the epoch-snapshot
-// index and the sharded serving tier build on. Adjacency stays contiguous
+// index and the serving front door build on. Adjacency stays contiguous
 // inside a page, so neighbors(v) still hands out a plain span and every
 // consumer above this layer is representation-agnostic.
 
@@ -162,9 +162,8 @@ class Graph {
 
   /// The delta-apply half of WithEdits: `canonical` MUST be the exact
   /// output of CanonicalEffectiveEdits against this graph (canonical order,
-  /// deduplicated, no no-ops). Callers that canonicalize once and fan the
-  /// batch out — the sharded tier's write path — use this to skip the
-  /// redundant re-canonicalization per consumer.
+  /// deduplicated, no no-ops). Callers that canonicalized already — the
+  /// index's write path — use this to skip re-canonicalization.
   Graph ApplyCanonicalEdits(std::span<const EdgeEdit> canonical) const;
 
   /// The canonicalization half of WithEdits without the page splice:
@@ -173,7 +172,8 @@ class Graph {
   /// edit of an edge wins, no-ops dropped). O(|edits| log |edits|) plus one
   /// edge probe per surviving edit — used where a consumer needs the
   /// effective batch but another component owns the rebuild (e.g. the
-  /// sharded serving tier's cut-edge splice).
+  /// serving front door, which credits each group-commit writer with its
+  /// effective edits).
   std::vector<EdgeEdit> CanonicalEffectiveEdits(
       std::span<const EdgeEdit> edits,
       EdgeEditSummary* summary = nullptr) const;

@@ -10,7 +10,7 @@ namespace hcore::io {
 namespace {
 
 // Parses one unsigned integer starting at text[*pos]; advances *pos.
-// Returns false if no digits are present.
+// Returns false if no digits are present or the value overflows uint64_t.
 bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
   size_t i = *pos;
   if (i >= text.size() || !std::isdigit(static_cast<unsigned char>(text[i]))) {
@@ -18,7 +18,9 @@ bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
   }
   uint64_t value = 0;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
+    const uint64_t digit = static_cast<uint64_t>(text[i] - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
     ++i;
   }
   *pos = i;

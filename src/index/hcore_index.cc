@@ -6,37 +6,11 @@
 #include "graph/ordering.h"
 
 namespace hcore {
-namespace {
-
-/// The shared "level untouched" summary (reused levels all point here).
-const std::shared_ptr<const std::vector<CoreDelta>>& EmptyDelta() {
-  static const auto kEmpty = std::make_shared<const std::vector<CoreDelta>>();
-  return kEmpty;
-}
-
-/// Exact per-level diff: every vertex whose core changed, with before and
-/// after values. Vertices the batch created (beyond the old vector) diff
-/// against an implicit old core of 0 — they were in no level set before.
-std::shared_ptr<const std::vector<CoreDelta>> DiffCores(
-    const std::vector<uint32_t>& old_core,
-    const std::vector<uint32_t>& new_core) {
-  auto delta = std::make_shared<std::vector<CoreDelta>>();
-  for (size_t v = 0; v < new_core.size(); ++v) {
-    const uint32_t before = v < old_core.size() ? old_core[v] : 0;
-    if (before != new_core[v]) {
-      delta->push_back({static_cast<VertexId>(v), before, new_core[v]});
-    }
-  }
-  return delta;
-}
-
-}  // namespace
 
 void HCoreIndexStats::Add(const HCoreIndexStats& other) {
   csr_rebuilds += other.csr_rebuilds;
   batches_applied += other.batches_applied;
   edits_applied += other.edits_applied;
-  adoptions += other.adoptions;
   level_decompositions += other.level_decompositions;
   levels_unchanged += other.levels_unchanged;
   localized_updates += other.localized_updates;
@@ -92,16 +66,6 @@ uint32_t HCoreSnapshot::Degeneracy(int h) const {
 bool HCoreSnapshot::LevelReused(int h) const {
   HCORE_CHECK(h >= 1 && h <= max_h());
   return levels_[h - 1].reused;
-}
-
-bool HCoreSnapshot::LevelDeltaKnown(int h) const {
-  HCORE_CHECK(h >= 1 && h <= max_h());
-  return levels_[h - 1].delta != nullptr;
-}
-
-std::span<const CoreDelta> HCoreSnapshot::LevelDelta(int h) const {
-  HCORE_CHECK(LevelDeltaKnown(h));
-  return *levels_[h - 1].delta;
 }
 
 const CoreHierarchy& HCoreSnapshot::Hierarchy(int h) const {
@@ -208,21 +172,6 @@ HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
   stats_.Add(boot);
   snap_.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
                                 /*epoch=*/0));
-}
-
-HCoreIndex::HCoreIndex(std::shared_ptr<const HCoreSnapshot> donor,
-                       const HCoreIndexOptions& options)
-    : options_(options), updater_(options.base.num_threads) {
-  HCORE_CHECK(donor != nullptr);
-  HCORE_CHECK(options_.max_h == donor->max_h());
-  HCORE_CHECK(options_.base.extra_lower_bound == nullptr);
-  HCORE_CHECK(options_.base.extra_upper_bound == nullptr);
-  // Share the donor's graph pages and level vectors; own the lazy caches
-  // (fresh HCoreSnapshot object, same shared artifacts).
-  std::shared_ptr<const HCoreSnapshot> snap(
-      new HCoreSnapshot(donor->graph_, donor->levels_, donor->epoch()));
-  MutexLock lock(mu_);
-  snap_ = std::move(snap);
 }
 
 std::shared_ptr<const HCoreSnapshot> HCoreIndex::snapshot() const {
@@ -360,6 +309,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     const std::vector<uint32_t>* old_core =
         prev != nullptr ? prev->levels_[h - 1].core.get() : nullptr;
     HCoreSnapshot::Level& level = levels[h - 1];
+    std::vector<uint32_t> core;
     if (try_localized && outcomes[h - 1].ok) {
       LocalizedOutcome& out = outcomes[h - 1];
       if (stats != nullptr) {
@@ -372,84 +322,66 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       uint32_t degeneracy = 0;
       for (const uint32_t c : out.core) degeneracy = std::max(degeneracy, c);
       level.degeneracy = degeneracy;
-      std::shared_ptr<const std::vector<CoreDelta>> delta;
-      if (out.ls.changed != 0 || out.core.size() != old_core->size()) {
-        // The mixed chain can report phase-local changes that cancel out
-        // (demoted by the deletes, restored by the inserts), so the reuse
-        // decision rests on the exact diff, not the per-phase counter.
-        delta = DiffCores(*old_core, out.core);
-      }
-      if ((delta == nullptr || delta->empty()) &&
-          out.core.size() == old_core->size()) {
-        // Dirty flag stayed clean: share the previous epoch's vector.
-        level.core = prev->levels_[h - 1].core;
-        level.reused = true;
-        level.delta = EmptyDelta();
-        if (stats != nullptr) ++stats->levels_unchanged;
-      } else {
-        level.delta = std::move(delta);
-        level.core = std::make_shared<const std::vector<uint32_t>>(
-            std::move(out.core));
-      }
-      prev_level = level.core.get();
-      continue;
-    }
-    if (stats != nullptr && prev != nullptr) ++stats->fallback_repeels;
-    resolve_order();
-    KhCoreOptions opts = options_.base;
-    opts.h = h;
-    opts.ordering = VertexOrdering::kNone;
-    if (h > 1) {
-      // Warm start, two sources combined (both in original ids):
-      //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
-      //    (monotone in h);
-      //  * incremental bounds vs the previous epoch: after a pure-insert
-      //    batch old cores are lower bounds, after a pure-delete batch they
-      //    are upper bounds (mixed batches get neither).
-      lower.assign(n, 0);
-      if (prev_level != nullptr) {
-        std::copy(prev_level->begin(), prev_level->end(), lower.begin());
-      }
-      if (pure_insert && old_core != nullptr) {
-        const size_t limit = std::min<size_t>(old_core->size(), n);
-        for (size_t v = 0; v < limit; ++v) {
-          lower[v] = std::max(lower[v], (*old_core)[v]);
+      core = std::move(out.core);
+    } else {
+      if (stats != nullptr && prev != nullptr) ++stats->fallback_repeels;
+      resolve_order();
+      KhCoreOptions opts = options_.base;
+      opts.h = h;
+      opts.ordering = VertexOrdering::kNone;
+      if (h > 1) {
+        // Warm start, two sources combined (both in original ids):
+        //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
+        //    (monotone in h);
+        //  * incremental bounds vs the previous epoch: after a pure-insert
+        //    batch old cores are lower bounds, after a pure-delete batch
+        //    they are upper bounds (mixed batches get neither).
+        lower.assign(n, 0);
+        if (prev_level != nullptr) {
+          std::copy(prev_level->begin(), prev_level->end(), lower.begin());
+        }
+        if (pure_insert && old_core != nullptr) {
+          const size_t limit = std::min<size_t>(old_core->size(), n);
+          for (size_t v = 0; v < limit; ++v) {
+            lower[v] = std::max(lower[v], (*old_core)[v]);
+          }
+        }
+        if (!order.empty()) lower = GatherByPermutation(lower, order);
+        opts.extra_lower_bound = &lower;
+        if (pure_delete && old_core != nullptr) {
+          upper = *old_core;  // deletes never grow the vertex set
+          if (!order.empty()) upper = GatherByPermutation(upper, order);
+          opts.extra_upper_bound = &upper;
+          // Only h-LB+UB consumes an upper bound.
+          opts.algorithm = KhCoreAlgorithm::kLbUb;
         }
       }
-      if (!order.empty()) lower = GatherByPermutation(lower, order);
-      opts.extra_lower_bound = &lower;
-      if (pure_delete && old_core != nullptr) {
-        upper = *old_core;  // deletes never grow the vertex set
-        if (!order.empty()) upper = GatherByPermutation(upper, order);
-        opts.extra_upper_bound = &upper;
-        // Only h-LB+UB consumes an upper bound.
-        opts.algorithm = KhCoreAlgorithm::kLbUb;
+      KhCoreResult r = KhCoreDecomposition(*peel, opts);
+      if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
+      if (stats != nullptr) {
+        ++stats->level_decompositions;
+        stats->decomposition.visited_vertices += r.stats.visited_vertices;
+        stats->decomposition.hdegree_computations +=
+            r.stats.hdegree_computations;
+        stats->decomposition.decrement_updates += r.stats.decrement_updates;
+        stats->decomposition.pops += r.stats.pops;
+        stats->decomposition.partitions += r.stats.partitions;
+        stats->decomposition.seconds += r.stats.seconds;
+        stats->decomposition.bound_seconds += r.stats.bound_seconds;
       }
+      level.degeneracy = r.degeneracy;
+      core = std::move(r.core);
     }
-    KhCoreResult r = KhCoreDecomposition(*peel, opts);
-    if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
-    if (stats != nullptr) {
-      ++stats->level_decompositions;
-      stats->decomposition.visited_vertices += r.stats.visited_vertices;
-      stats->decomposition.hdegree_computations +=
-          r.stats.hdegree_computations;
-      stats->decomposition.decrement_updates += r.stats.decrement_updates;
-      stats->decomposition.pops += r.stats.pops;
-      stats->decomposition.partitions += r.stats.partitions;
-      stats->decomposition.seconds += r.stats.seconds;
-      stats->decomposition.bound_seconds += r.stats.bound_seconds;
-    }
-    level.degeneracy = r.degeneracy;
-    if (old_core != nullptr && *old_core == r.core) {
+    // Reuse is decided on the exact vector for both paths: the mixed
+    // localized chain can report phase-local changes that cancel out.
+    if (old_core != nullptr && *old_core == core) {
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev->levels_[h - 1].core;
       level.reused = true;
-      level.delta = EmptyDelta();
       if (stats != nullptr) ++stats->levels_unchanged;
     } else {
-      if (old_core != nullptr) level.delta = DiffCores(*old_core, r.core);
       level.core =
-          std::make_shared<const std::vector<uint32_t>>(std::move(r.core));
+          std::make_shared<const std::vector<uint32_t>>(std::move(core));
     }
     prev_level = level.core.get();
   }
@@ -501,24 +433,6 @@ std::shared_ptr<const HCoreSnapshot> HCoreIndex::ApplyPreparedLocked(
   MutexLock lock(mu_);
   snap_ = snap;
   stats_.Add(delta);
-  return snap;
-}
-
-std::shared_ptr<const HCoreSnapshot> HCoreIndex::AdoptPrepared(
-    const std::shared_ptr<const HCoreSnapshot>& donor, size_t routed_edits) {
-  MutexLock writer(update_mu_);
-  std::shared_ptr<const HCoreSnapshot> prev = snapshot();
-  HCORE_CHECK(donor != nullptr);
-  HCORE_CHECK(donor->max_h() == options_.max_h);
-  // Adoption keeps epochs in lockstep with the donor lineage.
-  HCORE_CHECK(donor->epoch() == prev->epoch() + 1);
-  std::shared_ptr<const HCoreSnapshot> snap(
-      new HCoreSnapshot(donor->graph_, donor->levels_, donor->epoch()));
-  MutexLock lock(mu_);
-  snap_ = snap;
-  ++stats_.batches_applied;
-  ++stats_.adoptions;
-  stats_.edits_applied += routed_edits;
   return snap;
 }
 

@@ -75,16 +75,12 @@ struct HCoreIndexOptions {
 /// must leave `decomposition` flat; only Build/ApplyBatch may move it).
 struct HCoreIndexStats {
   /// CSR rebuilds performed — exactly one per effective ApplyBatch or
-  /// ApplyPrepared (adoptions rebuild nothing).
+  /// ApplyPrepared.
   uint64_t csr_rebuilds = 0;
-  /// Batches that applied at least one edit (adopted epochs included).
+  /// Batches that applied at least one edit.
   uint64_t batches_applied = 0;
-  /// Individual edge edits that had an effect. An adopting index counts the
-  /// routed owned-incident share it was handed, not the whole batch.
+  /// Individual edge edits that had an effect.
   uint64_t edits_applied = 0;
-  /// Epochs published by AdoptPrepared — sharing a donor's artifacts
-  /// instead of recomputing them.
-  uint64_t adoptions = 0;
   /// Whole-graph per-level decompositions run (initial build and fallback
   /// levels of ApplyBatch).
   uint64_t level_decompositions = 0;
@@ -99,22 +95,9 @@ struct HCoreIndexStats {
   KhCoreStats decomposition;
 
   /// Field-wise accumulation — the ONE place that knows every counter
-  /// (used by the index's own delta merge and the sharded tier's
-  /// cross-shard aggregation; a new field only needs adding here).
+  /// (the index folds each batch's delta in with it; a new field only
+  /// needs adding here).
   void Add(const HCoreIndexStats& other);
-};
-
-/// One vertex whose core index changed across the batch that produced an
-/// epoch, at one level: the exact before/after values. The per-level delta
-/// lists are the index's changed-vertex summaries — downstream maintenance
-/// (the sharded tier's incremental cross-shard merge) uses them to decide
-/// which derived artifacts a batch actually invalidated, at the granularity
-/// of a single core level k (a vertex only changes level-k membership when
-/// its core crosses k).
-struct CoreDelta {
-  VertexId v = 0;
-  uint32_t old_core = 0;  // 0 for vertices the batch created
-  uint32_t new_core = 0;
 };
 
 /// One immutable epoch of the index. Thread-safe for concurrent readers;
@@ -141,17 +124,6 @@ class HCoreSnapshot {
   /// True if this epoch reused the previous epoch's core vector for level h
   /// (the batch left it unchanged; the vectors are physically shared).
   bool LevelReused(int h) const;
-
-  /// True when this epoch carries an exact changed-vertex summary for level
-  /// h: every vertex whose core_h differs from the previous epoch is listed
-  /// in LevelDelta(h) (vertices the batch created are listed with
-  /// old_core = 0 when their new core is nonzero). False only for epoch 0,
-  /// where there is no previous epoch to diff against.
-  bool LevelDeltaKnown(int h) const;
-
-  /// The changed-vertex summary for level h (empty when the level was
-  /// reused). Requires LevelDeltaKnown(h). Sorted ascending by vertex.
-  std::span<const CoreDelta> LevelDelta(int h) const;
 
   /// Core-component dendrogram at level h. Built lazily on first call and
   /// cached for the lifetime of the snapshot.
@@ -187,9 +159,6 @@ class HCoreSnapshot {
     std::shared_ptr<const std::vector<uint32_t>> core;
     uint32_t degeneracy = 0;
     bool reused = false;
-    // Exact diff against the previous epoch's core vector; null = unknown
-    // (epoch 0), empty = level untouched by the batch.
-    std::shared_ptr<const std::vector<CoreDelta>> delta;
   };
 
   /// Cached per-level aggregates: suffix counts over k in [0, degeneracy].
@@ -223,15 +192,6 @@ class HCoreIndex {
   /// and publishes epoch 0.
   explicit HCoreIndex(Graph g, const HCoreIndexOptions& options = {});
 
-  /// Adopting constructor: publishes `donor` as this index's first epoch
-  /// WITHOUT decomposing — the graph (COW pages and all) and every
-  /// per-level core/delta vector are shared by pointer; only the lazy
-  /// artifact caches (hierarchy, density) are fresh, so the new index keeps
-  /// its own reader lock domain. This is how the sharded tier builds
-  /// replica shards in O(levels) instead of O(n + m) each.
-  HCoreIndex(std::shared_ptr<const HCoreSnapshot> donor,
-             const HCoreIndexOptions& options);
-
   int max_h() const { return options_.max_h; }
 
   /// The current epoch. Cheap (one pointer copy under a mutex); the caller
@@ -253,25 +213,15 @@ class HCoreIndex {
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(update_mu_, mu_);
 
-  /// The fan-out half of ApplyBatch for callers that canonicalized once:
-  /// `effective` MUST be the exact CanonicalEffectiveEdits output against
-  /// this index's current graph, with `summary` its per-kind counts, and
-  /// must be non-empty. Skips re-canonicalization, applies the page splice
-  /// and per-level repair, publishes, and returns the new snapshot — the
-  /// donor the sharded tier hands to its replicas' AdoptPrepared.
+  /// The apply half of ApplyBatch for callers that canonicalized already
+  /// (the serving front door does, so group commit can credit each writer
+  /// with its effective edits): `effective` MUST be the exact
+  /// CanonicalEffectiveEdits output against this index's current graph,
+  /// with `summary` its per-kind counts, and must be non-empty. Skips
+  /// re-canonicalization, applies the page splice and per-level repair,
+  /// publishes, and returns the new snapshot.
   std::shared_ptr<const HCoreSnapshot> ApplyPrepared(
       std::span<const EdgeEdit> effective, const EdgeEditSummary& summary)
-      EXCLUDES(update_mu_, mu_);
-
-  /// Publishes an epoch that shares `donor`'s graph pages and per-level
-  /// core/delta vectors outright (fresh lazy caches, own epoch counter in
-  /// lockstep with the donor's). No graph work, no decomposition — the
-  /// replica side of the tier's prepare-once write path. `routed_edits` is
-  /// the shard's owned-incident share of the batch, recorded in
-  /// edits_applied for per-shard write telemetry. Returns the published
-  /// snapshot.
-  std::shared_ptr<const HCoreSnapshot> AdoptPrepared(
-      const std::shared_ptr<const HCoreSnapshot>& donor, size_t routed_edits)
       EXCLUDES(update_mu_, mu_);
 
   /// Single-edit conveniences (each is a batch of one).
@@ -306,7 +256,7 @@ class HCoreIndex {
   LocalizedUpdater updater_ GUARDED_BY(update_mu_);
   // Concurrent dirty-level machinery (writer-only, under update_mu_; both
   // lazy — serial indexes never pay for them). The pool is index-owned:
-  // fanning out on a pool shared with e.g. the serving tier could deadlock
+  // fanning out on a pool shared with another component could deadlock
   // (every shared worker blocked in a Wait while the level tasks queue
   // behind them).
   std::unique_ptr<ThreadPool> level_pool_ GUARDED_BY(update_mu_);

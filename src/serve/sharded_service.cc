@@ -1,662 +1,18 @@
 #include "serve/sharded_service.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
-#include "engine/vertex_mask.h"
-#include "traversal/bounded_bfs.h"
-
 namespace hcore {
-namespace {
-
-/// Minimal union-find over dense ids (path halving + union by index).
-uint32_t Find(std::vector<uint32_t>& parent, uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];
-    x = parent[x];
-  }
-  return x;
-}
-
-void Union(std::vector<uint32_t>& parent, uint32_t a, uint32_t b) {
-  a = Find(parent, a);
-  b = Find(parent, b);
-  if (a == b) return;
-  if (a < b) std::swap(a, b);
-  parent[a] = b;  // smallest id wins: roots are deterministic
-}
-
-/// Answers, for one (shard, h) pair, whether that shard's level-k summary
-/// from the previous view is still exact after a batch. A summary covers
-/// the shard's OWNED vertices with core_h >= k and their intra-shard edges,
-/// so it goes stale only when (a) an owned vertex crossed level k — its
-/// core moved between "below k" and "at or above k", i.e. k lies in
-/// (min(old,new), max(old,new)] — or (b) an intra-shard edit touches the
-/// level-k induced subgraph, which happens for every k up to the edit's
-/// min-endpoint core. The gates are sufficient conditions for validity;
-/// over-invalidation only costs work, never correctness.
-struct LevelGate {
-  bool known = false;      // false = no changed-vertex summary: never valid
-  bool has_edits = false;  // any intra-shard edit on this shard
-  uint32_t edit_ceiling = 0;  // max over edits of min-endpoint core
-  // Core-crossing intervals (lo, hi] of owned vertices, with quick-reject
-  // bounds so the common small-k / large-k probes skip the scan.
-  std::vector<std::pair<uint32_t, uint32_t>> cross;
-  uint32_t cross_lo = UINT32_MAX;
-  uint32_t cross_hi = 0;
-
-  /// `gained` = this shard owns a vertex the batch created (new vertices
-  /// join the k = 0 slice even when their core stays 0, which no crossing
-  /// interval reports).
-  bool Valid(uint32_t k, bool gained) const {
-    if (!known) return false;
-    if (has_edits && k <= edit_ceiling) return false;
-    if (k == 0 && gained) return false;
-    if (!cross.empty() && k > cross_lo && k <= cross_hi) {
-      for (const auto& [lo, hi] : cross) {
-        if (lo < k && k <= hi) return false;
-      }
-    }
-    return true;
-  }
-};
-
-}  // namespace
-
-void ScatterGatherStats::Add(const ScatterGatherStats& other) {
-  component_queries += other.component_queries;
-  community_queries += other.community_queries;
-  shard_scatters += other.shard_scatters;
-  scatter_hits += other.scatter_hits;
-  fragments_merged += other.fragments_merged;
-  cut_edges_scanned += other.cut_edges_scanned;
-  merge_hits += other.merge_hits;
-  merge_misses += other.merge_misses;
-  merges_carried += other.merges_carried;
-  merges_spliced += other.merges_spliced;
-  merges_premerged += other.merges_premerged;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedServiceView
-// ---------------------------------------------------------------------------
-
-ShardedServiceView::ShardedServiceView(
-    std::vector<std::shared_ptr<const HCoreSnapshot>> snaps,
-    std::vector<CutEdge> cut_edges, VertexPartition partition,
-    uint64_t service_epoch, std::shared_ptr<ThreadPool> pool,
-    size_t merge_cache_cap, std::shared_ptr<const OwnershipIndex> ownership)
-    : snapshots_(std::move(snaps)),
-      cut_edges_(std::move(cut_edges)),
-      partition_(partition),
-      service_epoch_(service_epoch),
-      ownership_(std::move(ownership)),
-      pool_(std::move(pool)),
-      merge_cache_(merge_cache_cap),
-      scatter_cache_(merge_cache_cap *
-                     static_cast<size_t>(partition.num_shards())) {
-  HCORE_CHECK(!snapshots_.empty());
-  shard_epochs_.reserve(snapshots_.size());
-  for (const auto& snap : snapshots_) shard_epochs_.push_back(snap->epoch());
-  const VertexId n = graph().num_vertices();
-  // Ownership is batch-stable while the vertex count holds, so successor
-  // views share the predecessor's index; only growth rebuilds it.
-  if (ownership_ == nullptr ||
-      ownership_->owner_of.size() != static_cast<size_t>(n)) {
-    auto own = std::make_shared<OwnershipIndex>();
-    own->owner_of.resize(n);
-    own->owned.resize(snapshots_.size());
-    for (VertexId v = 0; v < n; ++v) {
-      const int s = partition_.ShardOf(v);
-      own->owner_of[v] = static_cast<uint32_t>(s);
-      own->owned[s].push_back(v);
-    }
-    ownership_ = std::move(own);
-  }
-}
-
-uint32_t ShardedServiceView::ComponentSummary::FragmentOf(VertexId v) const {
-  auto it = std::lower_bound(
-      vertex_fragment.begin(), vertex_fragment.end(), v,
-      [](const std::pair<VertexId, uint32_t>& e, VertexId x) {
-        return e.first < x;
-      });
-  if (it == vertex_fragment.end() || it->first != v) return kInvalidVertex;
-  return it->second;
-}
-
-uint32_t ShardedServiceView::MergedComponents::RootOf(
-    VertexId v, const VertexPartition& partition) const {
-  const int s = partition.ShardOf(v);
-  const uint32_t f = shard[s]->FragmentOf(v);
-  if (f == kInvalidVertex) return kInvalidVertex;
-  return fragment_root[fragment_base[s] + f];
-}
-
-std::vector<VertexId> ShardedServiceView::MergedComponents::MembersOfRoot(
-    uint32_t root) const {
-  std::vector<VertexId> out;
-  for (size_t s = 0; s < shard.size(); ++s) {
-    for (const auto& [v, frag] : shard[s]->vertex_fragment) {
-      if (fragment_root[fragment_base[s] + frag] == root) out.push_back(v);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-ShardedServiceView::ComponentSummary ShardedServiceView::BuildShardFragments(
-    int s, uint32_t k, int h) const {
-  const HCoreSnapshot& snap = *snapshots_[s];
-  const Graph& g = snap.graph();
-  const std::vector<uint32_t>& core = snap.Cores(h);
-  const std::vector<uint32_t>& owner_of = ownership_->owner_of;
-
-  ComponentSummary out;
-  // The shard's slice: owned vertices surviving at level k, ascending.
-  out.vertex_fragment.reserve(ownership_->owned[s].size());
-  for (VertexId v : ownership_->owned[s]) {
-    if (core[v] >= k) out.vertex_fragment.emplace_back(v, 0);
-  }
-  const uint32_t count = static_cast<uint32_t>(out.vertex_fragment.size());
-  std::vector<uint32_t> parent(count);
-  for (uint32_t i = 0; i < count; ++i) parent[i] = i;
-  // Intra-shard edges only; the cross-shard ones are the gather's job.
-  auto slice_index = [&out](VertexId u) {
-    auto it = std::lower_bound(
-        out.vertex_fragment.begin(), out.vertex_fragment.end(), u,
-        [](const std::pair<VertexId, uint32_t>& e, VertexId x) {
-          return e.first < x;
-        });
-    HCORE_DCHECK(it != out.vertex_fragment.end() && it->first == u);
-    return static_cast<uint32_t>(it - out.vertex_fragment.begin());
-  };
-  for (uint32_t i = 0; i < count; ++i) {
-    const VertexId v = out.vertex_fragment[i].first;
-    for (VertexId u : g.neighbors(v)) {
-      if (u >= v) break;  // each edge once; lists are sorted ascending
-      if (core[u] < k || owner_of[u] != static_cast<uint32_t>(s)) continue;
-      Union(parent, i, slice_index(u));
-    }
-  }
-  // Rename roots to dense fragment ids, in first-vertex order.
-  std::vector<uint32_t> dense(count, kInvalidVertex);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t root = Find(parent, i);
-    if (dense[root] == kInvalidVertex) dense[root] = out.num_fragments++;
-    out.vertex_fragment[i].second = dense[root];
-  }
-  return out;
-}
-
-void ShardedServiceView::FinishMerge(MergedComponents* merged,
-                                     ScatterGatherStats* stats) const {
-  merged->fragment_base.clear();
-  merged->fragment_base.reserve(num_shards());
-  uint32_t total = 0;
-  for (int s = 0; s < num_shards(); ++s) {
-    merged->fragment_base.push_back(total);
-    total += merged->shard[s]->num_fragments;
-  }
-  std::vector<uint32_t> parent(total);
-  for (uint32_t i = 0; i < total; ++i) parent[i] = i;
-  // The boundary merge: one union per cut edge surviving at level k (both
-  // endpoints present in their owner's summary). Core membership of each
-  // endpoint is read from its OWNER's summary, so the gather never touches
-  // non-owned shard state.
-  const std::vector<uint32_t>& owner_of = ownership_->owner_of;
-  for (const CutEdge& e : cut_edges_) {
-    const int su = static_cast<int>(owner_of[e.first]);
-    const int sv = static_cast<int>(owner_of[e.second]);
-    const uint32_t fu = merged->shard[su]->FragmentOf(e.first);
-    if (fu == kInvalidVertex) continue;
-    const uint32_t fv = merged->shard[sv]->FragmentOf(e.second);
-    if (fv == kInvalidVertex) continue;
-    Union(parent, merged->fragment_base[su] + fu,
-          merged->fragment_base[sv] + fv);
-  }
-  merged->fragment_root.resize(total);
-  for (uint32_t i = 0; i < total; ++i) {
-    merged->fragment_root[i] = Find(parent, i);
-  }
-  if (stats != nullptr) {
-    stats->fragments_merged += total;
-    stats->cut_edges_scanned += cut_edges_.size();
-  }
-}
-
-std::shared_ptr<const ShardedServiceView::MergedComponents>
-ShardedServiceView::BuildMerge(uint32_t k, int h,
-                               ScatterGatherStats* stats) const {
-  auto merged = std::make_shared<MergedComponents>();
-  merged->shard.resize(num_shards());
-  std::vector<uint8_t> hit(num_shards(), 0);
-  {
-    // The scatter: per-shard summaries are independent, so misses fan out
-    // on the tier pool (scoped wait — concurrent readers and a writer can
-    // all hold their own TaskGroups on the shared pool). Each task first
-    // consults the carried (shard, h, k) cache under the view mutex.
-    TaskGroup group(pool_.get());
-    for (int s = 0; s < num_shards(); ++s) {
-      group.Run([this, s, k, h, &merged, &hit] {
-        const ScatterKey key{s, h, k};
-        {
-          MutexLock lock(merge_mu_);
-          if (auto cached = scatter_cache_.Get(key, merge_mu_)) {
-            merged->shard[s] = std::move(cached);
-            hit[s] = 1;
-            return;
-          }
-        }
-        auto built = std::make_shared<const ComponentSummary>(
-            BuildShardFragments(s, k, h));
-        MutexLock lock(merge_mu_);
-        merged->shard[s] = scatter_cache_.Put(key, std::move(built), merge_mu_);
-      });
-    }
-  }
-  if (stats != nullptr) {
-    for (int s = 0; s < num_shards(); ++s) {
-      if (hit[s] != 0) {
-        ++stats->scatter_hits;
-      } else {
-        ++stats->shard_scatters;
-      }
-    }
-  }
-  FinishMerge(merged.get(), stats);
-  return merged;
-}
-
-std::shared_ptr<const ShardedServiceView::MergedComponents>
-ShardedServiceView::Merge(uint32_t k, int h,
-                          ScatterGatherStats* stats) const {
-  const MergeKey key{h, k};
-  {
-    MutexLock lock(merge_mu_);
-    ++hot_hits_[key];  // ranks the publish-time pre-merge
-    if (auto cached = merge_cache_.Get(key, merge_mu_)) {
-      if (stats != nullptr) ++stats->merge_hits;
-      return cached;
-    }
-  }
-  if (stats != nullptr) ++stats->merge_misses;
-  auto merged = BuildMerge(k, h, stats);
-  // Merges are deterministic, so a lost insert race just adopts the
-  // winner's identical result (LruCache::Put keeps the incumbent).
-  MutexLock lock(merge_mu_);
-  return merge_cache_.Put(key, std::move(merged), merge_mu_);
-}
-
-void ShardedServiceView::CarryFrom(const ShardedServiceView& prev,
-                                   std::span<const EdgeEdit> effective,
-                                   const CutEdgeDelta& cut_delta,
-                                   double budget, size_t hot_premerge,
-                                   ScatterGatherStats* stats) const {
-  if (num_shards() == 1 || budget < 0) return;
-  HCORE_CHECK(prev.num_shards() == num_shards());
-  const int S = num_shards();
-  const int H = max_h();
-  const VertexId old_n = prev.graph().num_vertices();
-  const VertexId new_n = graph().num_vertices();
-  const std::vector<uint32_t>& owner_of = ownership_->owner_of;
-
-  // -- Per-(shard, level) summary validity gates ---------------------------
-  // Shards are replicas, so the per-level changed-vertex summaries are
-  // identical across them; what differs per shard is OWNERSHIP — a summary
-  // only covers owned vertices and intra-shard edges, so the global delta
-  // is filtered down to per-shard gates.
-  std::vector<std::vector<LevelGate>> gate(S, std::vector<LevelGate>(H));
-  std::vector<uint8_t> shard_gained(S, 0);
-  for (VertexId v = old_n; v < new_n; ++v) shard_gained[owner_of[v]] = 1;
-  for (int h = 1; h <= H; ++h) {
-    const HCoreSnapshot& snap = *snapshots_.front();
-    if (!snap.LevelDeltaKnown(h)) continue;  // gates stay unknown -> invalid
-    for (int s = 0; s < S; ++s) gate[s][h - 1].known = true;
-    for (const CoreDelta& d : snap.LevelDelta(h)) {
-      LevelGate& g = gate[owner_of[d.v]][h - 1];
-      const uint32_t lo = std::min(d.old_core, d.new_core);
-      const uint32_t hi = std::max(d.old_core, d.new_core);
-      g.cross.emplace_back(lo, hi);
-      g.cross_lo = std::min(g.cross_lo, lo);
-      g.cross_hi = std::max(g.cross_hi, hi);
-    }
-    // Intra-shard edits touch the level-k induced subgraph for every
-    // k <= min(endpoint cores): post-batch cores for inserts (the edge now
-    // exists there), pre-batch cores for deletes (it used to).
-    const std::vector<uint32_t>& new_core = snap.Cores(h);
-    const std::vector<uint32_t>& old_core = prev.snapshots_.front()->Cores(h);
-    for (const EdgeEdit& e : effective) {
-      const uint32_t su = owner_of[e.u];
-      if (su != owner_of[e.v]) continue;  // cut edits: see the cut gates
-      const uint32_t c = e.insert ? std::min(new_core[e.u], new_core[e.v])
-                                  : std::min(old_core[e.u], old_core[e.v]);
-      LevelGate& g = gate[su][h - 1];
-      g.has_edits = true;
-      g.edit_ceiling = std::max(g.edit_ceiling, c);
-    }
-  }
-
-  // -- Cut-edge gates per level --------------------------------------------
-  // An added cut edge enters the level-k cut graph iff both endpoints'
-  // NEW cores reach k; a removed one left it iff both OLD cores did.
-  std::vector<std::vector<std::pair<CutEdge, uint32_t>>> added_at(H);
-  std::vector<int64_t> added_ceiling(H, -1);
-  std::vector<int64_t> removed_ceiling(H, -1);
-  for (int h = 1; h <= H; ++h) {
-    const std::vector<uint32_t>& new_core = snapshots_.front()->Cores(h);
-    const std::vector<uint32_t>& old_core = prev.snapshots_.front()->Cores(h);
-    for (const CutEdge& e : cut_delta.added) {
-      const uint32_t c = std::min(new_core[e.first], new_core[e.second]);
-      added_at[h - 1].emplace_back(e, c);
-      added_ceiling[h - 1] =
-          std::max(added_ceiling[h - 1], static_cast<int64_t>(c));
-    }
-    for (const CutEdge& e : cut_delta.removed) {
-      removed_ceiling[h - 1] =
-          std::max(removed_ceiling[h - 1],
-                   static_cast<int64_t>(
-                       std::min(old_core[e.first], old_core[e.second])));
-    }
-  }
-
-  // -- Snapshot the previous view's caches (MRU first) ---------------------
-  std::vector<std::pair<MergeKey, std::shared_ptr<const MergedComponents>>>
-      prev_merges;
-  std::vector<std::pair<ScatterKey, std::shared_ptr<const ComponentSummary>>>
-      prev_scatters;
-  std::map<MergeKey, uint64_t> hot;
-  {
-    MutexLock lock(prev.merge_mu_);
-    prev.merge_cache_.ForEachMruFirst(
-        [&](const MergeKey& key,
-            const std::shared_ptr<const MergedComponents>& value) {
-          prev_merges.emplace_back(key, value);
-        },
-        prev.merge_mu_);
-    prev.scatter_cache_.ForEachMruFirst(
-        [&](const ScatterKey& key,
-            const std::shared_ptr<const ComponentSummary>& value) {
-          prev_scatters.emplace_back(key, value);
-        },
-        prev.merge_mu_);
-    // Hot counters decay by half per epoch; once-touched keys fall out.
-    for (const auto& [key, count] : prev.hot_hits_) {
-      if (count / 2 > 0) hot[key] = count / 2;
-    }
-  }
-
-  // -- Carry still-valid per-shard scatters (LRU first preserves recency) --
-  {
-    MutexLock lock(merge_mu_);
-    for (auto it = prev_scatters.rbegin(); it != prev_scatters.rend(); ++it) {
-      const auto [s, h, k] = it->first;
-      if (gate[s][h - 1].Valid(k, shard_gained[s] != 0)) {
-        scatter_cache_.Put(it->first, it->second, merge_mu_);
-      }
-    }
-    hot_hits_ = hot;
-  }
-
-  // -- Classify every memoized merge (LRU first preserves recency) ---------
-  for (auto it = prev_merges.rbegin(); it != prev_merges.rend(); ++it) {
-    const int h = it->first.first;
-    const uint32_t k = it->first.second;
-    const std::shared_ptr<const MergedComponents>& entry = it->second;
-    bool all_valid = true;
-    uint32_t stale_fragments = 0;
-    for (int s = 0; s < S; ++s) {
-      if (!gate[s][h - 1].Valid(k, shard_gained[s] != 0)) {
-        all_valid = false;
-        stale_fragments += entry->shard[s]->num_fragments;
-      }
-    }
-    const bool rel_added = added_ceiling[h - 1] >= static_cast<int64_t>(k);
-    const bool rel_removed = removed_ceiling[h - 1] >= static_cast<int64_t>(k);
-    if (all_valid && !rel_added && !rel_removed) {
-      // CARRY: nothing this merge depends on changed — share the pointer.
-      MutexLock lock(merge_mu_);
-      merge_cache_.Put(it->first, entry, merge_mu_);
-      if (stats != nullptr) ++stats->merges_carried;
-      continue;
-    }
-    if (all_valid && !rel_removed) {
-      // INCREMENTAL UNION: every summary intact and cut edges only ADDED
-      // at this level. The previous root array is a valid parent forest
-      // (roots are fixpoints), so re-seed it with just the added edges;
-      // smallest-id-root unions make the result order-independent, hence
-      // byte-equal to a fresh merge.
-      auto next = std::make_shared<MergedComponents>();
-      next->shard = entry->shard;
-      next->fragment_base = entry->fragment_base;
-      std::vector<uint32_t> parent = entry->fragment_root;
-      uint64_t scanned = 0;
-      for (const auto& [e, c] : added_at[h - 1]) {
-        if (c < k) continue;
-        ++scanned;
-        const int su = static_cast<int>(owner_of[e.first]);
-        const int sv = static_cast<int>(owner_of[e.second]);
-        const uint32_t fu = next->shard[su]->FragmentOf(e.first);
-        const uint32_t fv = next->shard[sv]->FragmentOf(e.second);
-        // min(new cores) >= k and the summaries are valid, so both
-        // endpoints are present by construction.
-        HCORE_DCHECK(fu != kInvalidVertex && fv != kInvalidVertex);
-        Union(parent, next->fragment_base[su] + fu,
-              next->fragment_base[sv] + fv);
-      }
-      const uint32_t total = static_cast<uint32_t>(parent.size());
-      next->fragment_root.resize(total);
-      for (uint32_t i = 0; i < total; ++i) {
-        next->fragment_root[i] = Find(parent, i);
-      }
-      {
-        MutexLock lock(merge_mu_);
-        merge_cache_.Put(it->first, std::move(next), merge_mu_);
-      }
-      if (stats != nullptr) {
-        ++stats->merges_spliced;
-        stats->scatter_hits += static_cast<uint64_t>(S);
-        stats->fragments_merged += total;
-        stats->cut_edges_scanned += scanned;
-      }
-      continue;
-    }
-    // SPLICE or DROP: some summaries went stale (or cut edges were removed,
-    // which a union-find cannot unsplit — that costs one full union pass
-    // but zero re-scatters). The budget is on the stale-fragment fraction
-    // of the previous merge: past it, carrying costs about as much as a
-    // fresh merge, so the entry is dropped and rebuilt on demand.
-    const uint32_t total_prev =
-        static_cast<uint32_t>(entry->fragment_root.size());
-    const double frac = total_prev == 0
-                            ? 1.0
-                            : static_cast<double>(stale_fragments) / total_prev;
-    if (frac > budget) continue;  // DROP
-    auto next = std::make_shared<MergedComponents>();
-    next->shard.resize(S);
-    std::vector<int> rebuild;
-    for (int s = 0; s < S; ++s) {
-      if (gate[s][h - 1].Valid(k, shard_gained[s] != 0)) {
-        next->shard[s] = entry->shard[s];
-      } else {
-        rebuild.push_back(s);
-      }
-    }
-    {
-      TaskGroup group(pool_.get());
-      for (int s : rebuild) {
-        group.Run([this, s, k, h, &next] {
-          next->shard[s] = std::make_shared<const ComponentSummary>(
-              BuildShardFragments(s, k, h));
-        });
-      }
-    }
-    {
-      MutexLock lock(merge_mu_);
-      for (int s : rebuild) {
-        scatter_cache_.Put(ScatterKey{s, h, k}, next->shard[s], merge_mu_);
-      }
-    }
-    if (stats != nullptr) {
-      ++stats->merges_spliced;
-      stats->shard_scatters += rebuild.size();
-      stats->scatter_hits += static_cast<uint64_t>(S) - rebuild.size();
-    }
-    FinishMerge(next.get(), stats);
-    MutexLock lock(merge_mu_);
-    merge_cache_.Put(it->first, std::move(next), merge_mu_);
-  }
-
-  // -- Hot-set pre-merge ---------------------------------------------------
-  // The decayed counters rank the keys readers actually hit; the hottest
-  // ones not already carried or spliced are built eagerly so steady-state
-  // reads pay a cache hit, not a gather.
-  if (hot_premerge == 0) return;
-  std::vector<std::pair<uint64_t, MergeKey>> ranked;
-  ranked.reserve(hot.size());
-  for (const auto& [key, count] : hot) ranked.emplace_back(count, key);
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;  // deterministic tie-break
-  });
-  size_t built = 0;
-  for (const auto& [count, key] : ranked) {
-    if (built >= hot_premerge) break;
-    {
-      MutexLock lock(merge_mu_);
-      if (merge_cache_.Get(key, merge_mu_) != nullptr) {
-        continue;  // already resident
-      }
-    }
-    auto merged = BuildMerge(key.second, key.first, stats);
-    {
-      MutexLock lock(merge_mu_);
-      merge_cache_.Put(key, std::move(merged), merge_mu_);
-    }
-    if (stats != nullptr) ++stats->merges_premerged;
-    ++built;
-  }
-}
-
-std::vector<VertexId> ShardedServiceView::CoreComponentOf(
-    VertexId v, uint32_t k, int h, ScatterGatherStats* stats) const {
-  if (stats != nullptr) ++stats->component_queries;
-  if (v >= graph().num_vertices() || CoreOf(v, h) < k) return {};
-  if (num_shards() == 1) {
-    // No boundary to merge: serve from the shard's lazily-cached
-    // hierarchy, same as the pre-sharding path (differentially identical).
-    return snapshots_.front()->CoreComponentOf(v, k, h);
-  }
-  const auto merged = Merge(k, h, stats);
-  return merged->MembersOfRoot(merged->RootOf(v, partition_));
-}
-
-CommunityResult ShardedServiceView::Community(
-    const std::vector<VertexId>& query, int h,
-    ScatterGatherStats* stats) const {
-  if (stats != nullptr) ++stats->community_queries;
-  CommunityResult out;
-  const Graph& g = graph();
-  const VertexId n = g.num_vertices();
-  if (query.empty() || n == 0) return out;
-  for (VertexId q : query) HCORE_CHECK(q < n);
-  if (num_shards() == 1) {
-    // No boundary to merge: run the single-index algorithm directly.
-    return DistanceCocktailPartyFromCores(g, query, h,
-                                          snapshots_.front()->Cores(h));
-  }
-
-  // Same optimum as DistanceCocktailPartyFromCores' downward scan — the
-  // largest k where the query shares one component of G[C_k] — found by
-  // binary search instead: togetherness is monotone as k drops (C_k only
-  // gains vertices and edges), so O(log k_hi) cross-shard merges decide
-  // it. Each level's connectivity check is the scatter-gather merge.
-  uint32_t k_hi = CoreOf(query.front(), h);
-  for (VertexId q : query) k_hi = std::min(k_hi, CoreOf(q, h));
-  auto together_at = [&](uint32_t k) {
-    const auto merged = Merge(k, h, stats);
-    const uint32_t target = merged->RootOf(query.front(), partition_);
-    bool together = target != kInvalidVertex;
-    for (VertexId q : query) {
-      together &= (merged->RootOf(q, partition_) == target);
-    }
-    return std::make_pair(together, merged);
-  };
-  // Find-last-true over [0, k_hi]; probing midpoints first means the
-  // near-full-graph k = 0 merge only ever runs when the search collapses
-  // to 0 without a single success — i.e. for queries that are split in
-  // every proper core (or infeasible outright).
-  uint32_t lo = 0;
-  uint32_t hi = k_hi;
-  std::shared_ptr<const MergedComponents> best;
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo + 1) / 2;
-    auto [together, merged] = together_at(mid);
-    if (together) {
-      lo = mid;
-      best = merged;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  if (best == nullptr) {
-    // lo was never directly confirmed (k_hi == 0, or every probe failed).
-    auto [together, merged] = together_at(lo);
-    if (!together) return out;  // split even in C_0 = V: infeasible
-    best = merged;
-  }
-  out.feasible = true;
-  out.core_level = lo;
-  out.vertices = best->MembersOfRoot(best->RootOf(query.front(), partition_));
-  // Report the achieved objective on the returned component (identical
-  // post-pass to the single-index path).
-  VertexMask member_mask(n, out.vertices);
-  BoundedBfs bfs(n);
-  uint32_t min_deg = static_cast<uint32_t>(out.vertices.size());
-  for (VertexId v : out.vertices) {
-    min_deg = std::min(min_deg, bfs.HDegree(g, member_mask, v, h));
-  }
-  out.min_h_degree = min_deg;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedHCoreService
-// ---------------------------------------------------------------------------
-
-HCoreIndexStats ShardedServiceStats::AggregateShards() const {
-  HCoreIndexStats total;
-  for (const HCoreIndexStats& s : shard) total.Add(s);
-  return total;
-}
 
 ShardedHCoreService::ShardedHCoreService(Graph g,
                                          const ShardedServiceOptions& options)
-    : options_(options), partition_(options.num_shards) {
-  HCORE_CHECK(options_.num_shards >= 1);
-  const int pool_threads = options_.apply_threads > 0 ? options_.apply_threads
-                                                      : options_.num_shards;
-  if (pool_threads > 1) pool_ = std::make_shared<ThreadPool>(pool_threads);
-
-  std::vector<CutEdge> cut = ExtractCutEdges(g, partition_);
-  shards_.resize(options_.num_shards);
-  // Prepare once, adopt everywhere: the primary shard runs the one initial
-  // decomposition; every other shard adopts its snapshot — shared graph
-  // pages and core vectors, fresh per-shard lazy caches and lock domains.
-  shards_[0] = std::make_unique<HCoreIndex>(std::move(g), options_.index);
-  const std::shared_ptr<const HCoreSnapshot> donor = shards_[0]->snapshot();
-  for (int s = 1; s < options_.num_shards; ++s) {
-    shards_[s] = std::make_unique<HCoreIndex>(donor, options_.index);
-  }
-  std::vector<std::shared_ptr<const HCoreSnapshot>> snaps;
-  snaps.reserve(shards_.size());
-  for (const auto& shard : shards_) snaps.push_back(shard->snapshot());
+    : options_(options), index_(std::move(g), options.index) {
+  HCORE_CHECK(options_.num_shards == 1);
   // Not shared yet, but view_ is guarded — hold the lock it names.
   MutexLock lock(mu_);
-  view_.reset(new ShardedServiceView(std::move(snaps), std::move(cut),
-                                     partition_, /*service_epoch=*/0, pool_,
-                                     options_.merge_cache_cap,
-                                     /*ownership=*/nullptr));
+  view_.reset(new ShardedServiceView(index_.snapshot()));
 }
 
 std::shared_ptr<const ShardedServiceView> ShardedHCoreService::view() const {
@@ -668,9 +24,6 @@ size_t ShardedHCoreService::ApplyBatch(std::span<const EdgeEdit> edits) {
   if (options_.group_commit) return GroupCommit(edits);
   MutexLock writer(update_mu_);
   std::shared_ptr<const ShardedServiceView> prev = view();
-
-  // Canonicalize ONCE at the front door; the effective list drives the
-  // primary's page splice, the owned-edit routing, and the cut-edge splice.
   EdgeEditSummary summary;
   std::vector<EdgeEdit> effective =
       prev->graph().CanonicalEffectiveEdits(edits, &summary);
@@ -682,43 +35,8 @@ size_t ShardedHCoreService::ApplyBatch(std::span<const EdgeEdit> edits) {
 void ShardedHCoreService::ApplyEffectiveLocked(
     const std::shared_ptr<const ShardedServiceView>& prev,
     std::span<const EdgeEdit> effective, const EdgeEditSummary& summary) {
-  // Owned-edit routing, computed once from the canonical batch + the vertex
-  // partition: shard s's share is the edits incident to its owned vertices'
-  // adjacency. The primary applies the whole batch (core repair is a global
-  // fixpoint); the routed counts feed per-shard write telemetry.
-  std::vector<size_t> routed(shards_.size(), 0);
-  for (const EdgeEdit& e : effective) {
-    const uint32_t su = partition_.ShardOf(e.u);
-    const uint32_t sv = partition_.ShardOf(e.v);
-    ++routed[su];
-    if (sv != su) ++routed[sv];
-  }
-
-  // Prepare once, adopt everywhere: ONE page splice + per-level repair on
-  // the primary, then O(levels) pointer adoption per replica.
-  const std::shared_ptr<const HCoreSnapshot> donor =
-      shards_[0]->ApplyPrepared(effective, summary);
-  for (size_t s = 1; s < shards_.size(); ++s) {
-    shards_[s]->AdoptPrepared(donor, routed[s]);
-  }
-
-  std::vector<CutEdge> cut = prev->cut_edges();
-  CutEdgeDelta cut_delta;
-  SpliceCutEdges(&cut, effective, partition_, &cut_delta);
-  std::vector<std::shared_ptr<const HCoreSnapshot>> snaps;
-  snaps.reserve(shards_.size());
-  for (const auto& shard : shards_) snaps.push_back(shard->snapshot());
-  std::shared_ptr<const ShardedServiceView> next(new ShardedServiceView(
-      std::move(snaps), std::move(cut), partition_, prev->service_epoch() + 1,
-      pool_, options_.merge_cache_cap, prev->ownership_));
-
-  // Incremental maintenance BEFORE publish: the successor inherits every
-  // merge the batch provably left intact, splices the rest within budget,
-  // and pre-merges the hot set — so post-batch readers find warm caches.
-  ScatterGatherStats carry;
-  next->CarryFrom(*prev, effective, cut_delta, options_.carry_budget_fraction,
-                  options_.hot_premerge, &carry);
-  AccumulateGather(carry);
+  std::shared_ptr<const ShardedServiceView> next(
+      new ShardedServiceView(index_.ApplyPrepared(effective, summary)));
 
   // Copy-on-write accounting: what this epoch's graph shared vs rebuilt of
   // its predecessor's pages.
@@ -790,48 +108,21 @@ void ShardedHCoreService::CommitGroup(std::span<PendingWrite* const> group) {
   }
 }
 
-std::vector<VertexId> ShardedHCoreService::CoreComponentOf(VertexId v,
-                                                           uint32_t k,
-                                                           int h) const {
-  ScatterGatherStats delta;
-  std::vector<VertexId> out = view()->CoreComponentOf(v, k, h, &delta);
-  AccumulateGather(delta);
-  return out;
-}
-
-CommunityResult ShardedHCoreService::Community(
-    const std::vector<VertexId>& query, int h) const {
-  ScatterGatherStats delta;
-  CommunityResult out = view()->Community(query, h, &delta);
-  AccumulateGather(delta);
-  return out;
-}
-
-void ShardedHCoreService::AccumulateGather(
-    const ScatterGatherStats& delta) const {
-  MutexLock lock(mu_);
-  gather_.Add(delta);
-}
-
 ShardedServiceStats ShardedHCoreService::stats() const {
   ShardedServiceStats out;
-  out.shard.reserve(shards_.size());
-  for (const auto& shard : shards_) out.shard.push_back(shard->stats());
+  out.index = index_.stats();
   const std::shared_ptr<const ShardedServiceView> v = view();
   MutexLock lock(mu_);
-  out.gather = gather_;
   out.memory = memory_;
-  // Point-in-time footprint of the current epoch's graph — ONE graph,
-  // shared by every shard's snapshot.
+  // Point-in-time footprint of the current epoch's graph.
   out.memory.resident_bytes = v->graph().MemoryBytes();
   out.memory.graph_pages = v->graph().num_pages();
   return out;
 }
 
 void ShardedHCoreService::ResetStats() {
-  for (const auto& shard : shards_) shard->ResetStats();
+  index_.ResetStats();
   MutexLock lock(mu_);
-  gather_ = ScatterGatherStats{};
   memory_ = GraphMemoryStats{};
 }
 

@@ -1,133 +1,50 @@
-// Sharded (k,h)-core serving tier: N HCoreIndex shards behind one API.
+// Serving front door: one HCoreIndex behind group commit and epoch views.
 //
-// The ROADMAP's serving north-star needs one front door over many index
-// shards. This tier hash-partitions the vertex id space over N shards
-// (graph/partition.h) and serves three query classes:
+// The service adds three things to the index it wraps:
 //
-//   * POINT queries (core, spectrum, degeneracy, densest-level tables) are
-//     routed to the owning shard and answered from that shard's immutable
-//     snapshot. Routing spreads the per-snapshot lazy-artifact builds and
-//     their mutexes over N independent indexes, so concurrent readers stop
-//     contending on a single snapshot's lazy caches.
-//   * CROSS-SHARD component/community queries run SCATTER-GATHER: every
-//     shard reports a component summary over its OWNED vertices only
-//     (fragments of the induced subgraph on owned core vertices, intra-
-//     shard edges only), and the gather side merges the fragments with a
-//     union-find seeded by exactly the cut edges (edges whose endpoints are
-//     owned by different shards). The protocol reads nothing but owned-
-//     vertex data from each shard plus the cut-edge set, so its answers are
-//     storage-partition-ready; its exactness against the single-index
-//     oracle is locked by the differential suite (tests/serve_test.cc).
-//   * ApplyBatch canonicalizes a batch once, fans the per-shard application
-//     out on the tier's thread pool (TaskGroup), splices the cut-edge set
-//     across the effective edits, and publishes a new cross-shard epoch
-//     VECTOR atomically: a reader's view pins one snapshot per shard, so
-//     concurrent readers observe either every shard after the batch or
-//     every shard before it — never a mix.
+//   * EPOCH VIEWS. Every effective write publishes one immutable
+//     ShardedServiceView over the index's new snapshot. Readers take the
+//     current view with one pointer copy (view()) and may query it for as
+//     long as they hold it; a later write never changes what it answers.
+//     Component and community queries go straight to the snapshot's lazily
+//     cached core hierarchy and core vectors.
+//   * GROUP COMMIT (ShardedServiceOptions::group_commit). Concurrent
+//     writers coalesce into one epoch: while a leader runs the write path,
+//     later ApplyBatch callers enqueue their edits and block; the next
+//     leader drains the queue, applies the concatenated batch (arrival
+//     order preserved, so last-edit-wins semantics hold across writers)
+//     under update_mu_, and wakes every coalesced writer with its own
+//     attributed effective-edit count.
+//   * PAGE ACCOUNTING. Each published epoch records how many graph pages it
+//     shared with its predecessor and how many it copied (GraphMemoryStats).
 //
-// Incremental cross-shard maintenance: merged component structure is NOT
-// rebuilt per view. When ApplyBatch publishes the next view it carries the
-// previous view's memoized merges forward, using the index's per-level
-// changed-vertex summaries (HCoreSnapshot::LevelDelta) plus the cut-edge
-// splice delta to classify each memoized (h, k) merge:
-//
-//   * CARRY — no owned vertex of any shard crossed level k, no intra-shard
-//     edit touches the level-k subgraph, and no relevant cut edge was added
-//     or removed: the merge is byte-identical by construction and the entry
-//     is shared by pointer.
-//   * INCREMENTAL UNION — every per-shard summary is still valid and only
-//     cut edges were ADDED at this level: the previous union-find forest is
-//     re-seeded with just the added edges (a union-find can grow but never
-//     unsplit, so removals disqualify this path).
-//   * SPLICE — some shards' summaries went stale: only those shards are
-//     re-scattered, valid summaries are reused, and one full union pass
-//     over the new cut set rebuilds the roots.
-//   * DROP — the stale-fragment fraction exceeds
-//     ShardedServiceOptions::carry_budget_fraction: carrying would cost
-//     about as much as a fresh merge, so the entry is rebuilt on demand.
-//
-// Per-shard scatters are additionally cached per (shard, h, k) and carried
-// across views under the same per-level validity test (not per-epoch), so
-// even a dropped or evicted merge rebuilds only the shards a batch touched.
-// The hottest (h, k) keys (per-key hit counters, halved each epoch) are
-// PRE-MERGED at publish time so steady-state readers of a mutating graph
-// never pay a gather at all.
-//
-// Storage model (deliberate, documented): every shard sees the WHOLE graph
-// — exact (k,h)-cores are a global fixpoint (a vertex's core index can
-// depend on edges arbitrarily far away), so a shard serving exact point
-// answers for its owned vertices cannot get by on a partition of the edges;
-// true partitioned storage with pinned-boundary fixpoints across shards is
-// the open research item in ROADMAP.md. What the shards do NOT do anymore
-// is replicate the bytes or the update work: the graph is a paged
-// copy-on-write CSR (graph/graph.h), so all shards share one set of
-// adjacency pages and one set of per-level core vectors by pointer. The
-// tier's write path is PREPARE ONCE, ADOPT EVERYWHERE — ApplyBatch
-// canonicalizes the batch once, a primary shard runs the page splice
-// (O(touched pages)) and the per-level repair once, and every other shard
-// adopts the resulting snapshot (HCoreIndex::AdoptPrepared: O(levels)
-// pointer copies, fresh lazy caches). The owned-incident share of the batch
-// is routed to each shard's write telemetry (computed once from the
-// canonical batch + VertexPartition). So the tier shards SERVING state
-// (snapshots, lazy artifacts, lock domains) while sharing storage: reads
-// scale with shards, a write costs one maintenance pass total instead of
-// one per shard, and tier memory is one graph instead of N. With 1 shard
-// the tier degenerates to exactly one HCoreIndex plus an empty cut set.
-//
-// Group commit (ShardedServiceOptions::group_commit): concurrent writers
-// coalesce into one epoch — while a leader runs the write path, later
-// ApplyBatch callers enqueue their edits and block; the next leader drains
-// the queue, applies the concatenated batch (arrival order preserved, so
-// last-edit-wins semantics hold across writers) under update_mu_, and wakes
-// every coalesced writer with its own attributed effective-edit count.
+// The type and option names carry "sharded" from an earlier design that
+// replicated the index across shards; the service now always holds exactly
+// one index.
 
 #ifndef HCORE_SERVE_SHARDED_SERVICE_H_
 #define HCORE_SERVE_SHARDED_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "apps/community.h"
-#include "graph/partition.h"
 #include "index/hcore_index.h"
-#include "serve/lru_cache.h"
+#include "util/check.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace hcore {
 
 /// Configuration for a ShardedHCoreService.
 struct ShardedServiceOptions {
-  /// Number of index shards (>= 1).
+  /// Must be 1 (checked at construction): the service holds one index.
   int num_shards = 1;
-  /// Per-shard index configuration (every shard gets the same one).
+  /// Index configuration.
   HCoreIndexOptions index;
-  /// Threads for the tier's own pool (shard construction and the per-shard
-  /// ApplyBatch fan-out). 0 means num_shards; 1 disables the pool. Note
-  /// this multiplies with index.base.num_threads, which each shard's
-  /// decompositions use internally.
-  int apply_threads = 0;
-  /// Capacity of each view's memoized-merge LRU (entries can hold O(core
-  /// vertices); low levels approach n each). The per-shard scatter cache
-  /// holds up to num_shards times as many summaries.
-  size_t merge_cache_cap = 64;
-  /// Carry-forward budget: a memoized merge whose stale-fragment fraction
-  /// exceeds this is dropped (rebuilt on demand) instead of spliced.
-  /// 1.0 splices no matter how stale; 0.0 keeps only free carries and
-  /// incremental unions; NEGATIVE disables cross-view carrying and
-  /// pre-merging entirely — every view rebuilds from scratch, the
-  /// pre-incremental behavior the differential tests compare against.
-  double carry_budget_fraction = 0.5;
-  /// Pre-merge up to this many of the hottest (h, k) keys at publish time
-  /// (keys with a decayed hit count of zero never qualify). 0 disables.
-  size_t hot_premerge = 8;
   /// Coalesce concurrent ApplyBatch callers into one epoch (see the group
   /// commit note above). Off, writers simply serialize on update_mu_, one
   /// epoch each — the right setting for single-writer deployments and for
@@ -135,287 +52,100 @@ struct ShardedServiceOptions {
   bool group_commit = false;
 };
 
-/// Gather-side work counters for the scatter-gather protocol.
-struct ScatterGatherStats {
-  /// Cross-shard queries served (component + community).
-  uint64_t component_queries = 0;
-  uint64_t community_queries = 0;
-  /// Per-shard component summaries built from scratch, and summaries
-  /// reused from a carried merge or the (shard, h, k) scatter cache.
-  uint64_t shard_scatters = 0;
-  uint64_t scatter_hits = 0;
-  /// Fragments reported by the scatters (union-find elements at the
-  /// gather).
-  uint64_t fragments_merged = 0;
-  /// Cut edges scanned by gather-side merges.
-  uint64_t cut_edges_scanned = 0;
-  /// Memoized-merge consultations: queries served straight from the merge
-  /// cache vs. queries that had to build the merge.
-  uint64_t merge_hits = 0;
-  uint64_t merge_misses = 0;
-  /// Publish-time maintenance outcomes: merges carried forward untouched
-  /// (pointer-shared), merges spliced (incremental union or partial
-  /// re-scatter + full union pass), and hot merges built eagerly.
-  uint64_t merges_carried = 0;
-  uint64_t merges_spliced = 0;
-  uint64_t merges_premerged = 0;
-
-  /// Field-wise accumulation — the ONE place that knows every counter.
-  /// Balance invariant (asserted in tests): every merge CONSTRUCTION
-  /// (merge_misses + merges_spliced + merges_premerged) consults all
-  /// num_shards summaries, each a scatter_hit or a shard_scatter, so
-  ///   scatter_hits + shard_scatters ==
-  ///       num_shards * (merge_misses + merges_spliced + merges_premerged).
-  void Add(const ScatterGatherStats& other);
-};
-
-/// Cumulative tier counters: per-shard index stats plus the gather-side
-/// protocol work.
+/// Cumulative service counters.
 struct ShardedServiceStats {
-  std::vector<HCoreIndexStats> shard;
-  ScatterGatherStats gather;
+  HCoreIndexStats index;
   /// Graph storage accounting: resident_bytes/graph_pages describe the
-  /// CURRENT epoch's paged CSR (shared by every shard — counted once, not
-  /// per shard); pages_shared/pages_copied accumulate what each published
-  /// epoch reused vs rebuilt of its predecessor's pages.
+  /// CURRENT epoch's paged CSR; pages_shared/pages_copied accumulate what
+  /// each published epoch reused vs rebuilt of its predecessor's pages.
   GraphMemoryStats memory;
-
-  /// Sum of the per-shard index counters.
-  HCoreIndexStats AggregateShards() const;
 };
 
-/// One consistent cross-shard read view: a snapshot per shard taken from
-/// ONE published epoch vector, plus that epoch's cut-edge set. Immutable
-/// and thread-safe; obtained from ShardedHCoreService::view() and valid for
-/// as long as the shared_ptr is held, across any number of updates.
+/// One published epoch of the service. Immutable and thread-safe; obtained
+/// from ShardedHCoreService::view() and valid for as long as the shared_ptr
+/// is held, across any number of updates.
 class ShardedServiceView {
  public:
-  int num_shards() const { return static_cast<int>(snapshots_.size()); }
-  int max_h() const { return snapshots_.front()->max_h(); }
+  /// The index snapshot this view serves.
+  const HCoreSnapshot& snapshot() const { return *snapshot_; }
+  const Graph& graph() const { return snapshot_->graph(); }
+  int max_h() const { return snapshot_->max_h(); }
 
-  /// The tier epoch: number of effective batches applied before this view.
-  uint64_t service_epoch() const { return service_epoch_; }
+  /// Number of effective batches applied before this view.
+  uint64_t service_epoch() const { return snapshot_->epoch(); }
 
-  /// The per-shard epoch vector this view pins. With replicated shards the
-  /// entries advance in lockstep, so they all equal service_epoch(); the
-  /// all-or-none guarantee is that a view never mixes entries from
-  /// different batches.
-  const std::vector<uint64_t>& shard_epochs() const { return shard_epochs_; }
-
-  const VertexPartition& partition() const { return partition_; }
-
-  /// This epoch's cut edges (canonical u < v, sorted).
-  const std::vector<CutEdge>& cut_edges() const { return cut_edges_; }
-
-  /// The graph at this epoch (any replica; they are identical).
-  const Graph& graph() const { return snapshots_.front()->graph(); }
-
-  /// The owning shard's snapshot for `v` — the point-query route.
-  const HCoreSnapshot& ShardFor(VertexId v) const {
-    return *snapshots_[partition_.ShardOf(v)];
+  // The two accessors below exist for the benchmark adapter, which was
+  // written against the replicated-shard service and is kept unchanged.
+  int num_shards() const { return 1; }
+  const HCoreSnapshot& shard_snapshot(int s) const {
+    HCORE_CHECK(s == 0);
+    return *snapshot_;
   }
 
-  /// Shard `s`'s snapshot (tests, stats aggregation).
-  const HCoreSnapshot& shard_snapshot(int s) const { return *snapshots_[s]; }
-
-  // -- Point queries (routed to the owning shard) --------------------------
-
-  uint32_t CoreOf(VertexId v, int h) const { return ShardFor(v).CoreOf(v, h); }
+  uint32_t CoreOf(VertexId v, int h) const { return snapshot_->CoreOf(v, h); }
 
   std::vector<uint32_t> Spectrum(VertexId v) const {
-    return ShardFor(v).Spectrum(v);
+    return snapshot_->Spectrum(v);
   }
 
-  /// Global artifacts are served by a deterministic level-routed shard so
-  /// repeated queries hit the same (already-built) lazy cache.
-  uint32_t Degeneracy(int h) const { return LevelShard(h).Degeneracy(h); }
+  uint32_t Degeneracy(int h) const { return snapshot_->Degeneracy(h); }
 
   std::vector<HCoreSnapshot::LevelDensity> TopDensestLevels(
       int h, size_t top_k) const {
-    return LevelShard(h).TopDensestLevels(h, top_k);
+    return snapshot_->TopDensestLevels(h, top_k);
   }
 
-  // -- Cross-shard scatter-gather queries ----------------------------------
-
   /// Vertices of the connected component of the (k,h)-core containing `v`
-  /// (sorted; empty when core_h(v) < k or v is out of range) — same
-  /// contract as HCoreSnapshot::CoreComponentOf, computed by the protocol.
-  /// `stats` (optional) accumulates the gather-side work.
-  std::vector<VertexId> CoreComponentOf(VertexId v, uint32_t k, int h,
-                                        ScatterGatherStats* stats =
-                                            nullptr) const;
+  /// (sorted; empty when core_h(v) < k or v is out of range).
+  std::vector<VertexId> CoreComponentOf(VertexId v, uint32_t k, int h) const {
+    return snapshot_->CoreComponentOf(v, k, h);
+  }
 
-  /// Distance-generalized cocktail-party community of `query` — same
-  /// contract as DistanceCocktailPartyFromCores, computed by a downward
-  /// level scan whose per-level connectivity check is the scatter-gather
-  /// merge.
-  CommunityResult Community(const std::vector<VertexId>& query, int h,
-                            ScatterGatherStats* stats = nullptr) const;
+  /// Distance-generalized cocktail-party community of `query` at threshold
+  /// h, computed from this epoch's level-h cores.
+  CommunityResult Community(const std::vector<VertexId>& query, int h) const {
+    return DistanceCocktailPartyFromCores(graph(), query, h,
+                                          snapshot_->Cores(h));
+  }
 
  private:
   friend class ShardedHCoreService;
 
-  /// Memoized-merge key: (h, k).
-  using MergeKey = std::pair<int, uint32_t>;
-  /// Per-shard scatter key: (shard, h, k).
-  using ScatterKey = std::tuple<int, int, uint32_t>;
+  explicit ShardedServiceView(std::shared_ptr<const HCoreSnapshot> snapshot)
+      : snapshot_(std::move(snapshot)) {}
 
-  /// One shard's contribution to a cross-shard merge: its owned vertices
-  /// with core_h >= k, each labeled with a shard-local fragment id (the
-  /// fragments are the components of the induced subgraph on those owned
-  /// vertices using intra-shard edges only).
-  struct ComponentSummary {
-    /// (vertex, fragment) pairs, ascending by vertex.
-    std::vector<std::pair<VertexId, uint32_t>> vertex_fragment;
-    uint32_t num_fragments = 0;
-
-    /// Fragment of `v` in this summary, or kInvalidVertex if absent.
-    uint32_t FragmentOf(VertexId v) const;
-  };
-
-  /// The gather result: global fragment labeling after the cut-edge merge.
-  /// Summaries are held by shared_ptr so a spliced successor merge can
-  /// reuse the still-valid ones without copying.
-  struct MergedComponents {
-    std::vector<std::shared_ptr<const ComponentSummary>> shard;  // per shard
-    std::vector<uint32_t> fragment_base;  // global id = base[s] + local
-    std::vector<uint32_t> fragment_root;  // union-find roots, path-compressed
-
-    /// Global component root of `v`, or kInvalidVertex if v is not in the
-    /// level-k core.
-    uint32_t RootOf(VertexId v, const VertexPartition& partition) const;
-
-    /// All vertices, across every shard summary, whose merged root is
-    /// `root` — sorted ascending (the component/community answer shape).
-    std::vector<VertexId> MembersOfRoot(uint32_t root) const;
-  };
-
-  /// Ownership is epoch-stable, so it is materialized once (O(n)) and
-  /// SHARED across successor views while the vertex count holds:
-  /// owner_of[v] is v's shard, owned[s] lists s's vertices ascending.
-  struct OwnershipIndex {
-    std::vector<uint32_t> owner_of;
-    std::vector<std::vector<VertexId>> owned;
-  };
-
-  ShardedServiceView(std::vector<std::shared_ptr<const HCoreSnapshot>> snaps,
-                     std::vector<CutEdge> cut_edges, VertexPartition partition,
-                     uint64_t service_epoch, std::shared_ptr<ThreadPool> pool,
-                     size_t merge_cache_cap,
-                     std::shared_ptr<const OwnershipIndex> ownership);
-
-  const HCoreSnapshot& LevelShard(int h) const {
-    return *snapshots_[(h - 1) % num_shards()];
-  }
-
-  /// SCATTER: builds shard `s`'s ComponentSummary at level (k, h) from its
-  /// snapshot (no caches consulted).
-  ComponentSummary BuildShardFragments(int s, uint32_t k, int h) const;
-
-  /// GATHER construction: one summary per shard (scatter cache consulted
-  /// under merge_mu_, misses fanned out on the pool), then one union pass
-  /// over the cut edges surviving at level (k, h). Counts a scatter_hit or
-  /// shard_scatter per shard.
-  std::shared_ptr<const MergedComponents> BuildMerge(
-      uint32_t k, int h, ScatterGatherStats* stats) const
-      EXCLUDES(merge_mu_);
-
-  /// The summaries' union pass: assigns fragment_base, unions fragments
-  /// across the cut edges whose endpoints both survive at level (k, h),
-  /// and path-compresses the roots. Core membership of each endpoint is
-  /// read from its OWNER's summary, so the gather never touches non-owned
-  /// shard state.
-  void FinishMerge(MergedComponents* merged, ScatterGatherStats* stats) const;
-
-  /// GATHER: the memoized entry for (h, k) — built via BuildMerge on a
-  /// miss. Every consultation bumps the key's hot counter; `stats` records
-  /// the hit or miss plus any construction work.
-  std::shared_ptr<const MergedComponents> Merge(uint32_t k, int h,
-                                                ScatterGatherStats* stats)
-      const EXCLUDES(merge_mu_);
-
-  /// Publish-time incremental maintenance (called by the service on the
-  /// not-yet-published successor of `prev`, after the batch and cut splice):
-  /// classifies every memoized merge of `prev` as carry / incremental
-  /// union / splice / drop using the per-level changed-vertex summaries and
-  /// `cut_delta`, carries still-valid per-shard scatters, inherits decayed
-  /// hot counters, and pre-merges up to `hot_premerge` hot keys. No-op for
-  /// single-shard views or a negative `budget`.
-  void CarryFrom(const ShardedServiceView& prev,
-                 std::span<const EdgeEdit> effective,
-                 const CutEdgeDelta& cut_delta, double budget,
-                 size_t hot_premerge, ScatterGatherStats* stats) const
-      EXCLUDES(merge_mu_, prev.merge_mu_);
-
-  std::vector<std::shared_ptr<const HCoreSnapshot>> snapshots_;
-  std::vector<uint64_t> shard_epochs_;
-  std::vector<CutEdge> cut_edges_;
-  VertexPartition partition_;
-  uint64_t service_epoch_ = 0;
-  std::shared_ptr<const OwnershipIndex> ownership_;
-  // Shared with the service so the scatter can fan out per shard; views
-  // may outlive the service, hence the shared ownership. Null = inline.
-  std::shared_ptr<ThreadPool> pool_;
-  // Memoized merges keyed by (h, k) and per-shard scatters keyed by
-  // (shard, h, k), both exact-LRU (serve/lru_cache.h) and both carried
-  // forward across views by CarryFrom. hot_hits_ ranks keys for the
-  // publish-time pre-merge. Guarded: views are shared by concurrent
-  // readers. (The LruCache accessors additionally take merge_mu_ as their
-  // REQUIRES capability parameter, so even a cache reached through another
-  // view object — CarryFrom reads its predecessor's — names the right
-  // lock.)
-  mutable Mutex merge_mu_;
-  mutable LruCache<MergeKey, std::shared_ptr<const MergedComponents>>
-      merge_cache_ GUARDED_BY(merge_mu_);
-  mutable LruCache<ScatterKey, std::shared_ptr<const ComponentSummary>>
-      scatter_cache_ GUARDED_BY(merge_mu_);
-  mutable std::map<MergeKey, uint64_t> hot_hits_ GUARDED_BY(merge_mu_);
+  std::shared_ptr<const HCoreSnapshot> snapshot_;
 };
 
-/// The serving tier. Thread-safe: any number of concurrent readers (view()
-/// plus queries on the returned view, or the convenience wrappers below);
-/// writers serialize among themselves and never block readers.
+/// The service. Thread-safe: any number of concurrent readers (view() plus
+/// queries on the returned view); writers serialize among themselves (or
+/// coalesce under group commit) and never block readers.
 class ShardedHCoreService {
  public:
-  /// Builds the shards over `g` and publishes epoch 0: one primary shard
-  /// runs the initial decomposition, every other shard adopts its snapshot
-  /// (shared pages and core vectors, fresh lazy caches) — construction and
-  /// memory cost one decomposition and one graph, not N.
+  /// Decomposes `g` once and publishes epoch 0.
   explicit ShardedHCoreService(Graph g,
                                const ShardedServiceOptions& options = {});
 
-  int num_shards() const { return options_.num_shards; }
   int max_h() const { return options_.index.max_h; }
 
-  /// The current consistent cross-shard view (one pointer copy).
+  /// The current view (one pointer copy).
   std::shared_ptr<const ShardedServiceView> view() const EXCLUDES(mu_);
 
-  /// Applies one edit batch tier-wide: canonicalizes the batch against the
-  /// current epoch ONCE, routes each shard its owned-incident share for
-  /// telemetry, has the primary shard apply the copy-on-write page splice
-  /// plus per-level repair (HCoreIndex::ApplyPrepared), adopts the
-  /// resulting snapshot into every other shard, splices the cut-edge set,
-  /// runs the incremental merge maintenance (CarryFrom) on the successor
-  /// view, and atomically publishes the next epoch vector. Returns the
-  /// number of effective edits from THIS call's batch (0 publishes
-  /// nothing); under group_commit the call may block while a leader applies
-  /// a coalesced epoch containing it. Readers holding older views are never
-  /// blocked and never see a partial batch.
+  /// Applies one edit batch: canonicalizes it against the current epoch,
+  /// hands the effective edits to the index (HCoreIndex::ApplyPrepared: one
+  /// copy-on-write page splice plus per-level repair), and publishes the
+  /// next view. Returns the number of effective edits from THIS call's
+  /// batch (0 publishes nothing); under group_commit the call may block
+  /// while a leader applies a coalesced epoch containing it. Readers
+  /// holding older views are never blocked and never see a partial batch.
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(commit_mu_, update_mu_, mu_);
 
-  /// Convenience wrappers over the current view; the scatter-gather ones
-  /// accumulate protocol counters into stats().
-  uint32_t CoreOf(VertexId v, int h) const { return view()->CoreOf(v, h); }
-  std::vector<VertexId> CoreComponentOf(VertexId v, uint32_t k, int h) const;
-  CommunityResult Community(const std::vector<VertexId>& query, int h) const;
-
-  /// Cumulative per-shard and gather-side counters (publish-time carry /
-  /// splice / premerge work is accumulated here by ApplyBatch).
+  /// Cumulative index counters and page accounting.
   ShardedServiceStats stats() const EXCLUDES(mu_);
 
-  /// Zeroes every shard's counters and the gather-side counters (epochs and
-  /// published views are untouched) — `stats reset` in the serve REPL.
+  /// Zeroes every counter (epochs and published views are untouched) —
+  /// `stats reset` in the serve REPL.
   void ResetStats() EXCLUDES(mu_);
 
  private:
@@ -428,11 +158,8 @@ class ShardedHCoreService {
     bool done = false;
   };
 
-  void AccumulateGather(const ScatterGatherStats& delta) const EXCLUDES(mu_);
-
   /// The write path proper: `effective`/`summary` are the canonicalized
-  /// batch against the current view. Primary applies, replicas adopt, cut
-  /// set spliced, merges carried, memory accounted, next view published.
+  /// batch against `prev`. Index applies, pages accounted, view published.
   void ApplyEffectiveLocked(
       const std::shared_ptr<const ShardedServiceView>& prev,
       std::span<const EdgeEdit> effective, const EdgeEditSummary& summary)
@@ -450,15 +177,10 @@ class ShardedHCoreService {
       EXCLUDES(update_mu_, mu_);
 
   ShardedServiceOptions options_;
-  VertexPartition partition_;
-  std::vector<std::unique_ptr<HCoreIndex>> shards_;
-  // Shared fan-out pool: the views' read-side scatters (TaskGroup keeps
-  // waits scoped).
-  std::shared_ptr<ThreadPool> pool_;
+  HCoreIndex index_;
   Mutex update_mu_;   // serializes writers
-  mutable Mutex mu_;  // guards view_ swap, gather_, and memory_
+  mutable Mutex mu_;  // guards view_ swap and memory_
   std::shared_ptr<const ShardedServiceView> view_ GUARDED_BY(mu_);
-  mutable ScatterGatherStats gather_ GUARDED_BY(mu_);
   GraphMemoryStats memory_ GUARDED_BY(mu_);  // cumulative shared/copied
   // Group-commit state: queued writers and the leader-election flag.
   Mutex commit_mu_;

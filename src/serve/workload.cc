@@ -278,25 +278,24 @@ WorkloadReport RunWorkload(ShardedHCoreService* service,
       const int h = 1 + static_cast<int>(rng.NextIndex(
                             static_cast<uint32_t>(max_h)));
       WallTimer op_timer;
+      const std::shared_ptr<const ShardedServiceView> view = service->view();
       switch (op) {
         case WorkloadOp::kCore:
-          (void)service->CoreOf(v, h);
+          (void)view->CoreOf(v, h);
           break;
         case WorkloadOp::kSpectrum:
-          (void)service->view()->Spectrum(v);
+          (void)view->Spectrum(v);
           break;
         case WorkloadOp::kDensest:
-          (void)service->view()->TopDensestLevels(h, 4);
+          (void)view->TopDensestLevels(h, 4);
           break;
         case WorkloadOp::kComponent: {
-          // "My community" shape: the component of v's own innermost core,
-          // so the query always pays a real scatter-gather.
-          const uint32_t k = std::max(1u, service->CoreOf(v, h));
-          (void)service->CoreComponentOf(v, k, h);
+          // "My community" shape: the component of v's own innermost core.
+          const uint32_t k = std::max(1u, view->CoreOf(v, h));
+          (void)view->CoreComponentOf(v, k, h);
           break;
         }
         case WorkloadOp::kCommunity: {
-          auto view = service->view();
           const auto neighbors = view->graph().neighbors(v);
           std::vector<VertexId> query = {v};
           for (size_t j = 0;
@@ -305,12 +304,12 @@ WorkloadReport RunWorkload(ShardedHCoreService* service,
                ++j) {
             query.push_back(neighbors[j]);
           }
-          (void)service->Community(query, h);
+          (void)view->Community(query, h);
           break;
         }
         case WorkloadOp::kWrite: {
-          std::vector<EdgeEdit> batch = MakeWriteBatch(
-              *service->view(), zipf, options.write_batch_edits, &rng);
+          std::vector<EdgeEdit> batch =
+              MakeWriteBatch(*view, zipf, options.write_batch_edits, &rng);
           if (options.collect_applied_batches) {
             MutexLock lock(shared.collect_mu);
             const size_t applied = service->ApplyBatch(batch);
@@ -398,7 +397,7 @@ bool LogMismatch(size_t so_far, const char* what, VertexId v, int h,
                  const T& got, const T& want) {
   if (so_far < 5) {
     std::fprintf(stderr,
-                 "oracle mismatch: %s(v=%u, h=%d): sharded=%llu oracle=%llu\n",
+                 "oracle mismatch: %s(v=%u, h=%d): service=%llu oracle=%llu\n",
                  what, v, h, static_cast<unsigned long long>(got),
                  static_cast<unsigned long long>(want));
   }
@@ -412,47 +411,44 @@ size_t CompareToSingleIndexOracle(Graph initial,
                                   const ShardedHCoreService& service,
                                   const WorkloadReport& report,
                                   const OracleCheckOptions& check) {
-  ShardedServiceOptions oracle_options;
-  oracle_options.num_shards = 1;
-  oracle_options.index = index_options;
-  ShardedHCoreService oracle(std::move(initial), oracle_options);
+  HCoreIndex oracle(std::move(initial), index_options);
   for (const AppliedBatch& batch : report.applied_batches) {
     (void)oracle.ApplyBatch(batch.edits);
   }
 
-  const auto sharded = service.view();
-  const auto single = oracle.view();
+  const auto served = service.view();
+  const auto single = oracle.snapshot();
   size_t mismatches = 0;
 
   // The replay must land on the same epoch count and the same graph, or
   // the caller broke the "every batch recorded" contract.
-  if (sharded->service_epoch() != single->service_epoch()) {
+  if (served->service_epoch() != single->epoch()) {
     std::fprintf(stderr,
                  "oracle mismatch: epoch %llu vs %llu — applied_batches does "
                  "not cover every batch\n",
-                 static_cast<unsigned long long>(sharded->service_epoch()),
-                 static_cast<unsigned long long>(single->service_epoch()));
+                 static_cast<unsigned long long>(served->service_epoch()),
+                 static_cast<unsigned long long>(single->epoch()));
     ++mismatches;
   }
-  if (sharded->graph().num_vertices() != single->graph().num_vertices() ||
-      sharded->graph().num_edges() != single->graph().num_edges()) {
+  if (served->graph().num_vertices() != single->graph().num_vertices() ||
+      served->graph().num_edges() != single->graph().num_edges()) {
     std::fprintf(stderr, "oracle mismatch: graph n=%u m=%llu vs n=%u m=%llu\n",
-                 sharded->graph().num_vertices(),
-                 static_cast<unsigned long long>(sharded->graph().num_edges()),
+                 served->graph().num_vertices(),
+                 static_cast<unsigned long long>(served->graph().num_edges()),
                  single->graph().num_vertices(),
                  static_cast<unsigned long long>(single->graph().num_edges()));
     return mismatches + 1;  // vertex ranges may differ; sampling is unsafe
   }
 
-  const VertexId n = sharded->graph().num_vertices();
-  const int max_h = std::min(sharded->max_h(), single->max_h());
+  const VertexId n = served->graph().num_vertices();
+  const int max_h = std::min(served->max_h(), single->max_h());
   Rng rng(check.seed);
 
   for (size_t i = 0; i < check.spectrum_samples; ++i) {
     const VertexId v = rng.NextIndex(n);
-    if (sharded->Spectrum(v) != single->Spectrum(v)) {
+    if (served->Spectrum(v) != single->Spectrum(v)) {
       mismatches += LogMismatch(mismatches, "spectrum", v, 0,
-                                sharded->CoreOf(v, 1), single->CoreOf(v, 1));
+                                served->CoreOf(v, 1), single->CoreOf(v, 1));
     }
   }
 
@@ -461,7 +457,7 @@ size_t CompareToSingleIndexOracle(Graph initial,
     const int h = 1 + static_cast<int>(rng.NextIndex(
                           static_cast<uint32_t>(max_h)));
     const uint32_t k = std::max(1u, single->CoreOf(v, h));
-    const std::vector<VertexId> got = sharded->CoreComponentOf(v, k, h);
+    const std::vector<VertexId> got = served->CoreComponentOf(v, k, h);
     const std::vector<VertexId> want = single->CoreComponentOf(v, k, h);
     if (got != want) {
       mismatches += LogMismatch(mismatches, "component-size", v, h,
@@ -473,11 +469,12 @@ size_t CompareToSingleIndexOracle(Graph initial,
     const VertexId v = rng.NextIndex(n);
     const int h = 1 + static_cast<int>(rng.NextIndex(
                           static_cast<uint32_t>(max_h)));
-    const auto neighbors = sharded->graph().neighbors(v);
+    const auto neighbors = served->graph().neighbors(v);
     std::vector<VertexId> query = {v};
     if (!neighbors.empty()) query.push_back(neighbors[0]);
-    const CommunityResult got = sharded->Community(query, h);
-    const CommunityResult want = single->Community(query, h);
+    const CommunityResult got = served->Community(query, h);
+    const CommunityResult want = DistanceCocktailPartyFromCores(
+        single->graph(), query, h, single->Cores(h));
     if (got.feasible != want.feasible || got.vertices != want.vertices ||
         got.min_h_degree != want.min_h_degree ||
         got.core_level != want.core_level) {

@@ -1,14 +1,14 @@
-// Closed-loop workload driver for the sharded serving tier.
+// Closed-loop workload driver for the serving front door
+// (serve/sharded_service.h).
 //
 // The ROADMAP's "millions of users" claim needs a measurement instrument,
 // not an assertion: every number so far came from open-loop single-query
 // benchmark loops. This driver models a production mix the way the LDBC /
 // SIGMOD-2014 contest analysis does (PAPERS.md): a configurable ratio of
-// point lookups (core / spectrum / densest), cross-shard traversals
-// (component / community), and sustained ApplyBatch write ingestion, with
-// Zipf-skewed key popularity — popular vertices are both read and churned
-// more, which is exactly the shape that stresses the carry/splice merge
-// maintenance.
+// point lookups (core / spectrum / densest), traversals (component /
+// community), and sustained ApplyBatch write ingestion, with Zipf-skewed
+// key popularity — popular vertices are both read and churned more, which
+// is exactly the shape that stresses write repair and lazy rebuilds.
 //
 // Pieces:
 //
@@ -16,8 +16,7 @@
 //     (r+1)^-s, s = 0 degenerates to uniform). Built once (O(n) CDF
 //     table), sampled by binary search; the same Rng stream always yields
 //     the same keys. Rank r maps to vertex id r — generators in this tree
-//     grow communities in id order, so low ids are ordinary vertices, and
-//     the hash partition spreads consecutive ids across shards anyway.
+//     grow communities in id order, so low ids are ordinary vertices.
 //
 //   * LatencyHistogram — bounded log-spaced buckets (HDR-style: values
 //     below 2^kSubBucketBits nanoseconds get exact buckets, every later
@@ -27,14 +26,12 @@
 //     EXACT-RANK at bucket resolution: PercentileNs(p) returns the lower
 //     bound of the bucket containing the nearest-rank sample — the sample
 //     at 0-based index NearestRankIndex(p, count) of the sorted sequence —
-//     never an interpolated or rank-shifted value. (The previous ad-hoc
-//     floor(p*n) indexing in bench_serve_scatter was one rank high for
-//     most n; NearestRankIndex is the shared, tested replacement.)
+//     never an interpolated or rank-shifted value.
 //
 //   * RunWorkload — N closed-loop client threads on a util/thread_pool:
 //     each client draws an op class from the mix, a key from the sampler,
 //     issues the query against the live ShardedHCoreService (write ops are
-//     real ApplyBatch calls mutating the tier under the readers), and
+//     real ApplyBatch calls mutating the service under the readers), and
 //     records the op latency in its own per-class histograms; workers are
 //     merged under a mutex at the end. Closed-loop means each client
 //     issues its next op only after the previous one returns, so QPS is
@@ -46,11 +43,11 @@
 //
 //   * CompareToSingleIndexOracle — the differential check: RunWorkload
 //     with collect_applied_batches records every effective write batch in
-//     publish order; the check replays them into a fresh single-shard
-//     service over the same initial graph and compares sampled spectra,
-//     components, and communities between the two final views. Any
-//     mismatch means the sharded tier under concurrent mixed load diverged
-//     from the single-index semantics.
+//     publish order; the check replays them into a bare HCoreIndex over the
+//     same initial graph and compares sampled spectra, components, and
+//     communities between the service's final view and the index's final
+//     snapshot. Any mismatch means the service under concurrent mixed load
+//     diverged from the index semantics.
 
 #ifndef HCORE_SERVE_WORKLOAD_H_
 #define HCORE_SERVE_WORKLOAD_H_
@@ -152,11 +149,11 @@ class LatencyHistogram {
 
 /// The operation classes a workload mixes.
 enum class WorkloadOp : int {
-  kCore = 0,       // point: core_h(v) on the owner shard
+  kCore = 0,       // point: core_h(v)
   kSpectrum,       // point: full spectrum of v
   kDensest,        // point: densest-level table at a random h
-  kComponent,      // cross-shard: component of v's own innermost core
-  kCommunity,      // cross-shard: cocktail-party community of v + neighbors
+  kComponent,      // traversal: component of v's own innermost core
+  kCommunity,      // traversal: cocktail-party community of v + neighbors
   kWrite,          // ApplyBatch of write_batch_edits churn edits
 };
 inline constexpr int kNumWorkloadOps = 6;
@@ -270,11 +267,11 @@ struct OracleCheckOptions {
 
 /// Replays `report.applied_batches` (which must hold EVERY batch the
 /// service has applied since construction — run exactly one collecting
-/// RunWorkload against a fresh service, with no other writers) into a
-/// single-shard oracle built over `initial` with the same index options,
-/// then compares sampled spectra, core components, and communities between
-/// the two final views. Returns the number of mismatching answers (0 =
-/// the sharded tier agreed with the single-index semantics everywhere);
+/// RunWorkload against a fresh service, with no other writers) into a bare
+/// HCoreIndex built over `initial` with the same index options, then
+/// compares sampled spectra, core components, and communities between the
+/// service's final view and the index's final snapshot. Returns the number
+/// of mismatching answers (0 = the service agreed with the index everywhere);
 /// the first few mismatches are described on stderr.
 size_t CompareToSingleIndexOracle(Graph initial,
                                   const HCoreIndexOptions& index_options,

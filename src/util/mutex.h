@@ -4,9 +4,9 @@
 // Clang thread-safety capability attributes from util/thread_annotations.h.
 // Every lock in the tree goes through these types (tools/lint_invariants.py
 // rejects naked std::mutex elsewhere), so the locking rules documented in
-// header comments — "snap_ is guarded by mu_", "callers guard every LruCache
-// method with the view's merge_mu_" — are machine-checked by the Clang CI
-// leg instead of trusted.
+// header comments — "snap_ is guarded by mu_", "commit_queue_ is guarded
+// by commit_mu_" — are machine-checked by the Clang CI leg instead of
+// trusted.
 //
 // Conventions:
 //   * Prefer MutexLock (scoped) over manual Lock/Unlock pairs.

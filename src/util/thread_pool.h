@@ -75,8 +75,8 @@ void MaybeParallelFor(ThreadPool* pool, uint64_t begin, uint64_t end,
 /// A scoped fan-out of tasks onto a shared pool. Unlike ThreadPool::Wait —
 /// which blocks until the WHOLE pool drains, so two clients sharing a pool
 /// would wait on each other's work — Wait() here blocks only until this
-/// group's own tasks finish. Used by the sharded serving tier, where the
-/// batch-apply fan-out shares the pool with shard construction.
+/// group's own tasks finish. Used by HCoreIndex's concurrent dirty-level
+/// repair.
 ///
 /// With a null pool, Run executes the task inline (degenerate but valid).
 /// The destructor waits for any still-pending tasks; the group must outlive

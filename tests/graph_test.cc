@@ -139,6 +139,12 @@ TEST(GraphIo, RejectsMalformedLines) {
   EXPECT_FALSE(io::ParseEdgeList("1 x\n").ok());
   EXPECT_FALSE(io::ParseEdgeList("abc def\n").ok());
   EXPECT_FALSE(io::ParseEdgeList("42\n").ok());
+  // An id past UINT64_MAX is rejected with its line number, not wrapped.
+  Result<Graph> overflow =
+      io::ParseEdgeList("1 2\n3 99999999999999999999999\n");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().ToString().find("line 2"), std::string::npos);
 }
 
 TEST(GraphIo, WriteDotProducesValidDotText) {

@@ -5,11 +5,8 @@
 // localized/fallback counters always account for every applied update
 // (DynamicKhCore) / every dirty level (HCoreIndex). Region caps are swept
 // so the localized path, the overflow fallback, and the disabled path are
-// all exercised. The sharded leg repeats the game through the serving
-// tier: 100+ edit sequences where every ShardedHCoreService::ApplyBatch
-// step is compared against a fresh decomposition, plus writer-vs-
-// concurrent-shard-readers epoch-vector consistency. The TSan CI leg runs
-// this suite (the concurrency tests at the bottom are its target).
+// all exercised. The TSan CI leg runs this suite (the concurrency test at
+// the bottom is its target).
 
 #include "core/incremental.h"
 
@@ -22,7 +19,6 @@
 
 #include "graph/generators.h"
 #include "index/hcore_index.h"
-#include "serve/sharded_service.h"
 #include "test_util.h"
 
 namespace hcore {
@@ -341,199 +337,6 @@ TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
   }
   EXPECT_GT(total_localized, 0u);
   EXPECT_GT(total_fallback, 0u);
-}
-
-/// Reference component: BFS from `v` restricted to vertices whose fresh
-/// core reaches `k` — the oracle for the tier's scatter-gather answers.
-std::vector<VertexId> ReferenceComponent(const Graph& g,
-                                         const std::vector<uint32_t>& core,
-                                         VertexId v, uint32_t k) {
-  if (core[v] < k) return {};
-  std::vector<bool> seen(g.num_vertices(), false);
-  std::vector<VertexId> stack{v};
-  std::vector<VertexId> out;
-  seen[v] = true;
-  while (!stack.empty()) {
-    const VertexId u = stack.back();
-    stack.pop_back();
-    out.push_back(u);
-    for (VertexId w : g.neighbors(u)) {
-      if (!seen[w] && core[w] >= k) {
-        seen[w] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// One sharded fuzz sequence: random batches through the tier, exact
-/// equality against a fresh decomposition of the served graph after every
-/// step, epoch vector in lockstep throughout. Component queries run BEFORE
-/// each batch (so the publish-time maintenance has merges to carry or
-/// splice under `carry_budget`) and are re-checked against a reference BFS
-/// AFTER it — the carried answers must stay exact.
-void RunShardedSequence(const RandomGraphSpec& spec, int shards,
-                        EditMode mode, int steps, double carry_budget = 0.5,
-                        size_t premerge = 4) {
-  constexpr int kMaxH = 3;
-  ShardedServiceOptions opts;
-  opts.num_shards = shards;
-  opts.index.max_h = kMaxH;
-  // Small caps so both maintenance paths serve levels inside the fuzz.
-  opts.index.localized.max_region_fraction = 0.3;
-  opts.index.localized.min_region_cap = 8;
-  opts.index.localized.max_batch = 4;
-  opts.carry_budget_fraction = carry_budget;
-  opts.hot_premerge = premerge;
-  ShardedHCoreService service(MakeRandomGraph(spec), opts);
-  Rng rng(spec.seed * 6271 + static_cast<uint64_t>(shards) * 37 +
-          static_cast<uint64_t>(mode));
-  for (int step = 0; step < steps; ++step) {
-    auto view = service.view();
-    {
-      // Warm the merge caches the batch will have to maintain.
-      const VertexId n = view->graph().num_vertices();
-      for (int h = 1; h <= kMaxH; ++h) {
-        for (VertexId v : {VertexId{0}, n / 2}) {
-          (void)view->CoreComponentOf(v, 0, h);
-          (void)view->CoreComponentOf(v, view->CoreOf(v, h), h);
-        }
-      }
-    }
-    const int size = 1 + static_cast<int>(rng.NextIndex(5));
-    const bool insert_only = mode == EditMode::kInsertOnly;
-    const bool delete_only = mode == EditMode::kDeleteOnly;
-    auto batch = RandomBatch(view->graph(), &rng, delete_only ? 0 : size,
-                             insert_only ? 0 : size);
-    service.ApplyBatch(batch);
-    view = service.view();
-    for (uint64_t e : view->shard_epochs()) {
-      ASSERT_EQ(e, view->service_epoch())
-          << spec.Name() << " shards=" << shards << " step=" << step;
-    }
-    for (int h = 1; h <= kMaxH; ++h) {
-      const std::vector<uint32_t> fresh = FreshCores(view->graph(), h);
-      const VertexId n = view->graph().num_vertices();
-      for (VertexId v = 0; v < n; ++v) {
-        ASSERT_EQ(view->CoreOf(v, h), fresh[v])
-            << spec.Name() << " shards=" << shards << " step=" << step
-            << " h=" << h << " v=" << v;
-      }
-      // Post-batch components — answered from carried, spliced, pre-merged,
-      // or rebuilt merges depending on the budget — against the BFS oracle.
-      for (VertexId v : {VertexId{0}, n / 2, n - 1}) {
-        for (uint32_t k : {0u, fresh[v]}) {
-          ASSERT_EQ(view->CoreComponentOf(v, k, h),
-                    ReferenceComponent(view->graph(), fresh, v, k))
-              << spec.Name() << " shards=" << shards << " step=" << step
-              << " h=" << h << " v=" << v << " k=" << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardedFuzz, ApplyBatchMatchesFreshAcrossShardCountsAndEditModes) {
-  // 6 models x 2 seeds x shards {2,3,8} x 3 edit modes = 108 sequences,
-  // every step checked against a fresh decomposition at every level.
-  for (const RandomGraphSpec& spec : Corpus(32, 2)) {
-    for (int shards : {2, 3, 8}) {
-      for (EditMode mode :
-           {EditMode::kInsertOnly, EditMode::kDeleteOnly, EditMode::kMixed}) {
-        RunShardedSequence(spec, shards, mode, 4);
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST(ShardedFuzz, CarriedMergesStayExactUnderLowAndHighSpliceBudgets) {
-  // The splice-budget legs: 0.0 forces the drop-and-rebuild fallback for
-  // every merge a batch touches (only exact carries survive), 1.0 forces
-  // the splice path no matter how stale a merge got. Both must stay exact
-  // against the BFS oracle after every batch.
-  for (const RandomGraphSpec& spec : Corpus(32, 2)) {
-    for (int shards : {2, 3}) {
-      RunShardedSequence(spec, shards, EditMode::kMixed, 4,
-                         /*carry_budget=*/0.0, /*premerge=*/0);
-      if (HasFatalFailure()) return;
-      RunShardedSequence(spec, shards, EditMode::kMixed, 4,
-                         /*carry_budget=*/1.0, /*premerge=*/8);
-      if (HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(ShardedFuzz, WriterVsConcurrentShardReadersSeeConsistentEpochVectors) {
-  // The all-or-none guarantee under fire: a writer advances the tier while
-  // readers repeatedly pin views and check that every shard in the view is
-  // at the same epoch, serves the same graph, and agrees on sampled cores
-  // with the owner shard — i.e. no view ever mixes shards from different
-  // batches. (TSan leg target.)
-  Rng rng(29);
-  Graph g = gen::PlantedPartition(4, 25, 0.4, 0.05, &rng);
-  ShardedServiceOptions opts;
-  opts.num_shards = 3;
-  opts.index.max_h = 2;
-  ShardedHCoreService service(std::move(g), opts);
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> reads{0};
-  std::atomic<bool> failed{false};
-  auto reader = [&]() {
-    while (!stop.load(std::memory_order_relaxed)) {
-      auto view = service.view();
-      const uint64_t epoch = view->service_epoch();
-      for (uint64_t e : view->shard_epochs()) {
-        if (e != epoch) failed.store(true);
-      }
-      const Graph& g0 = view->shard_snapshot(0).graph();
-      for (int s = 1; s < view->num_shards(); ++s) {
-        const Graph& gs = view->shard_snapshot(s).graph();
-        if (gs.num_vertices() != g0.num_vertices() ||
-            gs.num_edges() != g0.num_edges()) {
-          failed.store(true);
-        }
-      }
-      const VertexId n = g0.num_vertices();
-      for (VertexId v = 0; v < n; v += 9) {
-        const uint32_t owned = view->CoreOf(v, 2);
-        for (int s = 0; s < view->num_shards(); ++s) {
-          if (view->shard_snapshot(s).CoreOf(v, 2) != owned) {
-            failed.store(true);
-          }
-        }
-      }
-      (void)view->CoreComponentOf(0, 1, 2);
-      if (view->service_epoch() != epoch) failed.store(true);
-      reads.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
-
-  Rng update_rng(31);
-  size_t applied = 0;
-  for (int step = 0; step < 30; ++step) {
-    auto batch = RandomBatch(service.view()->graph(), &update_rng,
-                             update_rng.NextBool(0.5) ? 2 : 0, 1);
-    applied += service.ApplyBatch(batch);
-  }
-  while (reads.load(std::memory_order_relaxed) < 50) {
-  }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_GT(applied, 0u);
-  auto view = service.view();
-  for (int h = 1; h <= 2; ++h) {
-    const std::vector<uint32_t> fresh = FreshCores(view->graph(), h);
-    for (VertexId v = 0; v < view->graph().num_vertices(); ++v) {
-      ASSERT_EQ(view->CoreOf(v, h), fresh[v]) << "h=" << h << " v=" << v;
-    }
-  }
 }
 
 TEST(IndexFuzz, ConcurrentSnapshotReadersDuringLocalizedUpdates) {

@@ -225,52 +225,6 @@ TEST(HCoreIndex, EpochSharesUntouchedGraphPages) {
   EXPECT_TRUE(after->graph().HasEdge(u, v));
 }
 
-TEST(HCoreIndex, AdoptedEpochsShareGraphAndLevelsWithDonor) {
-  Rng rng(22);
-  Graph g = gen::BarabasiAlbert(2000, 3, &rng);
-  HCoreIndexOptions opts = IndexOptions(2);
-  HCoreIndex primary(Graph(g), opts);
-  // A replica constructed from the primary's snapshot runs no
-  // decomposition: it shares the paged graph and every core vector.
-  HCoreIndex replica(primary.snapshot(), opts);
-  auto p0 = primary.snapshot();
-  auto r0 = replica.snapshot();
-  EXPECT_EQ(r0->epoch(), p0->epoch());
-  EXPECT_EQ(CountSharedPages(p0->graph(), r0->graph()),
-            p0->graph().num_pages());
-  for (int h = 1; h <= 2; ++h) {
-    EXPECT_EQ(&r0->Cores(h), &p0->Cores(h)) << "h=" << h;
-  }
-  EXPECT_EQ(replica.stats().decomposition.visited_vertices, 0u);
-  EXPECT_EQ(replica.stats().csr_rebuilds, 0u);
-
-  // Prepare once on the primary, adopt on the replica: the adopted epoch
-  // shares the donor's artifacts outright and stays in epoch lockstep.
-  VertexId u = 9, v = 1500;
-  while (p0->graph().HasEdge(u, v)) ++v;
-  const EdgeEdit edit = EdgeEdit::Insert(u, v);
-  EdgeEditSummary summary;
-  std::vector<EdgeEdit> effective =
-      p0->graph().CanonicalEffectiveEdits({&edit, 1}, &summary);
-  ASSERT_EQ(effective.size(), 1u);
-  auto donor = primary.ApplyPrepared(effective, summary);
-  auto adopted = replica.AdoptPrepared(donor, 1);
-  EXPECT_EQ(adopted->epoch(), donor->epoch());
-  EXPECT_EQ(CountSharedPages(donor->graph(), adopted->graph()),
-            donor->graph().num_pages());
-  for (int h = 1; h <= 2; ++h) {
-    EXPECT_EQ(&adopted->Cores(h), &donor->Cores(h)) << "h=" << h;
-  }
-  const HCoreIndexStats rs = replica.stats();
-  EXPECT_EQ(rs.adoptions, 1u);
-  EXPECT_EQ(rs.batches_applied, 1u);
-  EXPECT_EQ(rs.edits_applied, 1u);
-  EXPECT_EQ(rs.csr_rebuilds, 0u);
-  const HCoreIndexStats ps = primary.stats();
-  EXPECT_EQ(ps.adoptions, 0u);
-  EXPECT_EQ(ps.csr_rebuilds, 1u);
-}
-
 TEST(HCoreIndex, CoreComponentMatchesConnectivityFinder) {
   for (const RandomGraphSpec& spec : Corpus(80, 1)) {
     Graph g = MakeRandomGraph(spec);

@@ -15,52 +15,47 @@
 //   hcore_cli generate   --model=ba|gnp|ws|road|cliques --n=1000 [--seed=S]
 //                        --output=G.txt
 //   hcore_cli serve      --input=G.txt [--h-max=4] [--threads=N] [--algo=..]
-//                        [--shards=N] [--merge-cache=N] [--carry-budget=F]
-//                        [--premerge=N]
-//   hcore_cli workload   --input=G.txt [--h-max=2] [--shards=4] [--clients=4]
+//   hcore_cli workload   --input=G.txt [--h-max=2] [--clients=4]
 //                        [--ops=200] [--zipf=0.8] [--seed=1]
 //                        [--batch-edits=8]
 //                        [--mix=read-heavy|mixed|write-heavy|
 //                              c,s,d,comp,comm,w]
 //                        [--saturation=MAX_CLIENTS] [--check]
 //
+// Every command rejects a flag it does not read with
+// `error: unknown flag --X` and exit code 1, before it loads any input.
+//
 // `workload` runs the closed-loop mixed workload driver (serve/workload.h)
-// against a sharded service built over --input: --clients closed-loop
-// threads each issue --ops operations drawn from the mix (point core /
-// spectrum / densest lookups, cross-shard component / community
-// traversals, ApplyBatch writes) with Zipf(--zipf) key popularity, then
-// print QPS and exact-rank p50/p99/p999 per op class. --mix takes a named
-// preset or six comma-separated ratios (core,spectrum,densest,component,
-// community,write) that must be non-negative and sum to 1. --saturation
-// additionally doubles the client count until QPS plateaus; --check
-// replays the run's write batches into a single-index oracle and fails on
-// any divergence (exit 1).
+// against a service built over --input: --clients closed-loop threads each
+// issue --ops operations drawn from the mix (point core / spectrum /
+// densest lookups, component / community traversals, ApplyBatch writes)
+// with Zipf(--zipf) key popularity, then print QPS and exact-rank
+// p50/p99/p999 per op class. --mix takes a named preset or six
+// comma-separated ratios (core,spectrum,densest,component,community,write)
+// that must be non-negative and sum to 1. --saturation additionally doubles
+// the client count until QPS plateaus; --check replays the run's write
+// batches into a bare HCoreIndex and fails on any divergence (exit 1).
 //
-// `serve` builds a ShardedHCoreService (--shards index shards behind one
-// API; the default 1 degenerates to a single HCoreIndex), then answers
-// query/update commands from stdin (REPL or piped batch), one per line:
+// `serve` builds a ShardedHCoreService (one HCoreIndex behind epoch views,
+// serve/sharded_service.h), then answers query/update commands from stdin
+// (REPL or piped batch), one per line:
 //
-//   core <v> <h>             core index of v at threshold h (owner shard)
-//   spectrum <v>             core_1(v) .. core_H(v) (owner shard)
+//   core <v> <h>             core index of v at threshold h
+//   spectrum <v>             core_1(v) .. core_H(v)
 //   component <v> <k> <h>    connected component of v in the (k,h)-core
-//                            (cross-shard scatter-gather)
-//   community <h> v1,v2,..   cocktail-party community (scatter-gather)
+//   community <h> v1,v2,..   cocktail-party community
 //   densest <h> <top-k>      densest core levels of threshold h
 //   insert <u> <v>           stage an edge insertion into the pending batch
 //   delete <u> <v>           stage an edge deletion into the pending batch
-//   apply                    apply the pending batch (one epoch, all shards)
-//   stats                    epoch vector, graph size, cumulative counters
-//                            (aggregated plus per-shard when --shards > 1)
+//   apply                    apply the pending batch (one epoch)
+//   stats                    epoch, graph size, cumulative counters
 //   stats reset              zero the cumulative counters (epochs stay)
 //   quit                     exit
 //
-// Point queries are answered from the warm shard snapshots — the
-// Table-3-style BFS counters shown by `stats` stay flat however many
-// queries run; only `apply` (and the initial build) moves them. With
-// --shards=1 the output of every pre-existing command is byte-identical
-// to the pre-sharding serve (locked by tests/golden/serve_shards1.golden,
-// recorded from the pre-PR binary); `help` and malformed `stats <arg>`
-// are the deliberate exceptions (`stats reset` is new).
+// Point queries are answered from the warm snapshot — the Table-3-style BFS
+// counters shown by `stats` stay flat however many queries run; only
+// `apply` (and the initial build) moves them. The REPL output is locked by
+// tests/golden/serve_shards1.golden.
 //
 // The core-decomposition flags (--h, --algo/--algorithm, --threads,
 // --partition, --ordering, --parallel) map 1:1 onto KhCoreOptions and
@@ -73,6 +68,7 @@
 // Vertex ids printed by the tool refer to the relabeled ids (dense,
 // first-appearance order).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -402,24 +398,12 @@ int CmdDensest(const Flags& flags) {
 
 void PrintServeStats(const ShardedHCoreService& service) {
   auto view = service.view();
-  const ShardedServiceStats st = service.stats();
-  const HCoreIndexStats s = st.AggregateShards();
-  // The single-shard header is the pre-sharding format, byte for byte
-  // (locked by the golden protocol test); the sharded header adds the
-  // shard count and the cut-edge set size.
-  if (service.num_shards() == 1) {
-    std::printf("epoch=%llu n=%u m=%llu h_max=%d\n",
-                static_cast<unsigned long long>(view->shard_epochs().front()),
-                view->graph().num_vertices(),
-                static_cast<unsigned long long>(view->graph().num_edges()),
-                service.max_h());
-  } else {
-    std::printf("epoch=%llu shards=%d n=%u m=%llu h_max=%d cut_edges=%zu\n",
-                static_cast<unsigned long long>(view->service_epoch()),
-                service.num_shards(), view->graph().num_vertices(),
-                static_cast<unsigned long long>(view->graph().num_edges()),
-                service.max_h(), view->cut_edges().size());
-  }
+  const HCoreIndexStats s = service.stats().index;
+  std::printf("epoch=%llu n=%u m=%llu h_max=%d\n",
+              static_cast<unsigned long long>(view->service_epoch()),
+              view->graph().num_vertices(),
+              static_cast<unsigned long long>(view->graph().num_edges()),
+              service.max_h());
   std::printf(
       "csr_rebuilds=%llu batches=%llu edits=%llu level_runs=%llu "
       "levels_unchanged=%llu localized=%llu fallback_repeels=%llu\n"
@@ -436,40 +420,6 @@ void PrintServeStats(const ShardedHCoreService& service) {
       static_cast<unsigned long long>(s.decomposition.hdegree_computations),
       static_cast<unsigned long long>(s.decomposition.decrement_updates),
       s.decomposition.seconds);
-  if (service.num_shards() > 1) {
-    for (size_t i = 0; i < st.shard.size(); ++i) {
-      std::printf("shard %zu: epoch=%llu localized=%llu fallback_repeels=%llu "
-                  "levels_unchanged=%llu\n",
-                  i, static_cast<unsigned long long>(view->shard_epochs()[i]),
-                  static_cast<unsigned long long>(st.shard[i].localized_updates),
-                  static_cast<unsigned long long>(st.shard[i].fallback_repeels),
-                  static_cast<unsigned long long>(
-                      st.shard[i].levels_unchanged));
-    }
-    std::printf("gather: component_queries=%llu community_queries=%llu "
-                "scatters=%llu scatter_hits=%llu fragments=%llu "
-                "cut_scans=%llu\n",
-                static_cast<unsigned long long>(st.gather.component_queries),
-                static_cast<unsigned long long>(st.gather.community_queries),
-                static_cast<unsigned long long>(st.gather.shard_scatters),
-                static_cast<unsigned long long>(st.gather.scatter_hits),
-                static_cast<unsigned long long>(st.gather.fragments_merged),
-                static_cast<unsigned long long>(st.gather.cut_edges_scanned));
-    std::printf("merges: hits=%llu misses=%llu carried=%llu spliced=%llu "
-                "premerged=%llu\n",
-                static_cast<unsigned long long>(st.gather.merge_hits),
-                static_cast<unsigned long long>(st.gather.merge_misses),
-                static_cast<unsigned long long>(st.gather.merges_carried),
-                static_cast<unsigned long long>(st.gather.merges_spliced),
-                static_cast<unsigned long long>(st.gather.merges_premerged));
-    std::printf("memory: resident_bytes=%llu pages=%llu pages_shared=%llu "
-                "pages_copied=%llu adoptions=%llu\n",
-                static_cast<unsigned long long>(st.memory.resident_bytes),
-                static_cast<unsigned long long>(st.memory.graph_pages),
-                static_cast<unsigned long long>(st.memory.pages_shared),
-                static_cast<unsigned long long>(st.memory.pages_copied),
-                static_cast<unsigned long long>(s.adoptions));
-  }
 }
 
 void PrintVertexList(const std::vector<VertexId>& vertices, size_t limit) {
@@ -485,36 +435,17 @@ int CmdServe(const Flags& flags) {
   Result<Graph> g = LoadInput(flags);
   if (!g.ok()) return Fail(g.status().ToString());
   ShardedServiceOptions opts;
-  opts.num_shards = flags.GetInt("shards", 1);
   opts.index.max_h = HMax(flags);
   opts.index.base = CoreOptions(flags);
   if (opts.index.max_h < 1) return Fail("--h-max must be >= 1");
-  if (opts.num_shards < 1) return Fail("--shards must be >= 1");
-  // Incremental cross-shard maintenance knobs (multi-shard only; see
-  // ShardedServiceOptions).
-  opts.merge_cache_cap =
-      static_cast<size_t>(flags.GetInt("merge-cache",
-                                       static_cast<int>(opts.merge_cache_cap)));
-  opts.carry_budget_fraction =
-      flags.GetDouble("carry-budget", opts.carry_budget_fraction);
-  opts.hot_premerge = static_cast<size_t>(
-      flags.GetInt("premerge", static_cast<int>(opts.hot_premerge)));
 
-  if (opts.num_shards == 1) {
-    std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
-                g.value().num_vertices(),
-                static_cast<unsigned long long>(g.value().num_edges()),
-                opts.index.max_h, opts.index.base.num_threads);
-  } else {
-    std::printf(
-        "building index: n=%u m=%llu h_max=%d threads=%d shards=%d ...\n",
-        g.value().num_vertices(),
-        static_cast<unsigned long long>(g.value().num_edges()),
-        opts.index.max_h, opts.index.base.num_threads, opts.num_shards);
-  }
+  std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
+              g.value().num_vertices(),
+              static_cast<unsigned long long>(g.value().num_edges()),
+              opts.index.max_h, opts.index.base.num_threads);
   ShardedHCoreService service(std::move(g.value()), opts);
   std::printf("ready (%.3fs); try 'help'\n",
-              service.stats().AggregateShards().decomposition.seconds);
+              service.stats().index.decomposition.seconds);
 
   const size_t print_limit =
       static_cast<size_t>(flags.GetInt("print-limit", 32));
@@ -558,7 +489,7 @@ int CmdServe(const Flags& flags) {
         std::printf("error: usage component <v> <k> <h>\n");
         continue;
       }
-      std::vector<VertexId> component = service.CoreComponentOf(v, k, h);
+      std::vector<VertexId> component = view->CoreComponentOf(v, k, h);
       std::printf("component(v=%u, k=%u, h=%d): |C|=%zu\n", v, k, h,
                   component.size());
       if (!component.empty()) PrintVertexList(component, print_limit);
@@ -576,7 +507,7 @@ int CmdServe(const Flags& flags) {
         std::printf("error: query vertex out of range\n");
         continue;
       }
-      CommunityResult r = service.Community(query, h);
+      CommunityResult r = view->Community(query, h);
       if (!r.feasible) {
         std::printf("infeasible: query spans components\n");
         continue;
@@ -702,10 +633,8 @@ int CmdWorkload(const Flags& flags) {
   // mix or client count must be a one-line error, not an abort mid-run.
   if (!ValidateWorkloadOptions(options, &error)) return Fail(error);
   ShardedServiceOptions service_options;
-  service_options.num_shards = flags.GetInt("shards", 4);
   service_options.index.max_h = HMax(flags, 2);
   service_options.index.base = CoreOptions(flags);
-  if (service_options.num_shards < 1) return Fail("--shards must be >= 1");
   if (service_options.index.max_h < 1) return Fail("--h-max must be >= 1");
   const int max_clients = flags.GetInt("saturation", 0);
   if (flags.Has("saturation") && max_clients < 1) {
@@ -713,10 +642,10 @@ int CmdWorkload(const Flags& flags) {
   }
 
   const Graph& graph = g.value();
-  std::printf("building tier: n=%u m=%llu shards=%d h_max=%d ...\n",
+  std::printf("building service: n=%u m=%llu h_max=%d ...\n",
               graph.num_vertices(),
               static_cast<unsigned long long>(graph.num_edges()),
-              service_options.num_shards, service_options.index.max_h);
+              service_options.index.max_h);
   // --check replays against the initial graph, so keep a copy.
   Graph initial = check ? Graph(graph) : Graph();
   ShardedHCoreService service(Graph(graph), service_options);
@@ -741,14 +670,14 @@ int CmdWorkload(const Flags& flags) {
   }
 
   // The oracle replay must see EVERY batch the service has applied, so the
-  // differential runs before the saturation search mutates the tier further.
+  // differential runs before the saturation search mutates it further.
   if (check) {
     const size_t mismatches = CompareToSingleIndexOracle(
         std::move(initial), service_options.index, service, report);
     std::printf("differential: %zu write batches, %zu mismatches\n",
                 report.applied_batches.size(), mismatches);
     if (mismatches != 0) {
-      return Fail("sharded answers diverged from the single-index oracle");
+      return Fail("service answers diverged from the bare-index oracle");
     }
   }
 
@@ -796,6 +725,50 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
+/// One subcommand: its entry point and every flag it reads. Commands that
+/// run a decomposition (`core`) also read the CoreOptions flags.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  bool core;
+  std::vector<std::string> flags;
+
+  bool Accepts(const std::string& flag) const {
+    static const std::vector<std::string> kCoreFlags = {
+        "h",         "algo",     "algorithm", "threads",
+        "partition", "ordering", "parallel"};
+    auto listed = [&flag](const std::vector<std::string>& list) {
+      return std::find(list.begin(), list.end(), flag) != list.end();
+    };
+    return listed(flags) || (core && listed(kCoreFlags));
+  }
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> kCommands = {
+      {"decompose", CmdDecompose, true, {"input", "output"}},
+      {"hierarchy", CmdHierarchy, true, {"input", "limit", "dot"}},
+      {"stats", CmdStats, false, {"input"}},
+      {"spectrum", CmdSpectrum, true, {"input", "h-max", "max-h", "output"}},
+      {"hclub", CmdHClub, true, {"input", "solver", "max-nodes", "no-core"}},
+      {"hclique", CmdHClique, false, {"input", "h"}},
+      {"coloring", CmdColoring, false, {"input", "h", "output"}},
+      {"community", CmdCommunity, true, {"input", "query"}},
+      {"densest", CmdDensest, true, {"input"}},
+      {"generate",
+       CmdGenerate,
+       false,
+       {"model", "n", "seed", "attach", "p", "k", "beta", "output"}},
+      {"serve", CmdServe, true, {"input", "h-max", "max-h", "print-limit"}},
+      {"workload",
+       CmdWorkload,
+       true,
+       {"input", "h-max", "max-h", "mix", "clients", "ops", "zipf",
+        "batch-edits", "seed", "saturation", "check"}},
+  };
+  return kCommands;
+}
+
 void Usage() {
   std::fprintf(stderr,
                "usage: hcore_cli <command> [--flags]\n"
@@ -812,19 +785,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  const Flags flags = ParseFlags(argc, argv);
-  if (cmd == "decompose") return CmdDecompose(flags);
-  if (cmd == "hierarchy") return CmdHierarchy(flags);
-  if (cmd == "stats") return CmdStats(flags);
-  if (cmd == "spectrum") return CmdSpectrum(flags);
-  if (cmd == "hclub") return CmdHClub(flags);
-  if (cmd == "hclique") return CmdHClique(flags);
-  if (cmd == "coloring") return CmdColoring(flags);
-  if (cmd == "community") return CmdCommunity(flags);
-  if (cmd == "densest") return CmdDensest(flags);
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "serve") return CmdServe(flags);
-  if (cmd == "workload") return CmdWorkload(flags);
+  for (const Command& command : Commands()) {
+    if (cmd != command.name) continue;
+    const Flags flags = ParseFlags(argc, argv);
+    for (const auto& [flag, value] : flags.values) {
+      if (!command.Accepts(flag)) return Fail("unknown flag --" + flag);
+    }
+    return command.run(flags);
+  }
   Usage();
   return 1;
 }
