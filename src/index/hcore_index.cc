@@ -266,9 +266,14 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       out.ls.hdegree_computations += insert_ls.hdegree_computations;
       out.ls.decrement_updates += insert_ls.decrement_updates;
     };
+    // Dirty levels are independent (only the warm fallback's spectrum chain
+    // orders them), so with two or more workers the attempts fan out over
+    // the index-owned pool on per-level single-threaded updaters: level
+    // parallelism replaces region parallelism, since nested pools would
+    // oversubscribe. Results are identical to the serial loop.
     const int fan =
         std::min(options_.max_h, std::max(1, options_.base.num_threads));
-    if (options_.concurrent_levels && fan > 1) {
+    if (fan > 1) {
       if (level_pool_ == nullptr) {
         level_pool_ = std::make_unique<ThreadPool>(fan);
       }

@@ -59,16 +59,6 @@ struct HCoreIndexOptions {
   /// re-peel only the candidate region per level, falling back to the warm
   /// whole-graph re-decomposition past the region/batch caps.
   LocalizedUpdateOptions localized;
-  /// Fan the per-level localized attempts of a batch out over an
-  /// index-owned pool (min(max_h, base.num_threads) workers, created
-  /// lazily): dirty levels are independent — only the warm fallback's
-  /// spectrum chain orders them — so a multi-level batch repairs its levels
-  /// concurrently. Concurrent attempts use per-level single-threaded
-  /// updaters (level-parallelism replaces region-parallelism; nesting
-  /// pools would oversubscribe). Off, or with fewer than 2 effective
-  /// workers, attempts run serially on the shared updater. Results are
-  /// identical either way.
-  bool concurrent_levels = true;
 };
 
 /// Cumulative cost counters for one index (Table-3-style: serving queries

@@ -298,7 +298,7 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
 
 TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
   // Concurrent per-level maintenance: dirty-level localized attempts fan
-  // out over the index-owned pool (concurrent_levels + base.num_threads).
+  // out over the index-owned pool (base.num_threads > 1).
   // Results and counters must be exactly those of the serial merge — the
   // Phase A attempts are independent, only their fan-out is concurrent.
   constexpr int kMaxH = 3;
@@ -308,7 +308,6 @@ TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
     HCoreIndexOptions iopts;
     iopts.max_h = kMaxH;
     iopts.base.num_threads = 4;
-    iopts.concurrent_levels = true;
     iopts.localized.max_region_fraction = 0.3;
     iopts.localized.min_region_cap = 8;
     iopts.localized.max_batch = 4;

@@ -252,29 +252,42 @@ TEST(Serve, PageSharingAcrossEpochs) {
 }
 
 TEST(Serve, GroupCommitCoalescesConcurrentWritersExactly) {
-  // Concurrent writers under group commit: a leader drains the queue and
-  // applies one concatenated batch per group. Edits are disjoint absent
-  // edges, so every writer's attributed count must come back exactly, and
-  // the final state must equal a control service that applied the same
-  // edits in one sequential batch (and the bare index).
+  // Concurrent writers under group commit while readers query: a leader
+  // drains the queue and applies one concatenated batch per group. Each
+  // writer inserts its own absent edges and deletes its own present edges,
+  // so the final state does not depend on arrival order, every writer's
+  // attributed count must come back exactly, and the final state must equal
+  // a control service that applied the same edits in one sequential batch
+  // (and the bare index).
   Rng rng(33);
   Graph g = gen::CliqueOverlay(150, 70, 3, 12, 2.0, &rng);
   const VertexId n = g.num_vertices();
 
-  // Carve disjoint absent edges into per-writer batches.
-  std::set<std::pair<VertexId, VertexId>> used;
-  for (const auto& e : g.Edges()) used.insert(e);
+  // Carve disjoint absent edges (inserts) and disjoint present edges
+  // (deletes) into per-writer batches.
+  const auto edges = g.Edges();
+  std::set<std::pair<VertexId, VertexId>> used(edges.begin(), edges.end());
   constexpr int kWriters = 4;
-  constexpr int kPerWriter = 6;
+  constexpr int kInserts = 6;
+  constexpr int kDeletes = 3;
+  constexpr size_t kDeleteStride = 37;
+  ASSERT_GT(edges.size(), kDeleteStride * kWriters * kDeletes);
   Rng pick(34);
   std::vector<std::vector<EdgeEdit>> batches(kWriters);
+  size_t next_delete = 0;
   for (int w = 0; w < kWriters; ++w) {
-    while (batches[w].size() < kPerWriter) {
+    while (batches[w].size() < kInserts) {
       VertexId u = pick.NextIndex(n), v = pick.NextIndex(n);
       if (u == v) continue;
       auto key = std::minmax(u, v);
       if (!used.insert({key.first, key.second}).second) continue;
       batches[w].push_back(EdgeEdit::Insert(u, v));
+    }
+    for (int d = 0; d < kDeletes; ++d) {
+      // Spread the deletes over the edge list; distinct indexes keep them
+      // disjoint across writers.
+      const auto [u, v] = edges[kDeleteStride * next_delete++];
+      batches[w].push_back(EdgeEdit::Delete(u, v));
     }
   }
 
@@ -282,14 +295,44 @@ TEST(Serve, GroupCommitCoalescesConcurrentWritersExactly) {
   grouped_opts.group_commit = true;
   ShardedHCoreService grouped(Graph(g), grouped_opts);
 
+  // Readers pin views and run component and densest queries while the
+  // groups commit; a pinned view must stay internally consistent.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<bool> failed{false};
+  auto reader = [&](VertexId start) {
+    for (VertexId v = start; !stop.load(std::memory_order_relaxed);
+         v = (v + 7) % n) {
+      const auto view = grouped.view();
+      const uint64_t epoch = view->service_epoch();
+      for (VertexId u : view->CoreComponentOf(v, 2, 2)) {
+        if (view->CoreOf(u, 2) < 2) failed.store(true);
+      }
+      if (view->TopDensestLevels(2, 3).empty() ||
+          view->service_epoch() != epoch) {
+        failed.store(true);
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  constexpr int kReaders = 3;
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) readers.emplace_back(reader, r * 11);
+  while (reads.load(std::memory_order_relaxed) < kReaders) {
+  }
+
   std::vector<size_t> applied(kWriters, 0);
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] { applied[w] = grouped.ApplyBatch(batches[w]); });
   }
   for (auto& t : writers) t.join();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
   for (int w = 0; w < kWriters; ++w) {
-    EXPECT_EQ(applied[w], static_cast<size_t>(kPerWriter)) << "writer " << w;
+    EXPECT_EQ(applied[w], static_cast<size_t>(kInserts + kDeletes))
+        << "writer " << w;
   }
   // Groups coalesce: the epoch advanced once per commit group, never more
   // than once per writer.

@@ -1,6 +1,6 @@
 // hcore command-line tool.
 //
-//   hcore_cli decompose  --input=G.txt --h=2 [--algo=bz|lb|lbub]
+//   hcore_cli decompose  --input=G.txt --h=2 [--algo=auto|bz|lb|lbub]
 //                        [--threads=N] [--partition=S]
 //                        [--ordering=none|auto|degree|bfs]
 //                        [--parallel=auto|on|off]
@@ -15,26 +15,10 @@
 //   hcore_cli generate   --model=ba|gnp|ws|road|cliques --n=1000 [--seed=S]
 //                        --output=G.txt
 //   hcore_cli serve      --input=G.txt [--h-max=4] [--threads=N] [--algo=..]
-//   hcore_cli workload   --input=G.txt [--h-max=2] [--clients=4]
-//                        [--ops=200] [--zipf=0.8] [--seed=1]
-//                        [--batch-edits=8]
-//                        [--mix=read-heavy|mixed|write-heavy|
-//                              c,s,d,comp,comm,w]
-//                        [--saturation=MAX_CLIENTS] [--check]
 //
-// Every command rejects a flag it does not read with
-// `error: unknown flag --X` and exit code 1, before it loads any input.
-//
-// `workload` runs the closed-loop mixed workload driver (serve/workload.h)
-// against a service built over --input: --clients closed-loop threads each
-// issue --ops operations drawn from the mix (point core / spectrum /
-// densest lookups, component / community traversals, ApplyBatch writes)
-// with Zipf(--zipf) key popularity, then print QPS and exact-rank
-// p50/p99/p999 per op class. --mix takes a named preset or six
-// comma-separated ratios (core,spectrum,densest,component,community,write)
-// that must be non-negative and sum to 1. --saturation additionally doubles
-// the client count until QPS plateaus; --check replays the run's write
-// batches into a bare HCoreIndex and fails on any divergence (exit 1).
+// Every command rejects a flag it does not read (`error: unknown flag --X`),
+// a value an enumerated flag does not list, and an --h below 1, with exit
+// code 1 before it loads any input.
 //
 // `serve` builds a ShardedHCoreService (one HCoreIndex behind epoch views,
 // serve/sharded_service.h), then answers query/update commands from stdin
@@ -92,7 +76,6 @@
 #include "graph/io.h"
 #include "index/hcore_index.h"
 #include "serve/sharded_service.h"
-#include "serve/workload.h"
 #include "traversal/distances.h"
 #include "util/rng.h"
 
@@ -110,10 +93,6 @@ struct Flags {
   int GetInt(const std::string& key, int def) const {
     auto it = values.find(key);
     return it == values.end() ? def : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atof(it->second.c_str());
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
@@ -177,8 +156,8 @@ KhCoreOptions CoreOptions(const Flags& flags) {
 }
 
 /// Sweep depth for spectrum/serve: --h-max with --max-h as the legacy alias.
-int HMax(const Flags& flags, int def = 4) {
-  return flags.GetInt("h-max", flags.GetInt("max-h", def));
+int HMax(const Flags& flags) {
+  return flags.GetInt("h-max", flags.GetInt("max-h", 4));
 }
 
 std::vector<VertexId> ParseIdList(const std::string& s) {
@@ -571,129 +550,6 @@ int CmdServe(const Flags& flags) {
   return 0;
 }
 
-/// Parses --mix: a named preset or six comma-separated ratios in op order
-/// (core,spectrum,densest,component,community,write). Returns false with a
-/// message for anything else; ratio validation happens later via
-/// ValidateWorkloadOptions.
-bool ParseMix(const std::string& spec, WorkloadMix* mix, std::string* error) {
-  if (spec.empty() || spec == "mixed") {
-    mix->name = "mixed";  // the WorkloadMix defaults
-    return true;
-  }
-  if (spec == "read-heavy") {
-    *mix = WorkloadMix{"read-heavy", 0.60, 0.25, 0.05, 0.08, 0.02, 0.0};
-    return true;
-  }
-  if (spec == "write-heavy") {
-    *mix = WorkloadMix{"write-heavy", 0.30, 0.10, 0.02, 0.12, 0.01, 0.45};
-    return true;
-  }
-  std::vector<double> ratios;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string field = spec.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (field.empty() || end == field.c_str() || *end != '\0') {
-      *error = "--mix: '" + field + "' is not a number (expected a preset " +
-               "name or core,spectrum,densest,component,community,write)";
-      return false;
-    }
-    ratios.push_back(value);
-    pos = comma + 1;
-  }
-  if (ratios.size() != static_cast<size_t>(kNumWorkloadOps)) {
-    *error = "--mix: expected " + std::to_string(kNumWorkloadOps) +
-             " comma-separated ratios, got " + std::to_string(ratios.size());
-    return false;
-  }
-  *mix = WorkloadMix{"custom",    ratios[0], ratios[1],
-                     ratios[2],   ratios[3], ratios[4],
-                     ratios[5]};
-  return true;
-}
-
-int CmdWorkload(const Flags& flags) {
-  Result<Graph> g = LoadInput(flags);
-  if (!g.ok()) return Fail(g.status().ToString());
-
-  WorkloadOptions options;
-  std::string error;
-  if (!ParseMix(flags.Get("mix"), &options.mix, &error)) return Fail(error);
-  options.clients = flags.GetInt("clients", 4);
-  options.ops_per_client = flags.GetInt("ops", 200);
-  options.zipf_skew = flags.GetDouble("zipf", 0.8);
-  options.write_batch_edits = flags.GetInt("batch-edits", 8);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const bool check = flags.Has("check");
-  options.collect_applied_batches = check;
-  // Validate everything user-supplied BEFORE building the service: a bad
-  // mix or client count must be a one-line error, not an abort mid-run.
-  if (!ValidateWorkloadOptions(options, &error)) return Fail(error);
-  ShardedServiceOptions service_options;
-  service_options.index.max_h = HMax(flags, 2);
-  service_options.index.base = CoreOptions(flags);
-  if (service_options.index.max_h < 1) return Fail("--h-max must be >= 1");
-  const int max_clients = flags.GetInt("saturation", 0);
-  if (flags.Has("saturation") && max_clients < 1) {
-    return Fail("--saturation=<max clients> must be >= 1");
-  }
-
-  const Graph& graph = g.value();
-  std::printf("building service: n=%u m=%llu h_max=%d ...\n",
-              graph.num_vertices(),
-              static_cast<unsigned long long>(graph.num_edges()),
-              service_options.index.max_h);
-  // --check replays against the initial graph, so keep a copy.
-  Graph initial = check ? Graph(graph) : Graph();
-  ShardedHCoreService service(Graph(graph), service_options);
-
-  std::printf("mix %s: clients=%d ops/client=%d zipf=%.2f seed=%llu\n",
-              options.mix.name.c_str(), options.clients,
-              options.ops_per_client, options.zipf_skew,
-              static_cast<unsigned long long>(options.seed));
-  const WorkloadReport report = RunWorkload(&service, options);
-  std::printf("qps=%.0f (%.2fs, %llu ops)\n", report.qps, report.seconds,
-              static_cast<unsigned long long>(report.total_ops));
-  std::printf("%-10s %10s %10s %10s %10s %10s\n", "op", "count", "mean_ms",
-              "p50_ms", "p99_ms", "p999_ms");
-  for (int i = 0; i < kNumWorkloadOps; ++i) {
-    const OpClassReport& c = report.per_op[i];
-    if (c.count == 0) continue;
-    std::printf("%-10s %10llu %10.3f %10.3f %10.3f %10.3f\n",
-                WorkloadOpName(static_cast<WorkloadOp>(i)),
-                static_cast<unsigned long long>(c.count), c.latency.MeanMs(),
-                c.latency.PercentileMs(0.50), c.latency.PercentileMs(0.99),
-                c.latency.PercentileMs(0.999));
-  }
-
-  // The oracle replay must see EVERY batch the service has applied, so the
-  // differential runs before the saturation search mutates it further.
-  if (check) {
-    const size_t mismatches = CompareToSingleIndexOracle(
-        std::move(initial), service_options.index, service, report);
-    std::printf("differential: %zu write batches, %zu mismatches\n",
-                report.applied_batches.size(), mismatches);
-    if (mismatches != 0) {
-      return Fail("service answers diverged from the bare-index oracle");
-    }
-  }
-
-  if (max_clients >= 1) {
-    const SaturationResult sat =
-        SaturationSearch(&service, options, max_clients);
-    std::printf("saturation: clients=%d peak_qps=%.0f (steps:",
-                sat.saturation_clients, sat.peak_qps);
-    for (const SaturationStep& s : sat.steps) {
-      std::printf(" %d->%.0f", s.clients, s.qps);
-    }
-    std::printf(")\n");
-  }
-  return 0;
-}
-
 int CmdGenerate(const Flags& flags) {
   std::string model = flags.Get("model", "ba");
   std::string out_path = flags.Get("output");
@@ -760,20 +616,48 @@ const std::vector<Command>& Commands() {
        false,
        {"model", "n", "seed", "attach", "p", "k", "beta", "output"}},
       {"serve", CmdServe, true, {"input", "h-max", "max-h", "print-limit"}},
-      {"workload",
-       CmdWorkload,
-       true,
-       {"input", "h-max", "max-h", "mix", "clients", "ops", "zipf",
-        "batch-edits", "seed", "saturation", "check"}},
   };
   return kCommands;
+}
+
+/// The values each enumerated flag accepts (CoreOptions and CmdHClub map
+/// exactly these).
+const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
+  static const std::map<std::string, std::vector<std::string>> kValues = {
+      {"algo", {"auto", "bz", "lb", "lbub"}},
+      {"algorithm", {"auto", "bz", "lb", "lbub"}},
+      {"ordering", {"none", "auto", "degree", "bfs"}},
+      {"parallel", {"auto", "on", "off"}},
+      {"solver", {"bb", "it"}},
+  };
+  return kValues;
+}
+
+/// An error message for the first flag value no command can run with, or
+/// "" when every value is usable.
+std::string BadFlagValue(const Flags& flags) {
+  for (const auto& [flag, allowed] : EnumFlagValues()) {
+    if (!flags.Has(flag)) continue;
+    const std::string value = flags.Get(flag);
+    if (std::find(allowed.begin(), allowed.end(), value) != allowed.end()) {
+      continue;
+    }
+    std::string expected;
+    for (const std::string& a : allowed) {
+      expected += (expected.empty() ? "" : "|") + a;
+    }
+    return "unknown value '" + value + "' for --" + flag + " (expected " +
+           expected + ")";
+  }
+  if (flags.Has("h") && flags.GetInt("h", 0) < 1) return "--h must be >= 1";
+  return "";
 }
 
 void Usage() {
   std::fprintf(stderr,
                "usage: hcore_cli <command> [--flags]\n"
                "commands: decompose hierarchy stats spectrum hclub hclique\n"
-               "          coloring community densest generate serve workload\n"
+               "          coloring community densest generate serve\n"
                "see the header comment of tools/hcore_cli.cc for details\n");
 }
 
@@ -791,6 +675,8 @@ int main(int argc, char** argv) {
     for (const auto& [flag, value] : flags.values) {
       if (!command.Accepts(flag)) return Fail("unknown flag --" + flag);
     }
+    const std::string bad_value = BadFlagValue(flags);
+    if (!bad_value.empty()) return Fail(bad_value);
     return command.run(flags);
   }
   Usage();
