@@ -1,20 +1,22 @@
 // Ablation: dynamic maintenance strategies across a stream of single-edge
-// updates —
+// updates, every mode maintaining the same levels h' = 1..h —
 //
-//   localized : candidate-region re-peel with pinned boundary
+//   localized : HCoreIndex (max_h = h) with localized maintenance on — a
+//               per-level candidate-region re-peel with pinned boundary
 //               (core/incremental.h), warm fallback past the region cap;
-//   warm      : whole-graph re-decomposition warm-started from the old
-//               cores (the only strategy before localized maintenance);
-//   scratch   : whole-graph re-decomposition from scratch.
+//   warm      : the same index with localized maintenance off — every
+//               level re-decomposed whole-graph, warm-started from the
+//               spectrum chain (plus the old cores after an insert);
+//   scratch   : KhCoreSpectrum to depth h from scratch after every edit.
 //
 // All three are exact, so the comparison is pure cost: BFS visits and wall
-// time per applied edit. The acceptance bar for the localized path is a
-// >= 5x per-edit speedup over the warm start for single-edge edits on a
-// 100k-vertex graph (the clu100k section below — a heterogeneous clustered
-// topology, the social-graph shape localized maintenance targets). The
-// ba100k section is the adversarial counterpart: hub-dominated h-balls
-// flood the insert-side candidate region, so inserts exercise the capped
-// fallback while the delete cascade stays localized.
+// time per applied edit (all levels). The acceptance bar for the localized
+// path is a >= 5x per-edit speedup over the warm start for single-edge
+// edits on a 100k-vertex graph (the clu100k section below — a
+// heterogeneous clustered topology, the social-graph shape localized
+// maintenance targets). The ba100k section is the adversarial counterpart:
+// hub-dominated h-balls flood the insert-side candidate region, so inserts
+// exercise the capped fallback while the delete cascade stays localized.
 //
 // --json=PATH additionally writes the rows as a JSON artifact
 // (BENCH_incremental.json in CI).
@@ -25,8 +27,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/incremental.h"
+#include "core/spectrum.h"
 #include "graph/generators.h"
+#include "index/hcore_index.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -41,8 +44,8 @@ struct StreamResult {
   int edits = 0;
   double seconds = 0.0;  // edit calls only (graph copies/setup excluded)
   uint64_t visits = 0;
-  uint64_t localized = 0;
-  uint64_t fallbacks = 0;
+  uint64_t localized = 0;  // levels repaired in place
+  uint64_t fallbacks = 0;  // levels re-decomposed whole-graph
 
   double MsPerEdit() const { return edits > 0 ? seconds * 1e3 / edits : 0.0; }
   double VisitsPerEdit() const {
@@ -56,44 +59,48 @@ StreamResult RunDynamic(const std::string& dataset, const Graph& g, int h,
                         const std::string& mode,
                         const LocalizedUpdateOptions& localized, int updates,
                         uint64_t seed) {
-  KhCoreOptions opts;
-  opts.h = h;
-  DynamicKhCore dyn(g, opts, localized);
+  HCoreIndexOptions opts;
+  opts.max_h = h;
+  opts.localized = localized;
+  HCoreIndex index(g, opts);
+  index.ResetStats();  // count the stream only, not the initial build
   Rng rng(seed);
   StreamResult out;
   out.dataset = dataset;
   out.h = h;
   out.mode = mode;
   while (out.edits < updates) {
-    const VertexId n = dyn.graph().num_vertices();
+    const auto snap = index.snapshot();
+    const VertexId n = snap->graph().num_vertices();
     bool ok;
     if (rng.NextBool(0.5)) {
       const VertexId u = rng.NextIndex(n);
       const VertexId v = rng.NextIndex(n);
       WallTimer timer;
-      ok = dyn.InsertEdge(u, v);
+      ok = index.InsertEdge(u, v);
       out.seconds += timer.ElapsedSeconds();
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = snap->graph().Edges();
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
       WallTimer timer;
-      ok = dyn.DeleteEdge(u, v);
+      ok = index.DeleteEdge(u, v);
       out.seconds += timer.ElapsedSeconds();
     }
-    if (!ok) continue;
-    ++out.edits;
-    out.visits += dyn.result().stats.visited_vertices;
+    if (ok) ++out.edits;
   }
-  out.localized = dyn.localized_updates();
-  out.fallbacks = dyn.fallback_repeels();
+  const HCoreIndexStats stats = index.stats();
+  out.visits = stats.decomposition.visited_vertices;
+  out.localized = stats.localized_updates;
+  out.fallbacks = stats.fallback_repeels;
   return out;
 }
 
-/// Fresh decomposition after every edit (no warm bounds at all).
+/// Fresh spectrum sweep to depth h after every edit (no bounds from the
+/// previous epoch).
 StreamResult RunScratch(const std::string& dataset, Graph g, int h,
                         int updates, uint64_t seed) {
-  KhCoreOptions opts;
-  opts.h = h;
+  SpectrumOptions opts;
+  opts.max_h = h;
   Rng rng(seed);
   StreamResult out;
   out.dataset = dataset;
@@ -112,7 +119,7 @@ StreamResult RunScratch(const std::string& dataset, Graph g, int h,
     }
     WallTimer timer;
     g = g.WithEdits({&edit, 1});
-    KhCoreResult r = KhCoreDecomposition(g, opts);
+    SpectrumResult r = KhCoreSpectrum(g, opts);
     out.seconds += timer.ElapsedSeconds();
     ++out.edits;
     out.visits += r.stats.visited_vertices;
@@ -213,7 +220,8 @@ int main(int argc, char** argv) {
 
   // Acceptance section: single-edge edits on a 100k-vertex clustered graph.
   // The localized path must beat the whole-graph warm start by >= 5x per
-  // edit (it measures 20-60x here; most edits re-peel one community).
+  // edit (5.2-6.1x at h = 2 over three Release runs on a 4-core box; most
+  // edits re-peel one community).
   {
     Rng gen_rng(9);
     Graph g = Clustered(100000, &gen_rng);

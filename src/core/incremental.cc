@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "engine/peeling_engine.h"
-#include "util/timer.h"
 
 namespace hcore {
 namespace {
@@ -43,7 +42,7 @@ struct LocalizedPolicy : PeelPolicyBase {
 }  // namespace
 
 LocalizedUpdater::LocalizedUpdater(int num_threads)
-    : degrees_(0, num_threads), peeler_(&degrees_) {}
+    : degrees_(0, num_threads) {}
 
 /// Subgraph view for the delete cascade's violation test: the level set
 /// {u : cur(u) >= level} (see the strategy comment in incremental.h).
@@ -76,14 +75,7 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
                                 &local)
                  : DeleteCascade(g_before, g_after, effective, h, options,
                                  &local);
-    if (ok) {
-      local.localized = true;
-      for (VertexId v = 0; v < next_core_.size(); ++v) {
-        const uint32_t old = v < core->size() ? (*core)[v] : 0;
-        if (next_core_[v] != old) ++local.changed;
-      }
-      *core = std::move(next_core_);
-    }
+    if (ok) *core = std::move(next_core_);
   }
   if (stats != nullptr) *stats = local;
   return ok;
@@ -110,9 +102,8 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
   bound += 1;
 
   // The updater processes one batch at a time, driven end-to-end by the
-  // calling thread — it coordinates the computer and the peeler.
+  // calling thread — it coordinates the computer.
   degrees_.coordinator().Assume();
-  peeler_.coordinator().Assume();
   degrees_.EnsureCapacity(n);
   if (pinned_.size() < n) pinned_.resize(n, 0);
 
@@ -143,47 +134,14 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
     for (const VertexId v : cr.boundary) mask_.Revive(v);
     for (const VertexId v : cr.boundary) pinned_[v] = 1;
 
-    const uint64_t peel_size = cr.region.size() + cr.boundary.size();
-    if (UseParallelPeelForH(options.parallel, degrees_.num_threads(), h,
-                            peel_size, options.parallel_min_vertices)) {
-      // Parallel twin of PeelRegion: boundary vertices pinned at their old
-      // core (claimed exactly there, never recomputed), region vertices at
-      // their h-degree over the mask, then the round-synchronous sweep.
-      if (peel_keys_.size() < n) peel_keys_.resize(n, 0);
-      for (const VertexId b : cr.boundary) peel_keys_[b] = next_core_[b];
-      region_keys_.resize(cr.region.size());
-      degrees_.ComputeBatch(g_after, mask_, h, cr.region, region_keys_.data());
-      for (size_t i = 0; i < cr.region.size(); ++i) {
-        peel_keys_[cr.region[i]] = region_keys_[i];
-      }
-      peel_vertices_.assign(cr.region.begin(), cr.region.end());
-      peel_vertices_.insert(peel_vertices_.end(), cr.boundary.begin(),
-                            cr.boundary.end());
-      PeelingStats stats;
-      stats.hdegree_computations += cr.region.size();
-      peeler_.Peel(g_after, h, &mask_, peel_vertices_, &peel_keys_,
-                   /*lazy=*/nullptr, &pinned_, 0, n, &stats,
-                   [this](VertexId v, uint32_t k) {
-                     if (pinned_[v]) {
-                       HCORE_DCHECK(k == next_core_[v]);
-                     } else {
-                       next_core_[v] = k;
-                     }
-                   });
-      for (const VertexId v : cr.boundary) pinned_[v] = 0;
-      local->visited += degrees_.total_visited() - degree_visits_before;
-      local->hdegree_computations += stats.hdegree_computations;
-      local->decrement_updates += stats.decrement_updates;
-    } else {
-      PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
-      LocalizedPolicy policy(pinned_, &next_core_, h);
-      engine.PeelRegion(cr.region, cr.boundary, next_core_, policy);
+    PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
+    LocalizedPolicy policy(pinned_, &next_core_, h);
+    engine.PeelRegion(cr.region, cr.boundary, next_core_, policy);
 
-      for (const VertexId v : cr.boundary) pinned_[v] = 0;
-      local->visited += degrees_.total_visited() - degree_visits_before;
-      local->hdegree_computations += engine.stats().hdegree_computations;
-      local->decrement_updates += engine.stats().decrement_updates;
-    }
+    for (const VertexId v : cr.boundary) pinned_[v] = 0;
+    local->visited += degrees_.total_visited() - degree_visits_before;
+    local->hdegree_computations += engine.stats().hdegree_computations;
+    local->decrement_updates += engine.stats().decrement_updates;
 
     // Certificate check (pinned endpoints report their old core, which is
     // exactly what the min compares against).
@@ -270,79 +228,6 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
   for (const VertexId v : worklist_) pinned_[v] = 0;
   worklist_.clear();
   return !capped;
-}
-
-DynamicKhCore::DynamicKhCore(Graph g, const KhCoreOptions& options,
-                             const LocalizedUpdateOptions& localized)
-    : graph_(std::move(g)),
-      options_(options),
-      localized_(localized),
-      updater_(options.num_threads) {
-  // External bounds are managed internally; forbid caller-supplied ones to
-  // avoid dangling pointers across updates.
-  HCORE_CHECK(options_.extra_lower_bound == nullptr);
-  HCORE_CHECK(options_.extra_upper_bound == nullptr);
-  result_ = KhCoreDecomposition(graph_, options_);
-}
-
-bool DynamicKhCore::InsertEdge(VertexId u, VertexId v) {
-  if (u == v || u == kInvalidVertex || v == kInvalidVertex ||
-      graph_.HasEdge(u, v)) {
-    return false;
-  }
-  return ApplyEdit(EdgeEdit::Insert(u, v));
-}
-
-bool DynamicKhCore::DeleteEdge(VertexId u, VertexId v) {
-  if (u >= graph_.num_vertices() || v >= graph_.num_vertices() ||
-      !graph_.HasEdge(u, v)) {
-    return false;
-  }
-  return ApplyEdit(EdgeEdit::Delete(u, v));
-}
-
-bool DynamicKhCore::ApplyEdit(const EdgeEdit& edit) {
-  WallTimer timer;
-  // Splice the two affected adjacency lists (O(deg) merges, everything else
-  // copied through) instead of rebuilding and re-sorting the whole CSR.
-  Graph next = graph_.WithEdits({&edit, 1});
-
-  if (updater_.UpdateLevel(graph_, next, {&edit, 1}, edit.insert, options_.h,
-                           &result_.core, localized_, &last_update_)) {
-    ++localized_updates_;
-    graph_ = std::move(next);
-    uint32_t degeneracy = 0;
-    for (const uint32_t c : result_.core) degeneracy = std::max(degeneracy, c);
-    result_.degeneracy = degeneracy;
-    result_.h = options_.h;
-    KhCoreStats stats;
-    stats.visited_vertices = last_update_.visited;
-    stats.hdegree_computations = last_update_.hdegree_computations;
-    stats.decrement_updates = last_update_.decrement_updates;
-    stats.seconds = timer.ElapsedSeconds();
-    result_.stats = stats;
-    return true;
-  }
-
-  // Warm whole-graph fallback: old indexes bound the new ones — lower after
-  // an insertion (distances only shrink), upper after a deletion.
-  ++fallback_repeels_;
-  KhCoreOptions opts = options_;
-  std::vector<uint32_t> lower, upper;
-  if (edit.insert) {
-    lower = result_.core;
-    lower.resize(next.num_vertices(), 0);  // new vertices get bound 0
-    opts.extra_lower_bound = &lower;
-  } else {
-    upper = result_.core;
-    opts.extra_upper_bound = &upper;
-    // The upper-bound path only exists in h-LB+UB; force it for h > 1
-    // (h = 1 routes to the classic linear algorithm anyway).
-    opts.algorithm = KhCoreAlgorithm::kLbUb;
-  }
-  graph_ = std::move(next);
-  result_ = KhCoreDecomposition(graph_, opts);
-  return true;
 }
 
 }  // namespace hcore

@@ -1,44 +1,39 @@
 // Dynamic maintenance of a (k,h)-core decomposition under edge updates.
 //
-// Two exact strategies, tried in order:
+// LocalizedUpdater advances ONE level's core vector across a pure edit
+// batch with two exact sub-strategies:
 //
-//  1. LOCALIZED MAINTENANCE (LocalizedUpdater), two exact sub-strategies:
+//   * DELETION — violation cascade, output-sensitive. Core indexes only
+//     drop, so maintain a working vector `cur` (starting at the old
+//     cores, an upper bound) and repeatedly fix violations: v is violated
+//     when its h-degree inside {u : cur(u) >= cur(v)} falls below
+//     cur(v); each violation decrements cur(v) and re-queues the
+//     level-mates within distance h. At the fixpoint every level set
+//     {cur >= k} is (k,h)-cohesive (so cur <= true core) and a vertex at
+//     its true core is never violated (its true core's members all keep
+//     cur >= true core, an induction), so cur never drops past the truth:
+//     cur == new core exactly. Only vertices that actually change — plus
+//     one h-bounded BFS per recheck — are ever touched.
 //
-//     * DELETION — violation cascade, output-sensitive. Core indexes only
-//       drop, so maintain a working vector `cur` (starting at the old
-//       cores, an upper bound) and repeatedly fix violations: v is violated
-//       when its h-degree inside {u : cur(u) >= cur(v)} falls below
-//       cur(v); each violation decrements cur(v) and re-queues the
-//       level-mates within distance h. At the fixpoint every level set
-//       {cur >= k} is (k,h)-cohesive (so cur <= true core) and a vertex at
-//       its true core is never violated (its true core's members all keep
-//       cur >= true core, an induction), so cur never drops past the truth:
-//       cur == new core exactly. Only vertices that actually change — plus
-//       one h-bounded BFS per recheck — are ever touched.
+//   * INSERTION — candidate-region re-peel. Region discovery
+//     (traversal/region.h) over-approximates the set of vertices whose
+//     core index can rise at any level below a TRIAL bound; the region is
+//     re-peeled through the shared PeelingEngine on a VertexMask holding
+//     region ∪ boundary alive, boundary vertices pinned at their old
+//     index so their pops replay the surrounding true peel bucket by
+//     bucket. The peel is provably exact on every level below the bound,
+//     so a trial is accepted exactly when the computed min endpoint core
+//     of every edit stays below it (no deeper level can then have
+//     changed); otherwise the bound escalates geometrically and the peel
+//     reruns, giving up once the region overflows the cap.
 //
-//     * INSERTION — candidate-region re-peel. Region discovery
-//       (traversal/region.h) over-approximates the set of vertices whose
-//       core index can rise at any level below a TRIAL bound; the region is
-//       re-peeled through the shared PeelingEngine on a VertexMask holding
-//       region ∪ boundary alive, boundary vertices pinned at their old
-//       index so their pops replay the surrounding true peel bucket by
-//       bucket. The peel is provably exact on every level below the bound,
-//       so a trial is accepted exactly when the computed min endpoint core
-//       of every edit stays below it (no deeper level can then have
-//       changed); otherwise the bound escalates geometrically and the peel
-//       reruns, degenerating into the warm fallback once the region
-//       overflows the cap.
-//
-//  2. WHOLE-GRAPH WARM START (the fallback, and the only path before this
-//     existed): re-decompose from scratch reusing the previous indexes as
-//     bounds — after an insertion distances only shrink, so old indexes
-//     lower-bound the new ones; after a deletion they upper-bound them.
-//
-// The localized path falls back when the discovered region exceeds
-// LocalizedUpdateOptions::MaxRegion (edits that restructure a large part of
-// the graph). Both paths return exactly the decomposition a fresh run would
-// produce; the fuzz suite (tests/incremental_fuzz_test.cc) checks that at
-// every step.
+// The updater returns false when the region (or the cascade's work)
+// exceeds LocalizedUpdateOptions::MaxRegion — edits that restructure a
+// large part of the graph. HCoreIndex (index/hcore_index.h), the one write
+// front door, then re-decomposes that level of the whole graph
+// warm-started; see HCoreIndex::ApplyBatch for the bounds it uses. Both
+// paths return exactly the decomposition a fresh run would produce; the
+// fuzz suite (tests/incremental_fuzz_test.cc) checks that at every step.
 
 #ifndef HCORE_CORE_INCREMENTAL_H_
 #define HCORE_CORE_INCREMENTAL_H_
@@ -48,8 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "core/kh_core.h"
-#include "engine/parallel_peel.h"
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
 #include "traversal/h_degree.h"
@@ -70,12 +63,6 @@ struct LocalizedUpdateOptions {
   /// Batch cap (HCoreIndex): batches with more effective edits than this
   /// skip discovery entirely (their joint region is rarely local).
   size_t max_batch = 8;
-  /// Round-synchronous parallel region peel (engine/parallel_peel.h):
-  /// candidate regions whose peel (region + boundary) clears the size gate
-  /// run on the updater's thread pool instead of the sequential bucket
-  /// loop. Results are identical; small regions keep sequential latency.
-  ParallelPeelMode parallel = ParallelPeelMode::kAuto;
-  uint64_t parallel_min_vertices = kParallelPeelAutoMinVertices;
 
   size_t MaxRegion(VertexId n) const {
     return std::max(min_region_cap,
@@ -85,14 +72,10 @@ struct LocalizedUpdateOptions {
 
 /// Outcome of one localized level-update attempt.
 struct LocalizedUpdateStats {
-  /// True when the localized path applied; false means the caller must run
-  /// the warm fallback (region overflow, or the path is disabled).
-  bool localized = false;
   /// Inserts: candidate vertices re-peeled (final trial). Deletes:
   /// vertices the cascade demoted.
   size_t region = 0;
   size_t boundary = 0;  ///< Pinned vertices replayed around them (inserts).
-  size_t changed = 0;   ///< Region vertices whose core index moved.
   /// Insert-side trial-bound escalations (see LocalizedUpdater): 0 means
   /// the classic-subcore bound was certified on the first try.
   size_t escalations = 0;
@@ -134,7 +117,6 @@ class LocalizedUpdater {
                      LocalizedUpdateStats* local);
 
   HDegreeComputer degrees_;
-  ParallelPeeler peeler_;
   RegionFinder finder_;
   BoundedBfs cascade_bfs_;
   VertexMask mask_;
@@ -142,53 +124,6 @@ class LocalizedUpdater {
   std::vector<uint32_t> base_core_;
   std::vector<uint32_t> next_core_;
   std::vector<VertexId> worklist_;
-  // Parallel region-peel scratch: per-vertex keys and the region ∪ boundary
-  // candidate list.
-  std::vector<uint32_t> peel_keys_;
-  std::vector<uint32_t> region_keys_;
-  std::vector<VertexId> peel_vertices_;
-};
-
-/// A (k,h)-core decomposition that can be advanced across edge updates.
-class DynamicKhCore {
- public:
-  /// Decomposes `g` from scratch. `options.h` is the distance threshold for
-  /// the lifetime of this object; `localized` tunes the update path.
-  DynamicKhCore(Graph g, const KhCoreOptions& options,
-                const LocalizedUpdateOptions& localized = {});
-
-  const Graph& graph() const { return graph_; }
-  const KhCoreResult& result() const { return result_; }
-  int h() const { return options_.h; }
-
-  /// Applies an edge insertion and refreshes the decomposition (localized
-  /// re-peel, falling back to the whole-graph warm start). No-op (returns
-  /// false) if the edge already exists or is a self-loop; vertex ids beyond
-  /// the current vertex count grow the graph.
-  bool InsertEdge(VertexId u, VertexId v);
-
-  /// Applies an edge deletion, same strategy. Returns false if absent.
-  bool DeleteEdge(VertexId u, VertexId v);
-
-  /// Updates served by the localized path / by the warm whole-graph
-  /// fallback. Their sum equals the number of applied updates.
-  uint64_t localized_updates() const { return localized_updates_; }
-  uint64_t fallback_repeels() const { return fallback_repeels_; }
-
-  /// Region/boundary/changed telemetry of the most recent applied update.
-  const LocalizedUpdateStats& last_update() const { return last_update_; }
-
- private:
-  bool ApplyEdit(const EdgeEdit& edit);
-
-  Graph graph_;
-  KhCoreOptions options_;
-  LocalizedUpdateOptions localized_;
-  KhCoreResult result_;
-  LocalizedUpdater updater_;
-  LocalizedUpdateStats last_update_;
-  uint64_t localized_updates_ = 0;
-  uint64_t fallback_repeels_ = 0;
 };
 
 }  // namespace hcore

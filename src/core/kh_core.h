@@ -110,10 +110,13 @@ struct KhCoreOptions {
   /// the configured LowerBoundMode by taking the maximum. Not owned.
   const std::vector<uint32_t>* extra_lower_bound = nullptr;
   /// Optional externally-known per-vertex upper bound on the core index
-  /// (e.g. the pre-deletion core index — see core/incremental.h). Must
-  /// satisfy extra[v] >= core_h(v). When set, h-LB+UB uses it instead of
-  /// running Algorithm 5 (the caller's bound is assumed tighter/cheaper);
-  /// other algorithms ignore it. Not owned.
+  /// (e.g. the pre-deletion core index). Must satisfy extra[v] >=
+  /// core_h(v). When set, h-LB+UB uses it instead of running Algorithm 5;
+  /// other algorithms ignore it. Not owned. HCoreIndex does not pass the
+  /// pre-deletion cores here: forcing h-LB+UB with them measured 3-4x
+  /// slower at h = 2 (4-10x the BFS visits) than h-LB seeded by the
+  /// spectrum chain alone, since h-LB+UB's full h-degree pass and
+  /// per-partition ImproveLB cost more than the bound saves.
   const std::vector<uint32_t>* extra_upper_bound = nullptr;
 };
 
@@ -138,6 +141,17 @@ struct KhCoreStats {
   /// Wall-clock seconds, total and for the bound-precomputation phase.
   double seconds = 0.0;
   double bound_seconds = 0.0;
+
+  /// Field-wise accumulation (sweeps and indexes sum per-level runs).
+  void Add(const KhCoreStats& other) {
+    visited_vertices += other.visited_vertices;
+    hdegree_computations += other.hdegree_computations;
+    decrement_updates += other.decrement_updates;
+    pops += other.pops;
+    partitions += other.partitions;
+    seconds += other.seconds;
+    bound_seconds += other.bound_seconds;
+  }
 };
 
 /// Result of a (k,h)-core decomposition.

@@ -87,12 +87,7 @@ SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options) {
     // valid lower bound for this one.
     opts.extra_lower_bound = previous;
     KhCoreResult level = KhCoreDecomposition(*peel, opts);
-    out.stats.visited_vertices += level.stats.visited_vertices;
-    out.stats.hdegree_computations += level.stats.hdegree_computations;
-    out.stats.decrement_updates += level.stats.decrement_updates;
-    out.stats.partitions += level.stats.partitions;
-    out.stats.seconds += level.stats.seconds;
-    out.stats.bound_seconds += level.stats.bound_seconds;
+    out.stats.Add(level.stats);
     out.degeneracy.push_back(level.degeneracy);
     out.core.push_back(std::move(level.core));
     previous = &out.core.back();

@@ -170,21 +170,17 @@ class ParallelPeeler {
   ///     (re)computed. For v with `lazy[v]` != 0 the key is a lower bound,
   ///     materialized in per-round batches before v can die (h-LB's lazy
   ///     discipline); cleared as they materialize. `lazy` may be null.
-  ///   * `pinned[v]` != 0 pins v's key: never recomputed, v is claimed at
-  ///     exactly keys[v] (the localized region peel's boundary replay).
-  ///     May be null.
   ///   * `assign(v, k)` runs on the coordinator thread for every killed
   ///     vertex, in batch order — the policy hook (assign cores, honor
-  ///     k_min windows, check pinned invariants).
+  ///     k_min windows).
   ///
   /// Kills go through the mask on the coordinator thread only (VertexMask
   /// mutation is not thread-safe); workers only read it between barriers.
   template <typename AssignFn>
   void Peel(const Graph& g, int h, VertexMask* alive,
             std::span<const VertexId> vertices, std::vector<uint32_t>* keys,
-            std::vector<uint8_t>* lazy, const std::vector<uint8_t>* pinned,
-            uint32_t k_min, uint32_t k_max, PeelingStats* stats,
-            AssignFn&& assign) REQUIRES(coordinator_) {
+            std::vector<uint8_t>* lazy, uint32_t k_min, uint32_t k_max,
+            PeelingStats* stats, AssignFn&& assign) REQUIRES(coordinator_) {
     // Borrow contract: whoever coordinates the peeler is the sole driver
     // of the borrowed computer for the duration of the peel (rounds fan
     // out through its pool and rejoin this thread at each barrier).
@@ -260,9 +256,9 @@ class ParallelPeeler {
         // exactly the counted sources — those take the batched form of the
         // sequential unit decrement, O(1) instead of a BFS — and which need
         // a full recomputation, done in one deduplicated batch. Skipped
-        // entirely: lazy keys (a lower bound stays a lower bound), pinned
-        // boundaries, and vertices already claimed for this level (their
-        // key is <= k for good; the sequential loop's pinned-bucket skip).
+        // entirely: lazy keys (a lower bound stays a lower bound) and
+        // vertices already claimed for this level (their key is <= k for
+        // good; the sequential loop's pinned-bucket skip).
         degrees_->MarkNeighborhoods(g, *alive, h, frontier_, marks_.get(),
                                     &marked_lists_);
         recompute_.clear();
@@ -272,13 +268,12 @@ class ParallelPeeler {
             const uint8_t mark =
                 marks_[u].exchange(0, std::memory_order_relaxed);
             if (!alive->IsAlive(u)) continue;
-            if (pinned != nullptr && (*pinned)[u]) continue;
             if (lazy != nullptr && (*lazy)[u]) continue;
             if (queued_[u]) continue;
             if ((mark & kMarkNeedsRecompute) == 0) {
               // Every source reached u at distance exactly h: u lost
               // exactly `mark` h-ball members, and its key is exact (it is
-              // neither lazy nor pinned), so decrement in place.
+              // not lazy), so decrement in place.
               stats->decrement_updates += 1;
               (*keys)[u] -= mark;
               if ((*keys)[u] <= k) {

@@ -15,14 +15,7 @@ void HCoreIndexStats::Add(const HCoreIndexStats& other) {
   levels_unchanged += other.levels_unchanged;
   localized_updates += other.localized_updates;
   fallback_repeels += other.fallback_repeels;
-  decomposition.visited_vertices += other.decomposition.visited_vertices;
-  decomposition.hdegree_computations +=
-      other.decomposition.hdegree_computations;
-  decomposition.decrement_updates += other.decomposition.decrement_updates;
-  decomposition.pops += other.decomposition.pops;
-  decomposition.partitions += other.decomposition.partitions;
-  decomposition.seconds += other.decomposition.seconds;
-  decomposition.bound_seconds += other.decomposition.bound_seconds;
+  decomposition.Add(other.decomposition);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +253,6 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
                                    &insert_ls);
       out.ls.region += insert_ls.region;
       out.ls.boundary += insert_ls.boundary;
-      out.ls.changed += insert_ls.changed;
       out.ls.escalations += insert_ls.escalations;
       out.ls.visited += insert_ls.visited;
       out.ls.hdegree_computations += insert_ls.hdegree_computations;
@@ -268,9 +260,9 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     };
     // Dirty levels are independent (only the warm fallback's spectrum chain
     // orders them), so with two or more workers the attempts fan out over
-    // the index-owned pool on per-level single-threaded updaters: level
-    // parallelism replaces region parallelism, since nested pools would
-    // oversubscribe. Results are identical to the serial loop.
+    // the index-owned pool on per-level single-threaded updaters — the
+    // write path's parallelism is this level fan-out; each region peel is
+    // sequential. Results are identical to the serial loop.
     const int fan =
         std::min(options_.max_h, std::max(1, options_.base.num_threads));
     if (fan > 1) {
@@ -309,7 +301,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
   // with no attempt at all) take the warm whole-graph fallback.
   std::vector<HCoreSnapshot::Level> levels(options_.max_h);
   const std::vector<uint32_t>* prev_level = nullptr;  // this epoch, h - 1
-  std::vector<uint32_t> lower, upper;
+  std::vector<uint32_t> lower;
   for (int h = 1; h <= options_.max_h; ++h) {
     const std::vector<uint32_t>* old_core =
         prev != nullptr ? prev->levels_[h - 1].core.get() : nullptr;
@@ -335,12 +327,14 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       opts.h = h;
       opts.ordering = VertexOrdering::kNone;
       if (h > 1) {
-        // Warm start, two sources combined (both in original ids):
+        // Warm start, two lower bounds combined (both in original ids):
         //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
         //    (monotone in h);
-        //  * incremental bounds vs the previous epoch: after a pure-insert
-        //    batch old cores are lower bounds, after a pure-delete batch
-        //    they are upper bounds (mixed batches get neither).
+        //  * after a pure-insert batch, the previous epoch's core_h
+        //    (distances only shrink). Deletes get the chain alone: old
+        //    cores would be upper bounds, but forcing h-LB+UB to consume
+        //    them measured slower than the chain-seeded h-LB (see
+        //    KhCoreOptions::extra_upper_bound).
         lower.assign(n, 0);
         if (prev_level != nullptr) {
           std::copy(prev_level->begin(), prev_level->end(), lower.begin());
@@ -353,26 +347,12 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
         }
         if (!order.empty()) lower = GatherByPermutation(lower, order);
         opts.extra_lower_bound = &lower;
-        if (pure_delete && old_core != nullptr) {
-          upper = *old_core;  // deletes never grow the vertex set
-          if (!order.empty()) upper = GatherByPermutation(upper, order);
-          opts.extra_upper_bound = &upper;
-          // Only h-LB+UB consumes an upper bound.
-          opts.algorithm = KhCoreAlgorithm::kLbUb;
-        }
       }
       KhCoreResult r = KhCoreDecomposition(*peel, opts);
       if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
       if (stats != nullptr) {
         ++stats->level_decompositions;
-        stats->decomposition.visited_vertices += r.stats.visited_vertices;
-        stats->decomposition.hdegree_computations +=
-            r.stats.hdegree_computations;
-        stats->decomposition.decrement_updates += r.stats.decrement_updates;
-        stats->decomposition.pops += r.stats.pops;
-        stats->decomposition.partitions += r.stats.partitions;
-        stats->decomposition.seconds += r.stats.seconds;
-        stats->decomposition.bound_seconds += r.stats.bound_seconds;
+        stats->decomposition.Add(r.stats);
       }
       level.degeneracy = r.degeneracy;
       core = std::move(r.core);

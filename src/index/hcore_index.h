@@ -11,11 +11,12 @@
 //     h+1 as a lower bound) builds the initial per-level core vectors;
 //   * the core-component dendrogram of core/hierarchy.* is built lazily,
 //     per level, on first query — never eagerly at update time;
-//   * the warm-start bounds of core/incremental.* (old cores lower-bound
-//     after inserts, upper-bound after deletes) drive ApplyBatch, which
-//     merges a whole batch of edits into ONE CSR rebuild
-//     (Graph::WithEdits) plus one warm-started re-decomposition per h
-//     level — instead of one full rebuild per edge.
+//   * the localized level repair of core/incremental.* drives ApplyBatch,
+//     which merges a whole batch of edits into ONE copy-on-write CSR
+//     splice plus one repair per h level — localized where the candidate
+//     region stays small, else a warm-started whole-graph
+//     re-decomposition. This is the one write front door: every edge
+//     update, single or batched, goes through it.
 //
 // Concurrency model: readers call snapshot() and query the returned
 // HCoreSnapshot for as long as they like; snapshots are immutable (lazy
@@ -194,9 +195,11 @@ class HCoreIndex {
   /// whose candidate region fits the cap — see core/incremental.h; pure
   /// batches run one region pass, mixed batches chain the delete cascade
   /// and the insert region re-peel through the intermediate graph) or a
-  /// warm-started whole-graph re-decomposition — pure-insert batches reuse
-  /// old cores as lower bounds, pure-delete batches as upper bounds, mixed
-  /// batches fall back to the spectrum chain only. The localized_updates /
+  /// warm-started whole-graph re-decomposition — every level h > 1 takes
+  /// this epoch's core_{h-1} as a lower bound (the spectrum chain), and
+  /// pure-insert batches add the old cores as lower bounds. Deletes get no
+  /// upper bound: h-LB+UB consuming one measured slower than the chain
+  /// alone (see KhCoreOptions::extra_upper_bound). The localized_updates /
   /// fallback_repeels stats record which path served each level. Publishes
   /// a new epoch unless every edit was a no-op. Returns the number of edits
   /// that had an effect. Thread-safe; concurrent readers are never blocked.

@@ -1,12 +1,12 @@
 // Randomized equivalence fuzzing for localized dynamic (k,h)-core
-// maintenance: 200+ insert/delete/mixed sequences through DynamicKhCore and
-// batched sequences through HCoreIndex::ApplyBatch, asserting exact
-// equality with a fresh decomposition after EVERY step and that the
-// localized/fallback counters always account for every applied update
-// (DynamicKhCore) / every dirty level (HCoreIndex). Region caps are swept
-// so the localized path, the overflow fallback, and the disabled path are
-// all exercised. The TSan CI leg runs this suite (the concurrency test at
-// the bottom is its target).
+// maintenance through the one write front door, HCoreIndex: 200+
+// insert/delete/mixed single-edit sequences (InsertEdge/DeleteEdge) and
+// batched sequences (ApplyBatch), asserting exact equality with a fresh
+// decomposition at every level after EVERY step and that the
+// localized/fallback counters always account for every dirty level. Region
+// caps are swept so the localized path, the overflow fallback, and the
+// disabled path are all exercised. The TSan CI leg runs this suite (the
+// concurrency tests at the bottom are its target).
 
 #include "core/incremental.h"
 
@@ -36,44 +36,54 @@ std::vector<uint32_t> FreshCores(const Graph& g, int h) {
 
 enum class EditMode { kInsertOnly, kDeleteOnly, kMixed };
 
-/// One fuzz sequence: random edits against a DynamicKhCore, cross-checked
-/// against a fresh decomposition at every step. Adds the number of applied
-/// updates to `*applied_out` (void return: gtest ASSERTs live here).
+/// One fuzz sequence: random single edits against an HCoreIndex with
+/// max_h = h, every level cross-checked against a fresh decomposition at
+/// every step. Adds the number of applied updates to `*applied_out` (void
+/// return: gtest ASSERTs live here).
 void RunDynamicSequence(const RandomGraphSpec& spec, int h, EditMode mode,
                         const LocalizedUpdateOptions& localized, int steps,
                         uint64_t* applied_out = nullptr,
                         const KhCoreOptions& base_opts = {}) {
-  Graph g = MakeRandomGraph(spec);
-  KhCoreOptions opts = base_opts;
-  opts.h = h;
-  DynamicKhCore dyn(g, opts, localized);
+  HCoreIndexOptions iopts;
+  iopts.max_h = h;
+  iopts.base = base_opts;
+  iopts.localized = localized;
+  HCoreIndex index(MakeRandomGraph(spec), iopts);
   Rng rng(spec.seed * 9176 + static_cast<uint64_t>(h) * 131 +
           static_cast<uint64_t>(mode));
   uint64_t applied = 0;
   for (int step = 0; step < steps; ++step) {
-    const VertexId n = dyn.graph().num_vertices();
+    const auto before = index.snapshot();
+    const Graph& g = before->graph();
+    const VertexId n = g.num_vertices();
     const bool insert = mode == EditMode::kInsertOnly ||
                         (mode == EditMode::kMixed && rng.NextBool(0.5));
     bool ok = false;
     if (insert) {
       // +2 occasionally grows the vertex set through an update.
-      ok = dyn.InsertEdge(rng.NextIndex(n + 2), rng.NextIndex(n + 2));
+      ok = index.InsertEdge(rng.NextIndex(n + 2), rng.NextIndex(n + 2));
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = g.Edges();
       if (edges.empty()) continue;
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
-      ok = dyn.DeleteEdge(u, v);
+      ok = index.DeleteEdge(u, v);
     }
     if (ok) ++applied;
-    const std::vector<uint32_t> fresh = FreshCores(dyn.graph(), h);
-    ASSERT_EQ(dyn.result().core, fresh)
-        << spec.Name() << " h=" << h << " mode=" << static_cast<int>(mode)
-        << " step=" << step;
-    uint32_t degeneracy = 0;
-    for (uint32_t c : fresh) degeneracy = std::max(degeneracy, c);
-    ASSERT_EQ(dyn.result().degeneracy, degeneracy);
-    // Every applied update was served by exactly one of the two paths.
-    ASSERT_EQ(dyn.localized_updates() + dyn.fallback_repeels(), applied);
+    const auto snap = index.snapshot();
+    for (int level = 1; level <= h; ++level) {
+      const std::vector<uint32_t> fresh = FreshCores(snap->graph(), level);
+      ASSERT_EQ(snap->Cores(level), fresh)
+          << spec.Name() << " h=" << level << "/" << h
+          << " mode=" << static_cast<int>(mode) << " step=" << step;
+      uint32_t degeneracy = 0;
+      for (uint32_t c : fresh) degeneracy = std::max(degeneracy, c);
+      ASSERT_EQ(snap->Degeneracy(level), degeneracy);
+    }
+    // Every level of every applied update was served by exactly one of
+    // the two paths.
+    const HCoreIndexStats stats = index.stats();
+    ASSERT_EQ(stats.localized_updates + stats.fallback_repeels,
+              static_cast<uint64_t>(h) * applied);
   }
   if (applied_out != nullptr) *applied_out += applied;
 }
@@ -96,35 +106,26 @@ TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
 }
 
 TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
-  // The parallel leg of the satellite: mixed edit sequences where BOTH
-  // maintenance paths run the round-synchronous parallel engine — the
-  // localized region re-peel (localized.parallel) and the warm whole-graph
-  // fallback (KhCoreOptions::parallel), forced on with a floor of 1 so
-  // these small graphs exercise it. Every step must match a fresh
-  // (sequential) decomposition. The TSan CI leg runs this suite.
+  // Mixed edit sequences whose warm whole-graph fallback runs the
+  // round-synchronous parallel engine (KhCoreOptions::parallel), forced on
+  // with a floor of 1 so these small graphs exercise it; the tiny region
+  // cap pushes most updates onto that fallback. Every step must match a
+  // fresh (sequential) decomposition. The TSan CI leg runs this suite.
   KhCoreOptions par;
   par.num_threads = 4;
   par.parallel = ParallelPeelMode::kOn;
   par.parallel_min_vertices = 1;
+  LocalizedUpdateOptions tiny;
+  tiny.max_region_fraction = 0.0;
+  tiny.min_region_cap = 4;
   uint64_t applied = 0;
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     for (int h : {1, 2, 3}) {
-      // Default caps: fully localized on these graphs.
-      LocalizedUpdateOptions localized;
-      localized.parallel = ParallelPeelMode::kOn;
-      localized.parallel_min_vertices = 1;
-      RunDynamicSequence(spec, h, EditMode::kMixed, localized, 8, &applied,
-                         par);
-      if (HasFatalFailure()) return;
-      // Tiny cap: overflow pushes updates onto the parallel warm fallback.
-      LocalizedUpdateOptions tiny = localized;
-      tiny.max_region_fraction = 0.0;
-      tiny.min_region_cap = 4;
       RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 6, &applied, par);
       if (HasFatalFailure()) return;
     }
   }
-  EXPECT_GT(applied, 300u);
+  EXPECT_GT(applied, 100u);
 }
 
 TEST(DynamicFuzz, TinyRegionCapForcesFallbackMixture) {
@@ -143,43 +144,41 @@ TEST(DynamicFuzz, TinyRegionCapForcesFallbackMixture) {
 }
 
 TEST(DynamicFuzz, DisabledLocalizedPathStillExactAndCounted) {
-  // 12 sequences with the localized path off: pure warm fallback.
+  // 12 sequences with the localized path off: pure warm fallback, with
+  // the pure-delete levels up to h = 3 seeded by the spectrum chain alone.
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     LocalizedUpdateOptions off;
     off.enable = false;
-    Graph g = MakeRandomGraph(spec);
-    KhCoreOptions opts;
-    opts.h = 2;
-    DynamicKhCore dyn(g, opts, off);
-    RunDynamicSequence(spec, 2, EditMode::kMixed, off, 6);
+    RunDynamicSequence(spec, 3, EditMode::kMixed, off, 6);
     if (HasFatalFailure()) return;
   }
 }
 
 TEST(DynamicFuzz, DefaultCapKeepsSmallGraphUpdatesFullyLocalized) {
   // On a 36-vertex graph the default cap (min_region_cap = 64) can never
-  // overflow: all applied updates must report localized, none fallback.
+  // overflow: every level of every applied update must report localized,
+  // none fallback.
   RandomGraphSpec spec{"ba", 36, 5};
-  Graph g = MakeRandomGraph(spec);
-  KhCoreOptions opts;
-  opts.h = 2;
-  DynamicKhCore dyn(g, opts);
+  HCoreIndex index(MakeRandomGraph(spec), HCoreIndexOptions{});  // max_h 2
   Rng rng(77);
   uint64_t applied = 0;
   for (int step = 0; step < 16; ++step) {
-    const VertexId n = dyn.graph().num_vertices();
+    const auto before = index.snapshot();
+    const Graph& g = before->graph();
+    const VertexId n = g.num_vertices();
     if (rng.NextBool(0.5)) {
-      applied += dyn.InsertEdge(rng.NextIndex(n), rng.NextIndex(n)) ? 1 : 0;
+      applied += index.InsertEdge(rng.NextIndex(n), rng.NextIndex(n)) ? 1 : 0;
     } else {
-      auto edges = dyn.graph().Edges();
+      auto edges = g.Edges();
       auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
-      applied += dyn.DeleteEdge(u, v) ? 1 : 0;
+      applied += index.DeleteEdge(u, v) ? 1 : 0;
     }
   }
   EXPECT_GT(applied, 0u);
-  EXPECT_EQ(dyn.localized_updates(), applied);
-  EXPECT_EQ(dyn.fallback_repeels(), 0u);
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
+  EXPECT_EQ(index.stats().localized_updates, 2 * applied);
+  EXPECT_EQ(index.stats().fallback_repeels, 0u);
+  const auto snap = index.snapshot();
+  EXPECT_EQ(snap->Cores(2), FreshCores(snap->graph(), 2));
 }
 
 /// A deterministic random edit batch against the current graph.

@@ -2,9 +2,9 @@
 // (engine/parallel_peel.h): exact core equality against the sequential
 // bucket loop for every algorithm × h ∈ {1,2,3} × thread counts {1,2,4,8}
 // over BA, clustered, disconnected, and star graphs; counter-parity where
-// the algorithms guarantee it (pops of the eager peels); the localized
-// region peel's parallel twin; and unit coverage of the shared gate, stat
-// merging, and neighborhood marking. The TSan CI leg runs this suite.
+// the algorithms guarantee it (pops of the eager peels); and unit coverage
+// of the shared gate, stat merging, and neighborhood marking. The TSan CI
+// leg runs this suite.
 
 #include "engine/parallel_peel.h"
 
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/classic_core.h"
-#include "core/incremental.h"
 #include "core/kh_core.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -21,9 +20,6 @@
 
 namespace hcore {
 namespace {
-
-using ::hcore::testing::MakeRandomGraph;
-using ::hcore::testing::RandomGraphSpec;
 
 /// The satellite matrix's graph families: BA (hubs), clustered (planted
 /// partition), disconnected (planted partition with zero inter-community
@@ -252,38 +248,6 @@ TEST(ParallelPeel, AutoModePicksParallelOnlyPastTheFloor) {
   auto_opts.parallel_min_vertices = 1;  // now parallel
   const KhCoreResult par = KhCoreDecomposition(g, auto_opts);
   EXPECT_EQ(par.core, seq.core);
-}
-
-TEST(ParallelRegionPeel, LocalizedInsertsMatchFreshDecomposition) {
-  // Forced-parallel region re-peels across an insert-heavy edit sequence:
-  // every step must match a fresh decomposition, and stay localized (the
-  // graph is far below the region cap).
-  for (int h : {1, 2, 3}) {
-    RandomGraphSpec spec{"pp", 48, 3};
-    Graph g = MakeRandomGraph(spec);
-    KhCoreOptions opts;
-    opts.h = h;
-    opts.num_threads = 4;
-    LocalizedUpdateOptions localized;
-    localized.parallel = ParallelPeelMode::kOn;
-    localized.parallel_min_vertices = 1;
-    DynamicKhCore dyn(g, opts, localized);
-    Rng rng(151 + h);
-    uint64_t applied = 0;
-    for (int step = 0; step < 20; ++step) {
-      const VertexId n = dyn.graph().num_vertices();
-      if (dyn.InsertEdge(rng.NextIndex(n + 1), rng.NextIndex(n + 1))) {
-        ++applied;
-      }
-      KhCoreOptions fresh_opts;
-      fresh_opts.h = h;
-      ASSERT_EQ(dyn.result().core,
-                KhCoreDecomposition(dyn.graph(), fresh_opts).core)
-          << "h=" << h << " step=" << step;
-    }
-    EXPECT_GT(applied, 0u);
-    EXPECT_EQ(dyn.localized_updates(), applied);
-  }
 }
 
 TEST(ParallelPeel, EmptyAndTinyGraphs) {

@@ -27,6 +27,9 @@ TEST(Spectrum, PaperFigure1Levels) {
   EXPECT_EQ(r.VertexSpectrum(0), (std::vector<uint32_t>{2, 4}));  // v1
   EXPECT_EQ(r.VertexSpectrum(1), (std::vector<uint32_t>{2, 5}));  // v2
   EXPECT_EQ(r.VertexSpectrum(3), (std::vector<uint32_t>{2, 6}));  // v4
+  // The sweep sums every per-level counter (h = 1 reports none, so the
+  // pops come from the h = 2 peel).
+  EXPECT_GT(r.stats.pops, 0u);
 }
 
 TEST(Spectrum, NormalizedSpectrumInUnitInterval) {
