@@ -1,96 +1,90 @@
-// Tests for warm-start dynamic maintenance: every update must yield exactly
-// the decomposition a fresh run would produce.
+// Hand-picked single edits through HCoreIndex::InsertEdge/DeleteEdge, the
+// write path of dynamic (k,h)-core maintenance: every edit must report
+// whether it had an effect and leave every level equal to a fresh run.
+// Random edit sequences live in incremental_fuzz_test.
 
-#include "core/incremental.h"
+#include "index/hcore_index.h"
 
-#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
-#include "test_util.h"
 
 namespace hcore {
 namespace {
 
-using ::hcore::testing::MakeRandomGraph;
-using ::hcore::testing::RandomGraphSpec;
-
-KhCoreOptions OptsForH(int h) {
+std::vector<uint32_t> FreshCores(const Graph& g, int h) {
   KhCoreOptions opts;
   opts.h = h;
+  return KhCoreDecomposition(g, opts).core;
+}
+
+HCoreIndexOptions IndexOptions(int max_h) {
+  HCoreIndexOptions opts;
+  opts.max_h = max_h;
   return opts;
 }
 
-std::vector<uint32_t> FreshCores(const Graph& g, int h) {
-  return KhCoreDecomposition(g, OptsForH(h)).core;
-}
-
-TEST(DynamicKhCore, InsertIntoPaperGraphPromotesCores) {
-  // Figure 1: adding the edge v1-v4 (ids 0-3) raises v1's 2-degree.
-  DynamicKhCore dyn(gen::PaperFigure1(), OptsForH(2));
-  EXPECT_EQ(dyn.result().core[0], 4u);
-  ASSERT_TRUE(dyn.InsertEdge(0, 3));
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
-  EXPECT_GE(dyn.result().core[0], 4u);
-}
-
-TEST(DynamicKhCore, DeleteFromPaperGraphDemotesCores) {
-  DynamicKhCore dyn(gen::PaperFigure1(), OptsForH(2));
-  ASSERT_TRUE(dyn.DeleteEdge(3, 4));  // v4-v5: breaks the cross pairing
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
-}
-
-TEST(DynamicKhCore, RejectsDegenerateUpdates) {
-  DynamicKhCore dyn(gen::Cycle(5), OptsForH(2));
-  EXPECT_FALSE(dyn.InsertEdge(2, 2));       // self-loop
-  EXPECT_FALSE(dyn.InsertEdge(0, 1));       // already present
-  EXPECT_FALSE(dyn.DeleteEdge(0, 2));       // absent
-  EXPECT_FALSE(dyn.DeleteEdge(0, 99));      // out of range
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
-}
-
-TEST(DynamicKhCore, InsertCanGrowTheVertexSet) {
-  DynamicKhCore dyn(gen::Path(4), OptsForH(2));
-  ASSERT_TRUE(dyn.InsertEdge(3, 6));  // vertices 4..6 appear
-  EXPECT_EQ(dyn.graph().num_vertices(), 7u);
-  EXPECT_EQ(dyn.result().core, FreshCores(dyn.graph(), 2));
-  EXPECT_EQ(dyn.result().core[5], 0u);  // isolated newcomer
-}
-
-class DynamicProperty
-    : public ::testing::TestWithParam<std::tuple<RandomGraphSpec, int>> {};
-
-TEST_P(DynamicProperty, RandomUpdateSequenceTracksFreshRuns) {
-  const auto& [spec, h] = GetParam();
-  Graph g = MakeRandomGraph(spec);
-  DynamicKhCore dyn(g, OptsForH(h));
-  Rng rng(spec.seed * 131 + h);
-  int applied = 0;
-  for (int step = 0; step < 12; ++step) {
-    const VertexId n = dyn.graph().num_vertices();
-    if (rng.NextBool(0.5)) {
-      applied += dyn.InsertEdge(rng.NextIndex(n), rng.NextIndex(n)) ? 1 : 0;
-    } else {
-      auto edges = dyn.graph().Edges();
-      if (edges.empty()) continue;
-      auto [u, v] = edges[rng.NextIndex(static_cast<uint32_t>(edges.size()))];
-      applied += dyn.DeleteEdge(u, v) ? 1 : 0;
+TEST(HCoreIndex, SingleEditConveniencesMatchFreshRuns) {
+  // Hand-picked single edits: each returns whether it had an effect, and
+  // every level must equal a fresh run afterwards.
+  struct Edit {
+    bool insert;
+    VertexId u, v;
+    bool applies;
+  };
+  struct Case {
+    const char* name;
+    Graph graph;
+    std::vector<Edit> edits;
+  };
+  const std::vector<Case> cases = {
+      // Figure 1: adding v1-v4 (ids 0-3) raises v1's 2-degree, deleting it
+      // restores the graph; present and absent edges are no-ops.
+      {"figure1-promote",
+       gen::PaperFigure1(),
+       {{true, 0, 1, false},
+        {true, 0, 3, true},
+        {false, 0, 3, true},
+        {false, 0, 3, false}}},
+      // v4-v5 breaks the cross pairing and demotes cores.
+      {"figure1-demote", gen::PaperFigure1(), {{false, 3, 4, true}}},
+      // Self-loop, present edge, absent edge, out-of-range delete.
+      {"cycle5-degenerate",
+       gen::Cycle(5),
+       {{true, 2, 2, false},
+        {true, 0, 1, false},
+        {false, 0, 2, false},
+        {false, 0, 99, false}}},
+      // An insert past the vertex count grows the graph (4..6 appear).
+      {"path4-growth", gen::Path(4), {{true, 3, 6, true}}},
+  };
+  for (const Case& c : cases) {
+    HCoreIndex index(c.graph, IndexOptions(2));
+    for (const Edit& e : c.edits) {
+      EXPECT_EQ(e.insert ? index.InsertEdge(e.u, e.v)
+                         : index.DeleteEdge(e.u, e.v),
+                e.applies)
+          << c.name << " " << e.u << "-" << e.v;
+      const auto snap = index.snapshot();
+      for (int h = 1; h <= 2; ++h) {
+        EXPECT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
+            << c.name << " " << e.u << "-" << e.v << " h=" << h;
+      }
     }
-    ASSERT_EQ(dyn.result().core, FreshCores(dyn.graph(), h))
-        << spec.Name() << " step " << step;
   }
-  EXPECT_GT(applied, 0);
-}
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, DynamicProperty,
-    ::testing::Combine(::testing::ValuesIn(hcore::testing::Corpus(36, 1)),
-                       ::testing::Values(2, 3)),
-    [](const ::testing::TestParamInfo<std::tuple<RandomGraphSpec, int>>& info) {
-      return std::get<0>(info.param).Name() + "_h" +
-             std::to_string(std::get<1>(info.param));
-    });
+  // Spot values behind the cases above.
+  HCoreIndex figure1(gen::PaperFigure1(), IndexOptions(2));
+  EXPECT_EQ(figure1.snapshot()->CoreOf(0, 2), 4u);
+  ASSERT_TRUE(figure1.InsertEdge(0, 3));
+  EXPECT_GE(figure1.snapshot()->CoreOf(0, 2), 4u);
+  HCoreIndex path(gen::Path(4), IndexOptions(2));
+  ASSERT_TRUE(path.InsertEdge(3, 6));
+  EXPECT_EQ(path.snapshot()->graph().num_vertices(), 7u);
+  EXPECT_EQ(path.snapshot()->CoreOf(5, 2), 0u);  // isolated newcomer
+}
 
 }  // namespace
 }  // namespace hcore

@@ -367,65 +367,5 @@ TEST(HCoreIndex, ConcurrentReadersSeeConsistentEpochsDuringUpdates) {
   }
 }
 
-TEST(HCoreIndex, SingleEditConveniencesMatchFreshRuns) {
-  // Hand-picked single edits: each returns whether it had an effect, and
-  // every level must equal a fresh run afterwards.
-  struct Edit {
-    bool insert;
-    VertexId u, v;
-    bool applies;
-  };
-  struct Case {
-    const char* name;
-    Graph graph;
-    std::vector<Edit> edits;
-  };
-  const std::vector<Case> cases = {
-      // Figure 1: adding v1-v4 (ids 0-3) raises v1's 2-degree, deleting it
-      // restores the graph; present and absent edges are no-ops.
-      {"figure1-promote",
-       gen::PaperFigure1(),
-       {{true, 0, 1, false},
-        {true, 0, 3, true},
-        {false, 0, 3, true},
-        {false, 0, 3, false}}},
-      // v4-v5 breaks the cross pairing and demotes cores.
-      {"figure1-demote", gen::PaperFigure1(), {{false, 3, 4, true}}},
-      // Self-loop, present edge, absent edge, out-of-range delete.
-      {"cycle5-degenerate",
-       gen::Cycle(5),
-       {{true, 2, 2, false},
-        {true, 0, 1, false},
-        {false, 0, 2, false},
-        {false, 0, 99, false}}},
-      // An insert past the vertex count grows the graph (4..6 appear).
-      {"path4-growth", gen::Path(4), {{true, 3, 6, true}}},
-  };
-  for (const Case& c : cases) {
-    HCoreIndex index(c.graph, IndexOptions(2));
-    for (const Edit& e : c.edits) {
-      EXPECT_EQ(e.insert ? index.InsertEdge(e.u, e.v)
-                         : index.DeleteEdge(e.u, e.v),
-                e.applies)
-          << c.name << " " << e.u << "-" << e.v;
-      const auto snap = index.snapshot();
-      for (int h = 1; h <= 2; ++h) {
-        EXPECT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
-            << c.name << " " << e.u << "-" << e.v << " h=" << h;
-      }
-    }
-  }
-
-  // Spot values behind the cases above.
-  HCoreIndex figure1(gen::PaperFigure1(), IndexOptions(2));
-  EXPECT_EQ(figure1.snapshot()->CoreOf(0, 2), 4u);
-  ASSERT_TRUE(figure1.InsertEdge(0, 3));
-  EXPECT_GE(figure1.snapshot()->CoreOf(0, 2), 4u);
-  HCoreIndex path(gen::Path(4), IndexOptions(2));
-  ASSERT_TRUE(path.InsertEdge(3, 6));
-  EXPECT_EQ(path.snapshot()->graph().num_vertices(), 7u);
-  EXPECT_EQ(path.snapshot()->CoreOf(5, 2), 0u);  // isolated newcomer
-}
-
 }  // namespace
 }  // namespace hcore
