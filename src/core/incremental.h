@@ -83,6 +83,17 @@ struct LocalizedUpdateStats {
   uint64_t visited = 0;
   uint64_t hdegree_computations = 0;
   uint64_t decrement_updates = 0;
+
+  /// Field-wise accumulation (the index chains a mixed batch's delete and
+  /// insert phases into one outcome).
+  void Add(const LocalizedUpdateStats& other) {
+    region += other.region;
+    boundary += other.boundary;
+    escalations += other.escalations;
+    visited += other.visited;
+    hdegree_computations += other.hdegree_computations;
+    decrement_updates += other.decrement_updates;
+  }
 };
 
 /// Localized re-peel machinery with scratch reused across updates (BFS
@@ -92,10 +103,10 @@ class LocalizedUpdater {
   explicit LocalizedUpdater(int num_threads = 1);
 
   /// Advances `core` — the exact (k,h)-core indexes of `g_before` at
-  /// threshold `h` — across a pure batch of edits, in place. `g_after` must
-  /// be `g_before.WithEdits(...)` and `effective` the edits it actually
-  /// applied (all insertions when `inserts`, all deletions otherwise; see
-  /// Graph::WithEdits' `effective` out-parameter). On success `core` holds
+  /// threshold `h` — across a pure batch of edits, in place. `effective`
+  /// must be the edits `g_before.CanonicalEffectiveEdits(...)` returned (all
+  /// insertions when `inserts`, all deletions otherwise) and `g_after`
+  /// `g_before.ApplyCanonicalEdits(effective)`. On success `core` holds
   /// the exact post-edit indexes (resized when the batch grew the graph)
   /// and true is returned. Returns false — leaving `core` untouched — when
   /// the region overflows the cap or the path is disabled.

@@ -135,6 +135,10 @@ Graph Graph::Relabeled(const std::vector<VertexId>& new_to_old) const {
 std::vector<EdgeEdit> Graph::CanonicalEffectiveEdits(
     std::span<const EdgeEdit> edits, EdgeEditSummary* summary) const {
   const VertexId old_n = num_vertices();
+  // Inserts may name ids below this limit. It also excludes the
+  // kInvalidVertex sentinel, whose max id + 1 would wrap the vertex count.
+  const uint64_t id_limit =
+      std::min<uint64_t>(uint64_t{old_n} + kMaxGrowth, kInvalidVertex);
 
   // Normalize: canonical endpoint order, later edits of the same edge win.
   struct Keyed {
@@ -144,14 +148,15 @@ std::vector<EdgeEdit> Graph::CanonicalEffectiveEdits(
   };
   std::vector<Keyed> keyed;
   keyed.reserve(edits.size());
+  EdgeEditSummary counts;
   uint32_t seq = 0;
   for (const EdgeEdit& e : edits) {
     ++seq;
     if (e.u == e.v) continue;
-    if (e.u == kInvalidVertex || e.v == kInvalidVertex) {
-      // The sentinel id is meaningless as an endpoint, and an effective
-      // insert of it would wrap the vertex count (max id + 1 overflows) and
-      // index the offset array out of range. Dropped up front.
+    if (e.insert && std::max(e.u, e.v) >= id_limit) {
+      // No edge of this graph names such an id, so every other edit of the
+      // same edge is a no-op too: rejecting the insert up front is exact.
+      ++counts.rejected;
       continue;
     }
     keyed.push_back({std::min(e.u, e.v), std::max(e.u, e.v), seq, e.insert});
@@ -161,7 +166,6 @@ std::vector<EdgeEdit> Graph::CanonicalEffectiveEdits(
   });
 
   std::vector<EdgeEdit> effective;
-  EdgeEditSummary counts;
   for (size_t i = 0; i < keyed.size(); ++i) {
     if (i + 1 < keyed.size() && keyed[i].u == keyed[i + 1].u &&
         keyed[i].v == keyed[i + 1].v) {
@@ -184,12 +188,8 @@ std::vector<EdgeEdit> Graph::CanonicalEffectiveEdits(
 }
 
 Graph Graph::WithEdits(std::span<const EdgeEdit> edits,
-                       EdgeEditSummary* summary,
-                       std::vector<EdgeEdit>* effective) const {
-  std::vector<EdgeEdit> canonical = CanonicalEffectiveEdits(edits, summary);
-  Graph next = ApplyCanonicalEdits(canonical);
-  if (effective != nullptr) *effective = std::move(canonical);
-  return next;
+                       EdgeEditSummary* summary) const {
+  return ApplyCanonicalEdits(CanonicalEffectiveEdits(edits, summary));
 }
 
 Graph Graph::ApplyCanonicalEdits(std::span<const EdgeEdit> canonical) const {

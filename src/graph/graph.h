@@ -45,10 +45,12 @@ struct EdgeEdit {
 };
 
 /// Per-kind counts of the edits Graph::WithEdits actually applied (after
-/// dedup and no-op filtering).
+/// dedup and no-op filtering), plus the inserts it refused to grow the
+/// graph for (see Graph::kMaxGrowth).
 struct EdgeEditSummary {
   size_t inserts = 0;
   size_t deletes = 0;
+  size_t rejected = 0;
 
   size_t applied() const { return inserts + deletes; }
 };
@@ -68,15 +70,6 @@ struct AdjacencyPage {
   std::vector<VertexId> targets;
 };
 
-/// Point-in-time memory footprint of one Graph plus cumulative page-reuse
-/// counters an epoch publisher can accumulate across WithEdits transitions.
-struct GraphMemoryStats {
-  uint64_t resident_bytes = 0;  // page buffer bytes of the current graph
-  uint64_t graph_pages = 0;     // page count of the current graph
-  uint64_t pages_shared = 0;    // cumulative: pages successor epochs shared
-  uint64_t pages_copied = 0;    // cumulative: pages successor epochs rebuilt
-};
-
 /// Immutable simple undirected graph (paged CSR).
 class Graph {
  public:
@@ -87,6 +80,11 @@ class Graph {
   /// copy-on-write rebuild stays microseconds.
   static constexpr int kPageVertexBits = 10;
   static constexpr VertexId kPageVertices = VertexId{1} << kPageVertexBits;
+
+  /// How far one batch may grow the vertex set: an insert naming an id at
+  /// or beyond num_vertices() + kMaxGrowth is rejected, so a typo'd or
+  /// hostile id cannot make the splice allocate gigabytes.
+  static constexpr VertexId kMaxGrowth = VertexId{1} << 20;
 
   /// Empty graph.
   Graph() = default;
@@ -148,17 +146,16 @@ class Graph {
   ///   * for each edge, the LAST edit in the span wins; superseded edits
   ///     have no effect at all (in particular, a cancelled out-of-range
   ///     insert does not grow the vertex set);
-  ///   * self-loops, inserts of present edges, deletes of absent edges
-  ///     (including any delete naming a vertex >= num_vertices()), and
-  ///     edits naming the kInvalidVertex sentinel are no-ops;
-  ///   * an EFFECTIVE insert past num_vertices() grows the vertex count.
-  /// `summary` (optional) receives per-kind counts of the effective edits;
-  /// `effective` (optional) receives the effective edits themselves, in
-  /// canonical form (u < v, deduplicated) — the input to localized core
-  /// maintenance (core/incremental.h).
+  ///   * self-loops, inserts of present edges, and deletes of absent edges
+  ///     (including any delete naming a vertex >= num_vertices(), such as
+  ///     the kInvalidVertex sentinel) are no-ops;
+  ///   * an EFFECTIVE insert past num_vertices() grows the vertex count;
+  ///   * an insert naming an id >= num_vertices() + kMaxGrowth, or the
+  ///     kInvalidVertex sentinel, is rejected (dropped and counted in
+  ///     `summary->rejected`).
+  /// `summary` (optional) receives per-kind counts of the effective edits.
   Graph WithEdits(std::span<const EdgeEdit> edits,
-                  EdgeEditSummary* summary = nullptr,
-                  std::vector<EdgeEdit>* effective = nullptr) const;
+                  EdgeEditSummary* summary = nullptr) const;
 
   /// The delta-apply half of WithEdits: `canonical` MUST be the exact
   /// output of CanonicalEffectiveEdits against this graph (canonical order,
@@ -171,9 +168,8 @@ class Graph {
   /// above) and returns the effective edits in canonical form (u < v, last
   /// edit of an edge wins, no-ops dropped). O(|edits| log |edits|) plus one
   /// edge probe per surviving edit — used where a consumer needs the
-  /// effective batch but another component owns the rebuild (e.g. the
-  /// serving front door, which credits each group-commit writer with its
-  /// effective edits).
+  /// effective batch before the rebuild (e.g. the index's write path, which
+  /// credits each group-commit writer with its effective edits).
   std::vector<EdgeEdit> CanonicalEffectiveEdits(
       std::span<const EdgeEdit> edits,
       EdgeEditSummary* summary = nullptr) const;

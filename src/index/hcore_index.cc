@@ -1,6 +1,7 @@
 #include "index/hcore_index.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
 #include "graph/ordering.h"
@@ -11,6 +12,9 @@ void HCoreIndexStats::Add(const HCoreIndexStats& other) {
   csr_rebuilds += other.csr_rebuilds;
   batches_applied += other.batches_applied;
   edits_applied += other.edits_applied;
+  edits_rejected += other.edits_rejected;
+  pages_shared += other.pages_shared;
+  pages_copied += other.pages_copied;
   level_decompositions += other.level_decompositions;
   levels_unchanged += other.levels_unchanged;
   localized_updates += other.localized_updates;
@@ -88,6 +92,11 @@ std::vector<VertexId> HCoreSnapshot::CoreComponentOf(VertexId v, uint32_t k,
   return tree.ComponentVertices(node);
 }
 
+CommunityResult HCoreSnapshot::Community(const std::vector<VertexId>& query,
+                                         int h) const {
+  return DistanceCocktailPartyFromCores(*graph_, query, h, Cores(h));
+}
+
 std::vector<HCoreSnapshot::LevelDensity> HCoreSnapshot::TopDensestLevels(
     int h, size_t top_k) const {
   HCORE_CHECK(h >= 1 && h <= max_h());
@@ -153,14 +162,12 @@ HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
   HCORE_CHECK(options_.base.extra_upper_bound == nullptr);
   auto graph = std::make_shared<const Graph>(std::move(g));
   // The object is not shared yet, but the analysis (rightly) has no notion
-  // of "not shared yet" — hold the locks the accessed members name.
-  std::vector<HCoreSnapshot::Level> levels;
+  // of "not shared yet" — claim the capabilities the accessed members name.
+  writer_.Assume();
   HCoreIndexStats boot;
-  {
-    MutexLock writer(update_mu_);
-    levels = DecomposeAll(*graph, /*prev=*/nullptr, /*pure_insert=*/false,
-                          /*pure_delete=*/false, /*effective=*/{}, &boot);
-  }
+  std::vector<HCoreSnapshot::Level> levels =
+      DecomposeAll(*graph, /*prev=*/nullptr, /*pure_insert=*/false,
+                   /*pure_delete=*/false, /*effective=*/{}, &boot);
   MutexLock lock(mu_);
   stats_.Add(boot);
   snap_.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
@@ -220,9 +227,11 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
   };
   // Phase A: localized attempts. Dirty levels are independent of each other
   // (only the warm FALLBACK consumes the spectrum chain, where level h - 1
-  // of this epoch seeds level h), so when the index has threads the
-  // attempts fan out on the index-owned pool — per-level single-threaded
-  // updaters, outcomes merged deterministically in the loop below.
+  // of this epoch seeds level h), so with two or more workers the attempts
+  // fan out over the index-owned pool on per-level single-threaded updaters
+  // — the write path's parallelism is this level fan-out; each region peel
+  // is sequential. Outcomes merge deterministically in the loop below, so
+  // results are identical to the serial loop.
   struct LocalizedOutcome {
     bool ok = false;
     std::vector<uint32_t> core;
@@ -251,40 +260,25 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       out.ok = updater.UpdateLevel(g_mid, g, chain_inserts, /*inserts=*/true,
                                    h, &out.core, options_.localized,
                                    &insert_ls);
-      out.ls.region += insert_ls.region;
-      out.ls.boundary += insert_ls.boundary;
-      out.ls.escalations += insert_ls.escalations;
-      out.ls.visited += insert_ls.visited;
-      out.ls.hdegree_computations += insert_ls.hdegree_computations;
-      out.ls.decrement_updates += insert_ls.decrement_updates;
+      out.ls.Add(insert_ls);
     };
-    // Dirty levels are independent (only the warm fallback's spectrum chain
-    // orders them), so with two or more workers the attempts fan out over
-    // the index-owned pool on per-level single-threaded updaters — the
-    // write path's parallelism is this level fan-out; each region peel is
-    // sequential. Results are identical to the serial loop.
     const int fan =
         std::min(options_.max_h, std::max(1, options_.base.num_threads));
     if (fan > 1) {
       if (level_pool_ == nullptr) {
         level_pool_ = std::make_unique<ThreadPool>(fan);
-      }
-      if (level_updaters_.size() < static_cast<size_t>(options_.max_h)) {
-        level_updaters_.resize(options_.max_h);
-      }
-      for (int h = 1; h <= options_.max_h; ++h) {
-        if (level_updaters_[h - 1] == nullptr) {
-          level_updaters_[h - 1] = std::make_unique<LocalizedUpdater>(1);
+        for (int h = 1; h <= options_.max_h; ++h) {
+          level_updaters_.push_back(std::make_unique<LocalizedUpdater>(1));
         }
       }
       TaskGroup group(level_pool_.get());
       for (int h = 1; h <= options_.max_h; ++h) {
         // Hoist the per-level updater/outcome out of the guarded containers
-        // on the coordinator (which holds update_mu_): the worker-side
+        // on the coordinator (which holds the writer role): the worker-side
         // lambda is analyzed as an unannotated function and must not touch
-        // GUARDED_BY members — and indeed must not, since workers do not
-        // hold the writer lock. Each task owns its hoisted pointers
-        // exclusively until group.Wait().
+        // GUARDED_BY members — and indeed must not, since workers are not
+        // the writer. Each task owns its hoisted pointers exclusively until
+        // group.Wait().
         LocalizedUpdater* updater = level_updaters_[h - 1].get();
         LocalizedOutcome* out = &outcomes[h - 1];
         group.Run([&attempt, updater, h, out] { attempt(*updater, h, *out); });
@@ -309,19 +303,16 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     std::vector<uint32_t> core;
     if (try_localized && outcomes[h - 1].ok) {
       LocalizedOutcome& out = outcomes[h - 1];
-      if (stats != nullptr) {
-        ++stats->localized_updates;
-        stats->decomposition.visited_vertices += out.ls.visited;
-        stats->decomposition.hdegree_computations +=
-            out.ls.hdegree_computations;
-        stats->decomposition.decrement_updates += out.ls.decrement_updates;
-      }
+      ++stats->localized_updates;
+      stats->decomposition.visited_vertices += out.ls.visited;
+      stats->decomposition.hdegree_computations += out.ls.hdegree_computations;
+      stats->decomposition.decrement_updates += out.ls.decrement_updates;
       uint32_t degeneracy = 0;
       for (const uint32_t c : out.core) degeneracy = std::max(degeneracy, c);
       level.degeneracy = degeneracy;
       core = std::move(out.core);
     } else {
-      if (stats != nullptr && prev != nullptr) ++stats->fallback_repeels;
+      if (prev != nullptr) ++stats->fallback_repeels;
       resolve_order();
       KhCoreOptions opts = options_.base;
       opts.h = h;
@@ -350,10 +341,8 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       }
       KhCoreResult r = KhCoreDecomposition(*peel, opts);
       if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
-      if (stats != nullptr) {
-        ++stats->level_decompositions;
-        stats->decomposition.Add(r.stats);
-      }
+      ++stats->level_decompositions;
+      stats->decomposition.Add(r.stats);
       level.degeneracy = r.degeneracy;
       core = std::move(r.core);
     }
@@ -363,7 +352,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev->levels_[h - 1].core;
       level.reused = true;
-      if (stats != nullptr) ++stats->levels_unchanged;
+      ++stats->levels_unchanged;
     } else {
       level.core =
           std::make_shared<const std::vector<uint32_t>>(std::move(core));
@@ -374,51 +363,86 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
 }
 
 size_t HCoreIndex::ApplyBatch(std::span<const EdgeEdit> edits) {
-  MutexLock writer(update_mu_);
-  std::shared_ptr<const HCoreSnapshot> prev = snapshot();
+  PendingWrite req;
+  req.edits = edits;
+  std::vector<PendingWrite*> group;
+  {
+    MutexLock lock(commit_mu_);
+    commit_queue_.push_back(&req);
+    for (;;) {
+      if (req.done) return req.applied;  // a leader carried this write
+      if (!commit_leader_) break;        // become the leader
+      commit_cv_.Wait(lock);
+    }
+    commit_leader_ = true;
+    group = std::move(commit_queue_);
+    commit_queue_.clear();
+  }
+  writer_.Assume();  // the leader flag makes this thread the sole writer
+  CommitGroup(group);
+  {
+    MutexLock lock(commit_mu_);
+    for (PendingWrite* w : group) w->done = true;
+    commit_leader_ = false;
+  }
+  // Wake coalesced members AND any writer that queued during the commit —
+  // the latter sees the leader flag clear and elects itself.
+  commit_cv_.NotifyAll();
+  return req.applied;
+}
+
+void HCoreIndex::CommitGroup(std::span<PendingWrite* const> group) {
+  const std::shared_ptr<const HCoreSnapshot> prev = snapshot();
+
+  // Concatenate in arrival order: canonicalization's last-edit-wins then
+  // composes across writers exactly as if they had serialized.
+  std::vector<EdgeEdit> combined;
+  for (const PendingWrite* w : group) {
+    combined.insert(combined.end(), w->edits.begin(), w->edits.end());
+  }
   EdgeEditSummary summary;
-  std::vector<EdgeEdit> effective =
-      prev->graph().CanonicalEffectiveEdits(edits, &summary);
-  if (effective.empty()) return 0;
-  ApplyPreparedLocked(prev, effective, summary);
-  return summary.applied();
-}
-
-std::shared_ptr<const HCoreSnapshot> HCoreIndex::ApplyPrepared(
-    std::span<const EdgeEdit> effective, const EdgeEditSummary& summary) {
-  MutexLock writer(update_mu_);
-  return ApplyPreparedLocked(snapshot(), effective, summary);
-}
-
-std::shared_ptr<const HCoreSnapshot> HCoreIndex::ApplyPreparedLocked(
-    const std::shared_ptr<const HCoreSnapshot>& prev,
-    std::span<const EdgeEdit> effective, const EdgeEditSummary& summary) {
-  HCORE_CHECK(!effective.empty());
-  HCORE_CHECK(summary.applied() == effective.size());
-
-  // The ONE copy-on-write page splice for the whole batch: untouched pages
-  // are shared with the previous epoch's graph, touched ones rebuilt.
-  Graph next = prev->graph().ApplyCanonicalEdits(effective);
-
-  // Purity is judged on the EFFECTIVE edits: a no-op edit of the opposite
-  // kind (e.g. deleting an absent edge) must not disable the warm start.
-  const bool pure_insert = summary.deletes == 0;
-  const bool pure_delete = summary.inserts == 0;
+  const std::vector<EdgeEdit> effective =
+      prev->graph().CanonicalEffectiveEdits(combined, &summary);
 
   HCoreIndexStats delta;
-  delta.csr_rebuilds = 1;
-  delta.batches_applied = 1;
-  delta.edits_applied = summary.applied();
-  auto graph = std::make_shared<const Graph>(std::move(next));
-  std::vector<HCoreSnapshot::Level> levels = DecomposeAll(
-      *graph, prev.get(), pure_insert, pure_delete, effective, &delta);
-  std::shared_ptr<const HCoreSnapshot> snap(new HCoreSnapshot(
-      std::move(graph), std::move(levels), prev->epoch() + 1));
+  delta.edits_rejected = summary.rejected;
+  std::shared_ptr<const HCoreSnapshot> next;
+  if (!effective.empty()) {
+    // The ONE copy-on-write page splice for the whole group: untouched
+    // pages are shared with the previous epoch's graph, touched ones
+    // rebuilt.
+    auto graph = std::make_shared<const Graph>(
+        prev->graph().ApplyCanonicalEdits(effective));
+    delta.csr_rebuilds = 1;
+    delta.batches_applied = 1;
+    delta.edits_applied = summary.applied();
+    delta.pages_shared = CountSharedPages(prev->graph(), *graph);
+    delta.pages_copied = graph->num_pages() - delta.pages_shared;
+    // Purity is judged on the EFFECTIVE edits: a no-op edit of the opposite
+    // kind (e.g. deleting an absent edge) must not disable the warm start.
+    std::vector<HCoreSnapshot::Level> levels =
+        DecomposeAll(*graph, prev.get(), /*pure_insert=*/summary.deletes == 0,
+                     /*pure_delete=*/summary.inserts == 0, effective, &delta);
+    next.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
+                                 prev->epoch() + 1));
+  }
+  {
+    MutexLock lock(mu_);
+    if (next != nullptr) snap_ = std::move(next);
+    stats_.Add(delta);
+  }
 
-  MutexLock lock(mu_);
-  snap_ = snap;
-  stats_.Add(delta);
-  return snap;
+  // Attribution: each effective edit belongs to the writer holding the LAST
+  // edit of that edge in arrival order (the one canonicalization kept).
+  std::map<std::pair<VertexId, VertexId>, size_t> last_writer;
+  for (size_t i = 0; i < group.size(); ++i) {
+    for (const EdgeEdit& e : group[i]->edits) {
+      last_writer[std::minmax(e.u, e.v)] = i;
+    }
+  }
+  for (const EdgeEdit& e : effective) {
+    ++group[last_writer.at({e.u, e.v})]->applied;
+  }
 }
 
 bool HCoreIndex::InsertEdge(VertexId u, VertexId v) {

@@ -23,7 +23,13 @@
 // artifacts are built under an internal mutex, which is the only point of
 // reader-reader contention) and epoch-stamped. A writer running ApplyBatch
 // never blocks readers: it prepares the next snapshot off to the side and
-// publishes it with a pointer swap. Writers serialize among themselves.
+// publishes it with a pointer swap. Concurrent writers are GROUP-COMMITTED:
+// while a leader runs the write path, later ApplyBatch callers enqueue
+// their edits and block; the next leader drains the queue, applies the
+// concatenated batch (arrival order preserved, so last-edit-wins holds
+// across writers) as ONE epoch, and wakes every coalesced writer with its
+// own attributed effective-edit count. A lone writer gets exactly one
+// epoch per effective batch.
 //
 // Dirty flags: after a batch, levels whose core vector came out identical
 // to the previous epoch share the old vector (pointer equality, see
@@ -39,6 +45,7 @@
 #include <span>
 #include <vector>
 
+#include "apps/community.h"
 #include "core/hierarchy.h"
 #include "core/incremental.h"
 #include "core/kh_core.h"
@@ -65,13 +72,19 @@ struct HCoreIndexOptions {
 /// Cumulative cost counters for one index (Table-3-style: serving queries
 /// must leave `decomposition` flat; only Build/ApplyBatch may move it).
 struct HCoreIndexStats {
-  /// CSR rebuilds performed — exactly one per effective ApplyBatch or
-  /// ApplyPrepared.
+  /// CSR rebuilds performed — exactly one per published epoch.
   uint64_t csr_rebuilds = 0;
-  /// Batches that applied at least one edit.
+  /// Epochs published: batches (one coalesced group under concurrent
+  /// writers) that applied at least one edit.
   uint64_t batches_applied = 0;
   /// Individual edge edits that had an effect.
   uint64_t edits_applied = 0;
+  /// Inserts refused by the growth cap (Graph::kMaxGrowth).
+  uint64_t edits_rejected = 0;
+  /// Copy-on-write page accounting: graph pages each published epoch shared
+  /// by pointer with its predecessor vs rebuilt.
+  uint64_t pages_shared = 0;
+  uint64_t pages_copied = 0;
   /// Whole-graph per-level decompositions run (initial build and fallback
   /// levels of ApplyBatch).
   uint64_t level_decompositions = 0;
@@ -138,10 +151,25 @@ class HCoreSnapshot {
   /// computed lazily once per snapshot (one O(m) pass) and cached.
   std::vector<LevelDensity> TopDensestLevels(int h, size_t top_k) const;
 
+  /// Distance-generalized cocktail-party community of `query` at threshold
+  /// h, computed from this epoch's level-h cores.
+  CommunityResult Community(const std::vector<VertexId>& query, int h) const;
+
   /// Lazy artifacts materialized so far (for tests and serving telemetry).
   uint64_t lazy_builds() const {
     return lazy_builds_.load(std::memory_order_relaxed);
   }
+
+  // --- Benchmark-compat accessors (serve/sharded_service.h): names the
+  // frozen perfbench/ adapter still calls. Delete with the next change to
+  // the benchmark. ---
+  uint64_t service_epoch() const { return epoch_; }
+  int num_shards() const { return 1; }
+  const HCoreSnapshot& shard_snapshot(int s) const {
+    HCORE_CHECK(s == 0);
+    return *this;
+  }
+  // --- end benchmark-compat ---
 
  private:
   friend class HCoreIndex;
@@ -190,9 +218,9 @@ class HCoreIndex {
   std::shared_ptr<const HCoreSnapshot> snapshot() const EXCLUDES(mu_);
 
   /// Applies a batch of edge edits: ONE copy-on-write page splice via
-  /// Graph::WithEdits (O(touched pages)), then per level either a LOCALIZED
-  /// repair (batches up to options.localized.max_batch effective edits
-  /// whose candidate region fits the cap — see core/incremental.h; pure
+  /// Graph::ApplyCanonicalEdits (O(touched pages)), then per level either a
+  /// LOCALIZED repair (batches up to options.localized.max_batch effective
+  /// edits whose candidate region fits the cap — see core/incremental.h; pure
   /// batches run one region pass, mixed batches chain the delete cascade
   /// and the insert region re-peel through the intermediate graph) or a
   /// warm-started whole-graph re-decomposition — every level h > 1 takes
@@ -202,24 +230,17 @@ class HCoreIndex {
   /// alone (see KhCoreOptions::extra_upper_bound). The localized_updates /
   /// fallback_repeels stats record which path served each level. Publishes
   /// a new epoch unless every edit was a no-op. Returns the number of edits
-  /// that had an effect. Thread-safe; concurrent readers are never blocked.
+  /// from THIS call's batch that had an effect; the call may block while a
+  /// leader applies a coalesced epoch containing it (see the group commit
+  /// note above). Thread-safe; concurrent readers are never blocked.
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
-      EXCLUDES(update_mu_, mu_);
-
-  /// The apply half of ApplyBatch for callers that canonicalized already
-  /// (the serving front door does, so group commit can credit each writer
-  /// with its effective edits): `effective` MUST be the exact
-  /// CanonicalEffectiveEdits output against this index's current graph,
-  /// with `summary` its per-kind counts, and must be non-empty. Skips
-  /// re-canonicalization, applies the page splice and per-level repair,
-  /// publishes, and returns the new snapshot.
-  std::shared_ptr<const HCoreSnapshot> ApplyPrepared(
-      std::span<const EdgeEdit> effective, const EdgeEditSummary& summary)
-      EXCLUDES(update_mu_, mu_);
+      EXCLUDES(commit_mu_, mu_);
 
   /// Single-edit conveniences (each is a batch of one).
-  bool InsertEdge(VertexId u, VertexId v) EXCLUDES(update_mu_, mu_);
-  bool DeleteEdge(VertexId u, VertexId v) EXCLUDES(update_mu_, mu_);
+  bool InsertEdge(VertexId u, VertexId v)
+      EXCLUDES(commit_mu_, mu_);
+  bool DeleteEdge(VertexId u, VertexId v)
+      EXCLUDES(commit_mu_, mu_);
 
   /// Cumulative cost counters (serving queries never moves them).
   HCoreIndexStats stats() const EXCLUDES(mu_);
@@ -230,31 +251,48 @@ class HCoreIndex {
   void ResetStats() EXCLUDES(mu_);
 
  private:
-  std::shared_ptr<const HCoreSnapshot> ApplyPreparedLocked(
-      const std::shared_ptr<const HCoreSnapshot>& prev,
-      std::span<const EdgeEdit> effective, const EdgeEditSummary& summary)
-      REQUIRES(update_mu_) EXCLUDES(mu_);
+  /// One queued write. `applied`/`done` belong to the enqueuing writer; the
+  /// leader writes `applied` between dequeue and the `done` handoff under
+  /// commit_mu_, which orders the accesses.
+  struct PendingWrite {
+    std::span<const EdgeEdit> edits;
+    size_t applied = 0;
+    bool done = false;
+  };
+
+  /// Applies one drained group as a single epoch (nothing is published when
+  /// no edit has an effect) and writes each member's attributed
+  /// effective-edit count into its PendingWrite.
+  void CommitGroup(std::span<PendingWrite* const> group) REQUIRES(writer_)
+      EXCLUDES(mu_);
 
   std::vector<HCoreSnapshot::Level> DecomposeAll(
       const Graph& g, const HCoreSnapshot* prev, bool pure_insert,
       bool pure_delete, std::span<const EdgeEdit> effective,
-      HCoreIndexStats* stats) REQUIRES(update_mu_);
+      HCoreIndexStats* stats) REQUIRES(writer_);
 
   HCoreIndexOptions options_;
-  Mutex update_mu_;        // serializes writers
+  // Group commit: queued writers and the leader-election flag. The flag is
+  // the one writer lock: the elected leader (and the constructor, before
+  // the object is shared) claims `writer_`, the role that owns the write
+  // path's state below.
+  Mutex commit_mu_;
+  CondVar commit_cv_;
+  std::vector<PendingWrite*> commit_queue_ GUARDED_BY(commit_mu_);
+  bool commit_leader_ GUARDED_BY(commit_mu_) = false;
+  ThreadRole writer_;
   mutable Mutex mu_;       // guards snap_ swap and stats_
   std::shared_ptr<const HCoreSnapshot> snap_ GUARDED_BY(mu_);
   HCoreIndexStats stats_ GUARDED_BY(mu_);
-  // Writer-only scratch (under update_mu_).
-  LocalizedUpdater updater_ GUARDED_BY(update_mu_);
-  // Concurrent dirty-level machinery (writer-only, under update_mu_; both
-  // lazy — serial indexes never pay for them). The pool is index-owned:
-  // fanning out on a pool shared with another component could deadlock
-  // (every shared worker blocked in a Wait while the level tasks queue
-  // behind them).
-  std::unique_ptr<ThreadPool> level_pool_ GUARDED_BY(update_mu_);
+  // Writer-only scratch.
+  LocalizedUpdater updater_ GUARDED_BY(writer_);
+  // Concurrent dirty-level machinery (writer-only; both lazy — serial
+  // indexes never pay for them). The pool is index-owned: fanning out on a
+  // pool shared with another component could deadlock (every shared worker
+  // blocked in a Wait while the level tasks queue behind them).
+  std::unique_ptr<ThreadPool> level_pool_ GUARDED_BY(writer_);
   std::vector<std::unique_ptr<LocalizedUpdater>> level_updaters_
-      GUARDED_BY(update_mu_);
+      GUARDED_BY(writer_);
 };
 
 }  // namespace hcore

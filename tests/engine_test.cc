@@ -23,6 +23,7 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::FreshCores;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
@@ -269,9 +270,7 @@ TEST(PeelingEngine, PeelRegionWithPinnedBoundaryMatchesFullRun) {
     for (const RandomGraphSpec& spec : Corpus(60, 1)) {
       Graph g = MakeRandomGraph(spec);
       const VertexId n = g.num_vertices();
-      KhCoreOptions opts;
-      opts.h = h;
-      const std::vector<uint32_t> truth = KhCoreDecomposition(g, opts).core;
+      const std::vector<uint32_t> truth = FreshCores(g, h);
 
       std::vector<VertexId> region;
       for (VertexId v = spec.seed % 3; v < n; v += 3) region.push_back(v);

@@ -224,23 +224,27 @@ TEST(GraphWithEdits, OutOfRangeAndSentinelIdsAreSafeNoOps) {
   // Regression: growing inserts mixed with deletes naming vertices the
   // graph does not have (yet), plus the kInvalidVertex sentinel whose +1
   // wraps to 0, must all be clean no-ops — ids are guarded against old_n
-  // before the edge set is consulted.
+  // before the edge set is consulted. Inserts at or past the growth cap
+  // (n + kMaxGrowth) are rejected and counted.
   Graph g = gen::Path(5);  // vertices 0..4
   std::vector<EdgeEdit> edits = {
       EdgeEdit::Insert(4, 9),                // grows the graph to 10
       EdgeEdit::Delete(7, 8),                // out of range: deletes nothing
       EdgeEdit::Delete(2, 9),                // 9 exists only after the batch
       EdgeEdit::Delete(11, 3),               // out of range either way
-      EdgeEdit::Insert(3, kInvalidVertex),   // sentinel id: dropped
+      EdgeEdit::Insert(3, kInvalidVertex),   // sentinel id: rejected
       EdgeEdit::Delete(kInvalidVertex, 0),   // sentinel id: dropped
       EdgeEdit::Insert(6, 12),               // superseded by ...
       EdgeEdit::Delete(6, 12),               // ... this delete: no growth
+      EdgeEdit::Insert(1, 5 + Graph::kMaxGrowth),  // at the cap: rejected
   };
   EdgeEditSummary summary;
-  std::vector<EdgeEdit> effective;
-  Graph next = g.WithEdits(edits, &summary, &effective);
+  const std::vector<EdgeEdit> effective =
+      g.CanonicalEffectiveEdits(edits, &summary);
+  Graph next = g.ApplyCanonicalEdits(effective);
   EXPECT_EQ(summary.inserts, 1u);
   EXPECT_EQ(summary.deletes, 0u);
+  EXPECT_EQ(summary.rejected, 2u);
   ASSERT_EQ(effective.size(), 1u);
   EXPECT_TRUE(effective[0].insert);
   EXPECT_EQ(effective[0].u, 4u);

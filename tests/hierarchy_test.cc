@@ -15,18 +15,13 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::FreshCores;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
-std::vector<uint32_t> CoresOf(const Graph& g, int h) {
-  KhCoreOptions opts;
-  opts.h = h;
-  return KhCoreDecomposition(g, opts).core;
-}
-
 TEST(CoreHierarchy, PaperFigure1AtH2) {
   Graph g = gen::PaperFigure1();
-  std::vector<uint32_t> core = CoresOf(g, 2);
+  std::vector<uint32_t> core = FreshCores(g, 2);
   CoreHierarchy tree = BuildCoreHierarchy(g, core);
 
   // Nesting: one leaf at level 6 (the ten-vertex inner core), one node at
@@ -59,7 +54,7 @@ TEST(CoreHierarchy, DisconnectedGraphHasOneRootPerComponent) {
   b.AddEdge(3, 4);  // edge
   // 5, 6 isolated
   Graph g = b.Build();
-  CoreHierarchy tree = BuildCoreHierarchy(g, CoresOf(g, 1));
+  CoreHierarchy tree = BuildCoreHierarchy(g, FreshCores(g, 1));
   EXPECT_EQ(tree.roots.size(), 4u);
 }
 
@@ -82,7 +77,7 @@ TEST(CoreHierarchy, ConnectedCoreComponentsMatchesDefinition) {
   b.AddEdge(3, 4);
   b.AddEdge(4, 5);
   Graph g = b.Build();
-  std::vector<uint32_t> core = CoresOf(g, 1);
+  std::vector<uint32_t> core = FreshCores(g, 1);
   auto comps = ConnectedCoreComponents(g, core, 3);
   ASSERT_EQ(comps.size(), 2u);
   std::set<size_t> sizes{comps[0].size(), comps[1].size()};
@@ -100,7 +95,7 @@ class HierarchyProperty
 TEST_P(HierarchyProperty, EveryVertexAppearsExactlyOnceAtItsCoreLevel) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
-  std::vector<uint32_t> core = CoresOf(g, h);
+  std::vector<uint32_t> core = FreshCores(g, h);
   CoreHierarchy tree = BuildCoreHierarchy(g, core);
   std::vector<uint32_t> seen(g.num_vertices(), 0);
   for (const CoreHierarchyNode& node : tree.nodes) {
@@ -118,7 +113,7 @@ TEST_P(HierarchyProperty, EveryVertexAppearsExactlyOnceAtItsCoreLevel) {
 TEST_P(HierarchyProperty, NodesMatchConnectedCoreComponents) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
-  std::vector<uint32_t> core = CoresOf(g, h);
+  std::vector<uint32_t> core = FreshCores(g, h);
   CoreHierarchy tree = BuildCoreHierarchy(g, core);
   uint32_t max_level = 0;
   for (uint32_t c : core) max_level = std::max(max_level, c);
@@ -145,7 +140,7 @@ TEST_P(HierarchyProperty, NodesMatchConnectedCoreComponents) {
 TEST_P(HierarchyProperty, ParentChildLevelsAndSizesAreConsistent) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
-  CoreHierarchy tree = BuildCoreHierarchy(g, CoresOf(g, h));
+  CoreHierarchy tree = BuildCoreHierarchy(g, FreshCores(g, h));
   for (uint32_t id = 0; id < tree.nodes.size(); ++id) {
     const CoreHierarchyNode& node = tree.nodes[id];
     uint32_t size = static_cast<uint32_t>(node.new_vertices.size());

@@ -25,14 +25,11 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::FreshCores;
+using ::hcore::testing::IndexOptions;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::RandomBatch;
 using ::hcore::testing::RandomGraphSpec;
-
-std::vector<uint32_t> FreshCores(const Graph& g, int h) {
-  KhCoreOptions opts;
-  opts.h = h;
-  return KhCoreDecomposition(g, opts).core;
-}
 
 enum class EditMode { kInsertOnly, kDeleteOnly, kMixed };
 
@@ -44,8 +41,7 @@ void RunDynamicSequence(const RandomGraphSpec& spec, int h, EditMode mode,
                         const LocalizedUpdateOptions& localized, int steps,
                         uint64_t* applied_out = nullptr,
                         const KhCoreOptions& base_opts = {}) {
-  HCoreIndexOptions iopts;
-  iopts.max_h = h;
+  HCoreIndexOptions iopts = IndexOptions(h);
   iopts.base = base_opts;
   iopts.localized = localized;
   HCoreIndex index(MakeRandomGraph(spec), iopts);
@@ -181,22 +177,6 @@ TEST(DynamicFuzz, DefaultCapKeepsSmallGraphUpdatesFullyLocalized) {
   EXPECT_EQ(snap->Cores(2), FreshCores(snap->graph(), 2));
 }
 
-/// A deterministic random edit batch against the current graph.
-std::vector<EdgeEdit> RandomBatch(const Graph& g, Rng* rng, int inserts,
-                                  int deletes) {
-  std::vector<EdgeEdit> batch;
-  const VertexId n = g.num_vertices();
-  for (int i = 0; i < inserts; ++i) {
-    batch.push_back(EdgeEdit::Insert(rng->NextIndex(n), rng->NextIndex(n)));
-  }
-  auto edges = g.Edges();
-  for (int i = 0; i < deletes && !edges.empty(); ++i) {
-    auto [u, v] = edges[rng->NextIndex(static_cast<uint32_t>(edges.size()))];
-    batch.push_back(EdgeEdit::Delete(u, v));
-  }
-  return batch;
-}
-
 TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
   // The paged-vs-monolithic differential: the index maintains its graph by
   // COW page splices; a reference edge set replayed with the same
@@ -205,9 +185,7 @@ TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
   // EVERY batch.
   for (const RandomGraphSpec& spec : Corpus(90, 2)) {
     Graph g = MakeRandomGraph(spec);
-    HCoreIndexOptions iopts;
-    iopts.max_h = 2;
-    HCoreIndex index(Graph(g), iopts);
+    HCoreIndex index(Graph(g), IndexOptions(2));
     std::set<std::pair<VertexId, VertexId>> edge_set;
     for (const auto& e : g.Edges()) edge_set.insert(e);
     VertexId n = g.num_vertices();
@@ -246,8 +224,7 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
   uint64_t total_localized = 0;
   uint64_t total_fallback = 0;
   for (const RandomGraphSpec& spec : Corpus(40, 2)) {
-    HCoreIndexOptions iopts;
-    iopts.max_h = kMaxH;
+    HCoreIndexOptions iopts = IndexOptions(kMaxH);
     // Small caps so overflow fallback and the batch-size gate both fire on
     // these graphs, alongside genuinely localized levels.
     iopts.localized.max_region_fraction = 0.3;
@@ -304,8 +281,7 @@ TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
   uint64_t total_localized = 0;
   uint64_t total_fallback = 0;
   for (const RandomGraphSpec& spec : Corpus(40, 3)) {
-    HCoreIndexOptions iopts;
-    iopts.max_h = kMaxH;
+    HCoreIndexOptions iopts = IndexOptions(kMaxH);
     iopts.base.num_threads = 4;
     iopts.localized.max_region_fraction = 0.3;
     iopts.localized.min_region_cap = 8;
@@ -340,9 +316,8 @@ TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
 TEST(IndexFuzz, ConcurrentSnapshotReadersDuringLocalizedUpdates) {
   Rng rng(19);
   Graph g = gen::PlantedPartition(4, 30, 0.4, 0.03, &rng);
-  HCoreIndexOptions iopts;
-  iopts.max_h = 3;  // default localized caps: single edits stay localized
-  HCoreIndex index(g, iopts);
+  // Default localized caps: single edits stay localized.
+  HCoreIndex index(g, IndexOptions(3));
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};

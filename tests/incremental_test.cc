@@ -10,21 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "test_util.h"
 
 namespace hcore {
 namespace {
 
-std::vector<uint32_t> FreshCores(const Graph& g, int h) {
-  KhCoreOptions opts;
-  opts.h = h;
-  return KhCoreDecomposition(g, opts).core;
-}
-
-HCoreIndexOptions IndexOptions(int max_h) {
-  HCoreIndexOptions opts;
-  opts.max_h = max_h;
-  return opts;
-}
+using ::hcore::testing::FreshCores;
+using ::hcore::testing::IndexOptions;
 
 TEST(HCoreIndex, SingleEditConveniencesMatchFreshRuns) {
   // Hand-picked single edits: each returns whether it had an effect, and

@@ -1,12 +1,17 @@
 // Tests for the queryable HCoreIndex: warm-start sweep correctness, batched
 // updates vs fresh decompositions, snapshot immutability under concurrent
-// readers, and the one-CSR-rebuild-per-batch contract.
+// readers, the one-CSR-rebuild-per-batch contract, copy-on-write page
+// accounting, the growth cap, and every serving query on post-batch epochs
+// of four graph families (BA, clustered, disconnected, star-heavy).
 
 #include "index/hcore_index.h"
 
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -19,36 +24,51 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::FreshCores;
+using ::hcore::testing::IndexOptions;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::MixedBatch;
+using ::hcore::testing::RandomBatch;
 using ::hcore::testing::RandomGraphSpec;
 
-std::vector<uint32_t> FreshCores(const Graph& g, int h) {
-  KhCoreOptions opts;
-  opts.h = h;
-  return KhCoreDecomposition(g, opts).core;
+/// Four small graph families: BA, clustered, disconnected, star-heavy.
+std::vector<std::pair<std::string, Graph>> Families() {
+  Rng ba(11), clustered(12), disconnected(13), star(14);
+  return {
+      {"ba", gen::BarabasiAlbert(120, 3, &ba)},
+      {"clustered", gen::CliqueOverlay(150, 70, 3, 12, 2.0, &clustered)},
+      // p_out = 0: three components that only edits can connect.
+      {"disconnected", gen::PlantedPartition(3, 40, 0.4, 0.0, &disconnected)},
+      {"star", gen::StarHeavySocial(140, 400, 3, 0.5, &star)},
+  };
 }
 
-HCoreIndexOptions IndexOptions(int max_h) {
-  HCoreIndexOptions opts;
-  opts.max_h = max_h;
-  return opts;
-}
-
-/// A deterministic random edit batch against the current graph: a mix of
-/// fresh insertions and deletions of existing edges.
-std::vector<EdgeEdit> RandomBatch(const Graph& g, Rng* rng, int inserts,
-                                  int deletes) {
-  std::vector<EdgeEdit> batch;
-  const VertexId n = g.num_vertices();
-  for (int i = 0; i < inserts; ++i) {
-    batch.push_back(EdgeEdit::Insert(rng->NextIndex(n), rng->NextIndex(n)));
+/// Calls `check(snapshot, label)` on the epochs an index over each family
+/// publishes after mixed batches of growing size (rounds 1-4, max_h = 3);
+/// the final epoch is also checked against fresh decompositions.
+void ForEachPostBatchEpoch(
+    const std::function<void(const HCoreSnapshot&, const std::string&)>&
+        check) {
+  for (auto& [name, graph] : Families()) {
+    HCoreIndex index(std::move(graph), IndexOptions(3));
+    Rng rng(31);
+    for (int round = 1; round <= 4; ++round) {
+      const std::string label = name + "/round" + std::to_string(round);
+      const uint64_t epoch = index.snapshot()->epoch();
+      const size_t applied = index.ApplyBatch(
+          MixedBatch(index.snapshot()->graph(), &rng, 2 * round));
+      const auto snap = index.snapshot();
+      ASSERT_EQ(snap->epoch(), epoch + (applied > 0 ? 1 : 0)) << label;
+      check(*snap, label);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    const auto snap = index.snapshot();
+    ASSERT_GT(snap->epoch(), 0u) << name;
+    for (int h = 1; h <= 3; ++h) {
+      ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
+          << name << " h=" << h;
+    }
   }
-  auto edges = g.Edges();
-  for (int i = 0; i < deletes && !edges.empty(); ++i) {
-    auto [u, v] = edges[rng->NextIndex(static_cast<uint32_t>(edges.size()))];
-    batch.push_back(EdgeEdit::Delete(u, v));
-  }
-  return batch;
 }
 
 TEST(HCoreIndex, BuildMatchesSpectrumSweepAndScratchRuns) {
@@ -207,43 +227,71 @@ TEST(HCoreIndex, EpochSharesUntouchedGraphPages) {
   Rng rng(21);
   Graph g = gen::BarabasiAlbert(4000, 3, &rng);
   HCoreIndex index(Graph(g), IndexOptions(2));
-  auto before = index.snapshot();
-  const size_t pages = before->graph().num_pages();
+  const size_t pages = index.snapshot()->graph().num_pages();
   ASSERT_GT(pages, 3u);
 
-  // A one-edit batch copies at most the two pages holding the endpoints;
-  // the published epoch shares every other page with its predecessor.
-  VertexId u = 5, v = 3500;
-  while (before->graph().HasEdge(u, v)) ++v;
-  const EdgeEdit edit = EdgeEdit::Insert(u, v);
-  ASSERT_EQ(index.ApplyBatch({&edit, 1}), 1u);
-  auto after = index.snapshot();
-  EXPECT_EQ(after->graph().num_pages(), pages);
-  EXPECT_GE(CountSharedPages(before->graph(), after->graph()), pages - 2);
-  // The superseded snapshot still answers from its own pages.
-  EXPECT_FALSE(before->graph().HasEdge(u, v));
-  EXPECT_TRUE(after->graph().HasEdge(u, v));
+  // A one-edit batch copies at most the two pages holding the endpoints
+  // (plus growth tail pages, absent here); the published epoch shares every
+  // other page with its predecessor.
+  constexpr int kBatches = 5;
+  for (int i = 0; i < kBatches; ++i) {
+    auto before = index.snapshot();
+    VertexId u = static_cast<VertexId>(5 + i), v = 3500;
+    while (before->graph().HasEdge(u, v)) ++v;
+    const EdgeEdit edit = EdgeEdit::Insert(u, v);
+    ASSERT_EQ(index.ApplyBatch({&edit, 1}), 1u);
+    auto after = index.snapshot();
+    EXPECT_EQ(after->graph().num_pages(), pages);
+    EXPECT_GE(CountSharedPages(before->graph(), after->graph()), pages - 2);
+    // The superseded snapshot still answers from its own pages.
+    EXPECT_FALSE(before->graph().HasEdge(u, v));
+    EXPECT_TRUE(after->graph().HasEdge(u, v));
+  }
+
+  // The index's page counters add up the same per-epoch accounting.
+  const HCoreIndexStats stats = index.stats();
+  EXPECT_GE(stats.pages_shared, kBatches * (pages - 2));
+  EXPECT_LE(stats.pages_copied, kBatches * 2u);
+  EXPECT_EQ(stats.pages_shared + stats.pages_copied, kBatches * pages);
+}
+
+TEST(HCoreIndex, GrowthCapRejectsFarOutOfRangeInserts) {
+  Graph g = gen::PaperFigure1();
+  HCoreIndex index(Graph(g), IndexOptions(2));
+  const EdgeEdit far = EdgeEdit::Insert(1, 3'000'000'000u);
+  EXPECT_EQ(index.ApplyBatch({&far, 1}), 0u);
+  const auto snap = index.snapshot();
+  EXPECT_EQ(snap->epoch(), 0u);
+  EXPECT_EQ(snap->graph().num_vertices(), g.num_vertices());
+  EXPECT_EQ(index.stats().edits_rejected, 1u);
+  EXPECT_EQ(index.stats().csr_rebuilds, 0u);
+}
+
+/// Every component the connectivity finder reports, at every level k of
+/// every h, is what CoreComponentOf returns for its first member.
+void ExpectComponentsMatchFinder(const HCoreSnapshot& snap,
+                                 const std::string& label) {
+  for (int h = 1; h <= snap.max_h(); ++h) {
+    const uint32_t degeneracy = snap.Degeneracy(h);
+    for (uint32_t k = 0; k <= degeneracy; ++k) {
+      auto components = ConnectedCoreComponents(snap.graph(), snap.Cores(h), k);
+      for (const auto& component : components) {
+        ASSERT_FALSE(component.empty());
+        // Every member reports exactly this component.
+        auto got = snap.CoreComponentOf(component.front(), k, h);
+        ASSERT_EQ(got, component) << label << " h=" << h << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(HCoreIndex, CoreComponentMatchesConnectivityFinder) {
   for (const RandomGraphSpec& spec : Corpus(80, 1)) {
-    Graph g = MakeRandomGraph(spec);
-    HCoreIndex index(g, IndexOptions(2));
-    auto snap = index.snapshot();
-    for (int h = 1; h <= 2; ++h) {
-      const uint32_t degeneracy = snap->Degeneracy(h);
-      for (uint32_t k = 0; k <= degeneracy; ++k) {
-        auto components = ConnectedCoreComponents(g, snap->Cores(h), k);
-        for (const auto& component : components) {
-          ASSERT_FALSE(component.empty());
-          // Every member reports exactly this component.
-          auto got = snap->CoreComponentOf(component.front(), k, h);
-          ASSERT_EQ(got, component)
-              << spec.Name() << " h=" << h << " k=" << k;
-        }
-      }
-    }
+    HCoreIndex index(MakeRandomGraph(spec), IndexOptions(2));
+    ExpectComponentsMatchFinder(*index.snapshot(), spec.Name());
+    if (HasFatalFailure()) return;
   }
+  ForEachPostBatchEpoch(ExpectComponentsMatchFinder);
 }
 
 TEST(HCoreIndex, CoreComponentOfShellVertexIsEmpty) {
@@ -260,32 +308,42 @@ TEST(HCoreIndex, CoreComponentOfShellVertexIsEmpty) {
   EXPECT_TRUE(snap->CoreComponentOf(g.num_vertices() + 5, 0, 2).empty());
 }
 
-TEST(HCoreIndex, TopDensestLevelsMatchesDirectComputation) {
-  Rng rng(11);
-  Graph g = gen::PlantedPartition(3, 25, 0.5, 0.02, &rng);
-  HCoreIndex index(g, IndexOptions(2));
-  auto snap = index.snapshot();
-  for (int h = 1; h <= 2; ++h) {
-    const auto& core = snap->Cores(h);
-    auto levels = snap->TopDensestLevels(h, 1000);
-    EXPECT_EQ(levels.size(), snap->Degeneracy(h));
+/// Every densest-level row of every h against a direct count over the
+/// snapshot's cores and edges.
+void ExpectDensestLevelsMatchDirectCount(const HCoreSnapshot& snap,
+                                         const std::string& label) {
+  const Graph& g = snap.graph();
+  const auto all_edges = g.Edges();
+  for (int h = 1; h <= snap.max_h(); ++h) {
+    const auto& core = snap.Cores(h);
+    auto levels = snap.TopDensestLevels(h, 1000);
+    EXPECT_EQ(levels.size(), snap.Degeneracy(h)) << label;
     for (const auto& row : levels) {
       uint32_t vertices = 0;
       uint64_t edges = 0;
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         if (core[v] >= row.k) ++vertices;
       }
-      for (const auto& [u, v] : g.Edges()) {
+      for (const auto& [u, v] : all_edges) {
         if (core[u] >= row.k && core[v] >= row.k) ++edges;
       }
-      EXPECT_EQ(row.vertices, vertices) << "h=" << h << " k=" << row.k;
-      EXPECT_EQ(row.edges, edges) << "h=" << h << " k=" << row.k;
+      EXPECT_EQ(row.vertices, vertices)
+          << label << " h=" << h << " k=" << row.k;
+      EXPECT_EQ(row.edges, edges) << label << " h=" << h << " k=" << row.k;
     }
     // Sorted densest-first.
     for (size_t i = 1; i < levels.size(); ++i) {
-      EXPECT_GE(levels[i - 1].density, levels[i].density);
+      EXPECT_GE(levels[i - 1].density, levels[i].density) << label;
     }
   }
+}
+
+TEST(HCoreIndex, TopDensestLevelsMatchesDirectComputation) {
+  Rng rng(11);
+  HCoreIndex index(gen::PlantedPartition(3, 25, 0.5, 0.02, &rng),
+                   IndexOptions(2));
+  ExpectDensestLevelsMatchDirectCount(*index.snapshot(), "planted");
+  ForEachPostBatchEpoch(ExpectDensestLevelsMatchDirectCount);
 }
 
 TEST(HCoreIndex, ServingQueriesLeavesDecompositionCountersFlat) {
@@ -340,8 +398,15 @@ TEST(HCoreIndex, ConcurrentReadersSeeConsistentEpochsDuringUpdates) {
         if (snap->Cores(h).size() != n) failed.store(true);
       }
       (void)snap->Hierarchy(2);
+      // Components come from the pinned epoch's own cores and graph.
+      const uint64_t edges = snap->graph().num_edges();
+      for (VertexId u : snap->CoreComponentOf(0, 1, 2)) {
+        if (snap->CoreOf(u, 2) < 1) failed.store(true);
+      }
       (void)snap->TopDensestLevels(2, 3);
-      if (snap->epoch() != epoch) failed.store(true);
+      if (snap->epoch() != epoch || snap->graph().num_edges() != edges) {
+        failed.store(true);
+      }
       reads.fetch_add(1, std::memory_order_relaxed);
     }
   };

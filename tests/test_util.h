@@ -1,6 +1,7 @@
 // Shared helpers for the hcore test suites: a small corpus of random graphs
-// spanning the structural classes the algorithms care about, and slow
-// definition-level reference implementations.
+// spanning the structural classes the algorithms care about, the fresh
+// decomposition every maintained core vector is checked against, and
+// deterministic random edit batches.
 
 #ifndef HCORE_TESTS_TEST_UTIL_H_
 #define HCORE_TESTS_TEST_UTIL_H_
@@ -9,8 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "core/kh_core.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "index/hcore_index.h"
 #include "util/rng.h"
 
 namespace hcore::testing {
@@ -64,6 +67,56 @@ inline std::vector<RandomGraphSpec> Corpus(uint32_t n, int seeds) {
     }
   }
   return out;
+}
+
+/// Exact (k,h)-core indexes of `g` from a fresh decomposition.
+inline std::vector<uint32_t> FreshCores(const Graph& g, int h) {
+  KhCoreOptions opts;
+  opts.h = h;
+  return KhCoreDecomposition(g, opts).core;
+}
+
+/// Index options with every default but the indexed depth.
+inline HCoreIndexOptions IndexOptions(int max_h) {
+  HCoreIndexOptions opts;
+  opts.max_h = max_h;
+  return opts;
+}
+
+/// A deterministic random edit batch against `g`: `inserts` random
+/// insertions, then `deletes` deletions of existing edges.
+inline std::vector<EdgeEdit> RandomBatch(const Graph& g, Rng* rng,
+                                         int inserts, int deletes) {
+  std::vector<EdgeEdit> batch;
+  const VertexId n = g.num_vertices();
+  for (int i = 0; i < inserts; ++i) {
+    batch.push_back(EdgeEdit::Insert(rng->NextIndex(n), rng->NextIndex(n)));
+  }
+  auto edges = g.Edges();
+  for (int i = 0; i < deletes && !edges.empty(); ++i) {
+    auto [u, v] = edges[rng->NextIndex(static_cast<uint32_t>(edges.size()))];
+    batch.push_back(EdgeEdit::Delete(u, v));
+  }
+  return batch;
+}
+
+/// A deterministic mixed batch of `size` edits against `g`: insertions
+/// (growing the graph by one vertex now and then) interleaved with
+/// deletions of existing edges.
+inline std::vector<EdgeEdit> MixedBatch(const Graph& g, Rng* rng, int size) {
+  std::vector<EdgeEdit> batch;
+  const VertexId n = g.num_vertices();
+  auto edges = g.Edges();
+  for (int i = 0; i < size; ++i) {
+    if (rng->NextBool(0.55) || edges.empty()) {
+      batch.push_back(
+          EdgeEdit::Insert(rng->NextIndex(n + 1), rng->NextIndex(n + 1)));
+    } else {
+      auto [u, v] = edges[rng->NextIndex(static_cast<uint32_t>(edges.size()))];
+      batch.push_back(EdgeEdit::Delete(u, v));
+    }
+  }
+  return batch;
 }
 
 }  // namespace hcore::testing

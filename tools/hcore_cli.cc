@@ -20,9 +20,9 @@
 // a value an enumerated flag does not list, and an --h below 1, with exit
 // code 1 before it loads any input.
 //
-// `serve` builds a ShardedHCoreService (one HCoreIndex behind epoch views,
-// serve/sharded_service.h), then answers query/update commands from stdin
-// (REPL or piped batch), one per line:
+// `serve` builds an HCoreIndex (index/hcore_index.h) and answers
+// query/update commands from stdin (REPL or piped batch), one per line,
+// each query against the index's current epoch snapshot:
 //
 //   core <v> <h>             core index of v at threshold h
 //   spectrum <v>             core_1(v) .. core_H(v)
@@ -31,7 +31,8 @@
 //   densest <h> <top-k>      densest core levels of threshold h
 //   insert <u> <v>           stage an edge insertion into the pending batch
 //   delete <u> <v>           stage an edge deletion into the pending batch
-//   apply                    apply the pending batch (one epoch)
+//   apply                    apply the pending batch (one epoch); inserts
+//                            naming an id >= n + 2^20 are rejected
 //   stats                    epoch, graph size, cumulative counters
 //   stats reset              zero the cumulative counters (epochs stay)
 //   quit                     exit
@@ -75,7 +76,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "index/hcore_index.h"
-#include "serve/sharded_service.h"
 #include "traversal/distances.h"
 #include "util/rng.h"
 
@@ -375,14 +375,14 @@ int CmdDensest(const Flags& flags) {
   return 0;
 }
 
-void PrintServeStats(const ShardedHCoreService& service) {
-  auto view = service.view();
-  const HCoreIndexStats s = service.stats().index;
+void PrintServeStats(const HCoreIndex& index) {
+  auto snap = index.snapshot();
+  const HCoreIndexStats s = index.stats();
   std::printf("epoch=%llu n=%u m=%llu h_max=%d\n",
-              static_cast<unsigned long long>(view->service_epoch()),
-              view->graph().num_vertices(),
-              static_cast<unsigned long long>(view->graph().num_edges()),
-              service.max_h());
+              static_cast<unsigned long long>(snap->epoch()),
+              snap->graph().num_vertices(),
+              static_cast<unsigned long long>(snap->graph().num_edges()),
+              index.max_h());
   std::printf(
       "csr_rebuilds=%llu batches=%llu edits=%llu level_runs=%llu "
       "levels_unchanged=%llu localized=%llu fallback_repeels=%llu\n"
@@ -413,18 +413,18 @@ void PrintVertexList(const std::vector<VertexId>& vertices, size_t limit) {
 int CmdServe(const Flags& flags) {
   Result<Graph> g = LoadInput(flags);
   if (!g.ok()) return Fail(g.status().ToString());
-  ShardedServiceOptions opts;
-  opts.index.max_h = HMax(flags);
-  opts.index.base = CoreOptions(flags);
-  if (opts.index.max_h < 1) return Fail("--h-max must be >= 1");
+  HCoreIndexOptions opts;
+  opts.max_h = HMax(flags);
+  opts.base = CoreOptions(flags);
+  if (opts.max_h < 1) return Fail("--h-max must be >= 1");
 
   std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
               g.value().num_vertices(),
               static_cast<unsigned long long>(g.value().num_edges()),
-              opts.index.max_h, opts.index.base.num_threads);
-  ShardedHCoreService service(std::move(g.value()), opts);
+              opts.max_h, opts.base.num_threads);
+  HCoreIndex index(std::move(g.value()), opts);
   std::printf("ready (%.3fs); try 'help'\n",
-              service.stats().index.decomposition.seconds);
+              index.stats().decomposition.seconds);
 
   const size_t print_limit =
       static_cast<size_t>(flags.GetInt("print-limit", 32));
@@ -434,7 +434,7 @@ int CmdServe(const Flags& flags) {
     std::istringstream in(line);
     std::string cmd;
     if (!(in >> cmd) || cmd[0] == '#') continue;
-    auto view = service.view();
+    auto view = index.snapshot();
     const VertexId n = view->graph().num_vertices();
     if (cmd == "quit" || cmd == "exit") break;
     if (cmd == "help") {
@@ -446,7 +446,7 @@ int CmdServe(const Flags& flags) {
     } else if (cmd == "core") {
       VertexId v;
       int h;
-      if (!(in >> v >> h) || v >= n || h < 1 || h > service.max_h()) {
+      if (!(in >> v >> h) || v >= n || h < 1 || h > index.max_h()) {
         std::printf("error: usage core <v> <h>\n");
         continue;
       }
@@ -464,7 +464,7 @@ int CmdServe(const Flags& flags) {
       VertexId v;
       uint32_t k;
       int h;
-      if (!(in >> v >> k >> h) || v >= n || h < 1 || h > service.max_h()) {
+      if (!(in >> v >> k >> h) || v >= n || h < 1 || h > index.max_h()) {
         std::printf("error: usage component <v> <k> <h>\n");
         continue;
       }
@@ -475,7 +475,7 @@ int CmdServe(const Flags& flags) {
     } else if (cmd == "community") {
       int h;
       std::string ids;
-      if (!(in >> h >> ids) || h < 1 || h > service.max_h()) {
+      if (!(in >> h >> ids) || h < 1 || h > index.max_h()) {
         std::printf("error: usage community <h> <v1,v2,...>\n");
         continue;
       }
@@ -497,7 +497,7 @@ int CmdServe(const Flags& flags) {
     } else if (cmd == "densest") {
       int h;
       int top_k;
-      if (!(in >> h >> top_k) || h < 1 || h > service.max_h() || top_k < 1) {
+      if (!(in >> h >> top_k) || h < 1 || h > index.max_h() || top_k < 1) {
         std::printf("error: usage densest <h> <top-k>\n");
         continue;
       }
@@ -514,30 +514,29 @@ int CmdServe(const Flags& flags) {
         std::printf("error: usage %s <u> <v>\n", cmd.c_str());
         continue;
       }
-      // Inserts may grow the graph, but a typo'd id must not make the CSR
-      // rebuild allocate gigabytes: cap growth per staged edit.
-      constexpr VertexId kMaxGrowth = 1u << 20;
-      if (u >= n + kMaxGrowth || v >= n + kMaxGrowth) {
-        std::printf("error: vertex id beyond n + %u (n = %u)\n", kMaxGrowth,
-                    n);
-        continue;
-      }
       pending.push_back(cmd == "insert" ? EdgeEdit::Insert(u, v)
                                         : EdgeEdit::Delete(u, v));
       std::printf("staged (%zu pending; 'apply' to commit)\n",
                   pending.size());
     } else if (cmd == "apply") {
-      const size_t applied = service.ApplyBatch(pending);
-      std::printf(
-          "applied %zu/%zu edits -> epoch %llu\n", applied, pending.size(),
-          static_cast<unsigned long long>(service.view()->service_epoch()));
+      const uint64_t rejected_before = index.stats().edits_rejected;
+      const size_t applied = index.ApplyBatch(pending);
+      const uint64_t rejected = index.stats().edits_rejected - rejected_before;
+      std::printf("applied %zu/%zu edits -> epoch %llu", applied,
+                  pending.size(),
+                  static_cast<unsigned long long>(index.snapshot()->epoch()));
+      if (rejected > 0) {
+        std::printf(" (%llu rejected: vertex id beyond n + 2^20)",
+                    static_cast<unsigned long long>(rejected));
+      }
+      std::printf("\n");
       pending.clear();
     } else if (cmd == "stats") {
       std::string sub;
       if (!(in >> sub)) {
-        PrintServeStats(service);
+        PrintServeStats(index);
       } else if (sub == "reset") {
-        service.ResetStats();
+        index.ResetStats();
         std::printf("stats reset\n");
       } else {
         std::printf("error: usage stats [reset]\n");

@@ -10,11 +10,11 @@ enforces repo conventions that keep the annotated world airtight:
                    the annotated hcore::Mutex/MutexLock/CondVar wrappers, or
                    the thread-safety analysis silently sees nothing.
 
-  published-type   Published, shared-by-readers types (HCoreSnapshot,
-                   ShardedServiceView) must stay logically immutable: every
-                   public member function is const, and every `mutable` field
-                   either carries GUARDED_BY(...) or is a std::atomic (or the
-                   Mutex that guards the others).
+  published-type   The published, shared-by-readers type (HCoreSnapshot)
+                   must stay logically immutable: every public member
+                   function is const, and every `mutable` field either
+                   carries GUARDED_BY(...) or is a std::atomic (or the Mutex
+                   that guards the others).
 
   task-capture     Lambdas handed to TaskGroup::Run must enumerate their
                    captures explicitly (no bare [&]/[=] — a default capture
@@ -49,7 +49,7 @@ import re
 import sys
 
 # Classes with the published-immutable contract (rule: published-type).
-PUBLISHED_CLASSES = ("HCoreSnapshot", "ShardedServiceView")
+PUBLISHED_CLASSES = ("HCoreSnapshot",)
 
 # COW page buffer types shared across epochs (rule: page-buffer).
 # Reachable from every published snapshot; a public mutating method here
