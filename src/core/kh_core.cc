@@ -28,26 +28,15 @@ class Decomposer {
         alive_(n_, true),
         set_lb_(n_, 0),
         assigned_(n_, 0),
-        engine_(g, opts.h, &alive_, &degrees_, n_ > 0 ? n_ : 1),
-        peeler_(&degrees_),
-        // h > 1 rounds recompute h-degrees by BFS — orders of magnitude
-        // more work per vertex than the h = 1 counter rounds the kAuto
-        // floor was calibrated on — so the fan-out amortizes much sooner.
-        // The h-aware gate also applies the h = 2 work-parity rule (see
-        // UseParallelPeelForH).
-        use_parallel_(UseParallelPeelForH(
-            opts.parallel, opts.num_threads, opts.h, n_,
-            std::max<uint64_t>(1, opts.parallel_min_vertices / 8),
-            g.num_edges())) {
+        engine_(g, opts.h, &alive_, &degrees_, n_ > 0 ? n_ : 1) {
     result_.core.assign(n_, 0);
     result_.h = h_;
   }
 
   KhCoreResult Run(KhCoreAlgorithm algorithm) {
     // One Decomposer performs one decomposition, driven end-to-end by the
-    // calling thread — it coordinates the computer and the peeler.
+    // calling thread — it coordinates the computer.
     degrees_.coordinator().Assume();
-    peeler_.coordinator().Assume();
     WallTimer timer;
     switch (algorithm) {
       case KhCoreAlgorithm::kBz:
@@ -100,21 +89,6 @@ class Decomposer {
   };
 
   void RunBz() {
-    if (use_parallel_) {
-      // Round-synchronous peel with eager exact keys: the parallel twin of
-      // Algorithm 1 (the pinned-bucket skip becomes the queued-claim skip).
-      degrees_.coordinator().Assume();  // Run()'s driver thread
-      peeler_.coordinator().Assume();
-      degrees_.ComputeAllAlive(g_, alive_, h_, &engine_.keys());
-      engine_.stats().hdegree_computations += n_;
-      peeler_.Peel(g_, h_, &alive_, AllVertices(), &engine_.keys(),
-                   /*lazy=*/nullptr, 0, n_, &engine_.stats(),
-                   [this](VertexId v, uint32_t k) {
-                     result_.core[v] = k;
-                     assigned_[v] = 1;
-                   });
-      return;
-    }
     engine_.SeedAliveWithHDegrees();
     BzPolicy policy(this);
     engine_.Peel(0, n_, policy);
@@ -175,25 +149,6 @@ class Decomposer {
     WallTimer bound_timer;
     std::vector<uint32_t> lb = ComputeLowerBound();
     result_.stats.bound_seconds += bound_timer.ElapsedSeconds();
-    if (use_parallel_) {
-      // Every key starts as a lazy lower bound; the parallel peel
-      // materializes them in per-round batches instead of pop-requeue.
-      std::vector<uint32_t>& keys = engine_.keys();
-      for (VertexId v = 0; v < n_; ++v) {
-        set_lb_[v] = 1;
-        keys[v] = lb[v];
-      }
-      peeler_.coordinator().Assume();  // Run()'s driver thread
-      peeler_.Peel(g_, h_, &alive_, AllVertices(), &keys, &set_lb_, 0, n_,
-                   &engine_.stats(),
-                   [this](VertexId v, uint32_t k) {
-                     if (!assigned_[v]) {
-                       result_.core[v] = k;
-                       assigned_[v] = 1;
-                     }
-                   });
-      return;
-    }
     for (VertexId v = 0; v < n_; ++v) {
       set_lb_[v] = 1;
       engine_.Seed(v, lb[v]);
@@ -278,31 +233,6 @@ class Decomposer {
 
     // Lines 15-17: re-bucket every surviving candidate lazily.
     const uint32_t floor_key = (k_min == 0) ? 0 : k_min - 1;
-    if (use_parallel_) {
-      // Same lazy seeding, but into the key array alone — the parallel
-      // window peel never touches the bucket queue (the per-run decision in
-      // the constructor keeps the two loop kinds from ever mixing; a
-      // partition switching modes would inherit stale queue entries).
-      std::vector<uint32_t>& keys = engine_.keys();
-      alive_.ForEachAlive([&](VertexId v) {
-        uint32_t key = std::max(improved.lb3[v], floor_key);
-        if (assigned_[v]) key = std::max(key, result_.core[v]);
-        set_lb_[v] = 1;
-        keys[v] = key;
-      });
-      const std::vector<VertexId> window = alive_.AliveVertices();
-      peeler_.coordinator().Assume();  // Run()'s driver thread
-      peeler_.Peel(g_, h_, &alive_, window, &keys, &set_lb_, k_min, k_max,
-                   &engine_.stats(),
-                   [this, k_min](VertexId v, uint32_t k) {
-                     if (k >= k_min && !assigned_[v]) {
-                       result_.core[v] = k;
-                       assigned_[v] = 1;
-                     }
-                     set_lb_[v] = 1;  // stored degree is stale once v dies
-                   });
-      return;
-    }
     alive_.ForEachAlive([&](VertexId v) {
       uint32_t key = std::max(improved.lb3[v], floor_key);
       if (assigned_[v]) key = std::max(key, result_.core[v]);
@@ -310,15 +240,6 @@ class Decomposer {
       engine_.SeedOrMove(v, key);
     });
     CoreDecomp(k_min, k_max);
-  }
-
-  /// Identity vertex list for full-graph parallel peels (built once).
-  const std::vector<VertexId>& AllVertices() {
-    if (all_vertices_.size() != n_) {
-      all_vertices_.resize(n_);
-      for (VertexId v = 0; v < n_; ++v) all_vertices_[v] = v;
-    }
-    return all_vertices_;
   }
 
   /// LB1 or LB2 per options (h-LB/h-LB+UB precomputation), combined with
@@ -355,9 +276,6 @@ class Decomposer {
   std::vector<uint8_t> set_lb_;
   std::vector<uint8_t> assigned_;
   PeelingEngine engine_;
-  ParallelPeeler peeler_;
-  const bool use_parallel_;  // decided once per run; loop kinds never mix
-  std::vector<VertexId> all_vertices_;
   KhCoreResult result_;
 };
 
@@ -422,22 +340,13 @@ KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options) {
   HCORE_CHECK(options.partition_size >= 0);
   HCORE_CHECK(options.num_threads >= 0);
   if (options.h == 1) {
-    // Classic core decomposition: the (k,1)-core is the k-core. Large
-    // graphs with threads take the atomic-counter parallel peel; both
-    // paths produce byte-identical cores.
+    // Classic core decomposition: the (k,1)-core is the k-core.
     WallTimer timer;
     KhCoreResult out;
     out.h = 1;
-    if (UseParallelPeel(options.parallel, options.num_threads,
-                        g.num_vertices(), options.parallel_min_vertices,
-                        g.num_edges())) {
-      out.degeneracy =
-          ParallelClassicCore(g, options.num_threads, &out.core, nullptr);
-    } else {
-      ClassicCoreResult classic = ClassicCoreDecomposition(g);
-      out.core = std::move(classic.core);
-      out.degeneracy = classic.degeneracy;
-    }
+    ClassicCoreResult classic = ClassicCoreDecomposition(g);
+    out.core = std::move(classic.core);
+    out.degeneracy = classic.degeneracy;
     out.stats.seconds = timer.ElapsedSeconds();
     return out;
   }

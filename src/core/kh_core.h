@@ -12,7 +12,9 @@
 // are driven through the shared PeelingEngine (engine/peeling_engine.h);
 // this module contributes only the policies (what a pop assigns, when a
 // neighbor takes a unit decrement vs a recomputation) and the h-LB+UB
-// partition schedule.
+// partition schedule. The peel loop itself is sequential; worker threads
+// (§4.6) run only its h-degree batches: the initial pass, the LB/UB bounds,
+// ImproveLB and each removal's recomputation batch.
 
 #ifndef HCORE_CORE_KH_CORE_H_
 #define HCORE_CORE_KH_CORE_H_
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/parallel_peel.h"
 #include "graph/graph.h"
 
 namespace hcore {
@@ -71,6 +72,13 @@ enum class VertexOrdering {
                       ///< ~30% faster peels when input ids are scrambled.
 };
 
+// --- Benchmark compat: delete with the next change to perfbench/ ---------
+// The frozen perfbench/ verifier still sets KhCoreOptions::parallel. The
+// round-synchronous parallel peel it once selected is gone, so the field is
+// accepted and ignored: every decomposition runs the one PeelingEngine loop.
+enum class ParallelPeelMode : uint8_t { kAuto, kOff, kOn };
+// --- end benchmark compat -------------------------------------------------
+
 /// Options for KhCoreDecomposition.
 struct KhCoreOptions {
   /// Distance threshold h >= 1. h = 1 routes to the classic linear-time
@@ -81,24 +89,12 @@ struct KhCoreOptions {
   /// per partition, paper §4.3). 0 selects an automatic width that targets
   /// roughly 16 partitions; otherwise must be >= 1.
   int partition_size = 0;
-  /// Worker threads for h-degree batches (§4.6). 1 = sequential.
+  /// Worker threads for h-degree batches (§4.6). 1 = sequential. The peel
+  /// loop stays sequential at any value; HCoreIndex also sizes its
+  /// per-level fan-out from it.
   int num_threads = 1;
-  /// Round-synchronous parallel peel (engine/parallel_peel.h). kAuto runs
-  /// it when num_threads >= 2 and the graph clears `parallel_min_vertices`
-  /// (scaled by the thread count); kOff keeps the sequential bucket loop.
-  /// The decision is made once per decomposition — the parallel peel
-  /// bypasses the bucket queue, so runs never mix loop kinds mid-way.
-  /// Cores are identical in every mode.
+  /// Benchmark compat (see ParallelPeelMode): accepted and ignored.
   ParallelPeelMode parallel = ParallelPeelMode::kAuto;
-  /// kAuto size floor for `parallel` (vertices in the peel). For h > 1
-  /// the effective floor is this value / 8: those rounds recompute
-  /// h-degrees by BFS, so the fan-out amortizes at much smaller peels.
-  /// kAuto also declines sparse graphs (average degree below
-  /// kParallelPeelAutoMinAvgDegree) whose thin frontiers lose to the
-  /// per-round barrier, and h = 2 peels on machines without at least two
-  /// hardware threads (work parity with the sequential engine — see
-  /// UseParallelPeelForH).
-  uint64_t parallel_min_vertices = kParallelPeelAutoMinVertices;
   LowerBoundMode lower_bound = LowerBoundMode::kLb2;
   UpperBoundMode upper_bound = UpperBoundMode::kPowerGraph;
   /// Cache-locality relabeling (see VertexOrdering). Does not change the
@@ -129,12 +125,9 @@ struct KhCoreStats {
   uint64_t hdegree_computations = 0;
   /// Number of O(1) decrement updates taken instead of a BFS.
   uint64_t decrement_updates = 0;
-  /// Vertices popped/claimed by the peel. Equal between sequential and
-  /// parallel runs for the eager algorithms (h-BZ peels each vertex exactly
-  /// once); h-LB's sequential loop additionally counts lazy re-queues, so
-  /// its pops legitimately exceed the parallel engine's (which materializes
-  /// lazy keys in batches without popping). 0 for h = 1 (the classic path
-  /// reports no engine counters).
+  /// Vertices popped by the peel, lazy re-queues included (h-BZ pops each
+  /// vertex exactly once). 0 for h = 1 (the classic path reports no engine
+  /// counters).
   uint64_t pops = 0;
   /// Partitions processed (h-LB+UB only).
   uint32_t partitions = 0;

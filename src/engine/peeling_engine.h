@@ -39,17 +39,9 @@
 
 namespace hcore {
 
-/// Cost counters for one peeling run (feeds the paper's Table 3).
-///
-/// Mergeable: parallel peels keep one instance per worker and fold them with
-/// Add, so multi-threaded runs report the same exact Table-3 counters as
-/// sequential ones. Pops are guaranteed equal between sequential and parallel
-/// runs of the eager algorithms (classic h = 1 and h-BZ peel every vertex
-/// exactly once); hdegree_computations and decrement_updates legitimately
-/// diverge for lazy-lower-bound runs — the sequential loop re-queues a popped
-/// vertex to materialize its degree and skips same-bucket neighbors
-/// one-by-one, while the round-synchronous peel materializes degrees in
-/// deduplicated per-round batches and never issues unit decrements.
+/// Cost counters for one peeling run (feeds the paper's Table 3). The loop
+/// is sequential and threads only compute h-degree batches, so every counter
+/// is the same at any thread count.
 struct PeelingStats {
   /// Full h-degree recomputations (each one h-bounded BFS).
   uint64_t hdegree_computations = 0;
@@ -57,13 +49,6 @@ struct PeelingStats {
   uint64_t decrement_updates = 0;
   /// Vertices popped from the queue (including lazy re-queues).
   uint64_t pops = 0;
-
-  /// Folds another (e.g. per-worker) instance into this one.
-  void Add(const PeelingStats& other) {
-    hdegree_computations += other.hdegree_computations;
-    decrement_updates += other.decrement_updates;
-    pops += other.pops;
-  }
 };
 
 /// Reaction of a policy to a surviving neighbor of a removed vertex.

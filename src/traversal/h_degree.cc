@@ -86,63 +86,6 @@ void HDegreeComputer::ComputeAllAlive(const Graph& g, const VertexMask& alive,
   for (size_t i = 0; i < batch.size(); ++i) (*out)[batch[i]] = degs[i];
 }
 
-void HDegreeComputer::MarkNeighborhoods(
-    const Graph& g, const VertexMask& alive, int h,
-    std::span<const VertexId> sources, std::atomic<uint8_t>* marks,
-    std::vector<std::vector<VertexId>>* out_per_worker) {
-  out_per_worker->resize(num_threads_);
-  for (auto& list : *out_per_worker) list.clear();
-  // The CAS loop implements a saturating transition: a visit at distance
-  // exactly h bumps the count (spilling into the recompute flag at 0x7F),
-  // a closer visit sets the flag. Whichever worker moves a mark off 0
-  // claims the vertex for its output list, so each lands in exactly one.
-  auto expand = [&](BoundedBfs& bfs, std::vector<VertexId>& out, VertexId src) {
-    bfs.Run(g, alive, src, h, [&](VertexId u, int dist) {
-      uint8_t prev = marks[u].load(std::memory_order_relaxed);
-      for (;;) {
-        constexpr uint8_t kCountMask =
-            static_cast<uint8_t>(~kMarkNeedsRecompute);
-        uint8_t next;
-        if (dist < h) {
-          next = prev | kMarkNeedsRecompute;
-        } else if ((prev & kCountMask) == kCountMask) {
-          next = prev | kMarkNeedsRecompute;  // count saturated
-        } else {
-          next = prev + 1;
-        }
-        if (next == prev) break;
-        if (marks[u].compare_exchange_weak(prev, next,
-                                           std::memory_order_relaxed)) {
-          if (prev == 0) out.push_back(u);
-          break;
-        }
-      }
-    });
-  };
-  if (num_threads_ <= 1 || sources.size() < kMinParallelBatch) {
-    BoundedBfs& bfs = Scratch(0);
-    std::vector<VertexId>& out = (*out_per_worker)[0];
-    for (const VertexId src : sources) expand(bfs, out, src);
-    return;
-  }
-  auto cursor = std::make_shared<std::atomic<size_t>>(0);
-  const size_t grain = std::max<size_t>(
-      1, sources.size() / (8 * static_cast<size_t>(num_threads_)));
-  for (int t = 0; t < num_threads_; ++t) {
-    BoundedBfs* bfs = &Scratch(t);
-    std::vector<VertexId>* out = &(*out_per_worker)[t];
-    pool_->Submit([&, bfs, out, cursor, grain] {
-      for (;;) {
-        size_t lo = cursor->fetch_add(grain);
-        if (lo >= sources.size()) return;
-        size_t hi = std::min(sources.size(), lo + grain);
-        for (size_t i = lo; i < hi; ++i) expand(*bfs, *out, sources[i]);
-      }
-    });
-  }
-  pool_->Wait();
-}
-
 uint32_t HDegreeComputer::CollectNeighborhood(
     const Graph& g, const VertexMask& alive, VertexId v, int h,
     std::vector<std::pair<VertexId, int>>* out) {

@@ -11,7 +11,6 @@
 #define HCORE_TRAVERSAL_H_DEGREE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -25,12 +24,6 @@
 #include "util/thread_pool.h"
 
 namespace hcore {
-
-/// MarkNeighborhoods classification flag: the marked vertex needs a full
-/// h-degree recomputation (some source reached it at distance < h, or more
-/// than 127 sources reached it at distance exactly h). When clear, the low
-/// bits are an exact member-loss count — see MarkNeighborhoods.
-inline constexpr uint8_t kMarkNeedsRecompute = 0x80;
 
 /// Computes h-degrees over alive-masked subgraphs, optionally in parallel.
 ///
@@ -91,39 +84,6 @@ class HDegreeComputer {
                                VertexId v, int h,
                                std::vector<std::pair<VertexId, int>>* out)
       REQUIRES(coordinator_);
-
-  /// Marks every alive vertex within distance h of any source and appends
-  /// it (exactly once across all workers) to one of the `out_per_worker`
-  /// lists. Sources are expanded whether or not they are alive themselves —
-  /// the round-synchronous peel calls this with the just-killed frontier
-  /// after flipping it dead, and a killed vertex still anchors the paths
-  /// its removal invalidates.
-  ///
-  /// `marks[u]` classifies how the sources reached u, so the caller can
-  /// repair cheaply (the batched form of the sequential peel's unit
-  /// decrement): the low 7 bits count sources whose (post-kill) distance to
-  /// u is exactly h; kMarkNeedsRecompute is set when any source reached u
-  /// at distance < h, or the count saturated. When the flag is clear, u
-  /// lost exactly `marks[u]` members of its h-ball — each counted source s
-  /// satisfies d_old(u,s) <= d_post(u,s) = h so it was a member, and any
-  /// OTHER lost member x would put the first killed vertex w of u's old
-  /// path to x within post-kill distance < h of u (w precedes x on a path
-  /// of length <= h) unless w == x at distance exactly h, i.e. x is itself
-  /// a counted source — so a clear flag accounts for every loss.
-  ///
-  /// Entries of `marks` touched here must be 0 on entry (the caller resets
-  /// them from the returned lists). Parallel over sources when the computer
-  /// has threads.
-  void MarkNeighborhoods(const Graph& g, const VertexMask& alive, int h,
-                         std::span<const VertexId> sources,
-                         std::atomic<uint8_t>* marks,
-                         std::vector<std::vector<VertexId>>* out_per_worker)
-      REQUIRES(coordinator_);
-
-  /// Pool backing the batch APIs (null when single-threaded). The parallel
-  /// peeler borrows it for its own per-round fan-outs; the computer itself
-  /// must be idle while the caller does.
-  ThreadPool* pool() { return pool_.get(); }
 
   /// Total vertices visited by all BFS runs (the paper's Table-3 "visits").
   uint64_t total_visited() const REQUIRES(coordinator_);

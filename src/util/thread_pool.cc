@@ -83,18 +83,6 @@ void ThreadPool::ParallelFor(uint64_t begin, uint64_t end, uint64_t grain,
   Wait();
 }
 
-void ThreadPool::ForEachWorker(int workers, const std::function<void(int)>& body) {
-  workers = std::min(std::max(1, workers), num_threads());
-  if (workers <= 1) {
-    body(0);
-    return;
-  }
-  for (int t = 0; t < workers; ++t) {
-    Submit([&body, t] { body(t); });
-  }
-  Wait();
-}
-
 void TaskGroup::Run(std::function<void()> task) {
   if (pool_ == nullptr) {
     task();

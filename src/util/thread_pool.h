@@ -45,16 +45,6 @@ class ThreadPool {
   void ParallelFor(uint64_t begin, uint64_t end, uint64_t grain,
                    const std::function<void(uint64_t)>& body) EXCLUDES(mu_);
 
-  /// Runs `body(w)` once for each worker index w in [0, workers) and blocks
-  /// until all return. The per-worker fan-out used when each task owns
-  /// indexed scratch (per-worker buffers, BFS state, stats instances) and
-  /// pulls its share of work from a shared cursor — the parallel peeling
-  /// rounds and h-degree batches are built on this shape. `workers` is
-  /// clamped to the pool size; the caller must not enqueue other work on
-  /// the pool concurrently (Wait drains the whole pool).
-  void ForEachWorker(int workers, const std::function<void(int)>& body)
-      EXCLUDES(mu_);
-
  private:
   void WorkerLoop() EXCLUDES(mu_);
 

@@ -102,15 +102,12 @@ TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
 }
 
 TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
-  // Mixed edit sequences whose warm whole-graph fallback runs the
-  // round-synchronous parallel engine (KhCoreOptions::parallel), forced on
-  // with a floor of 1 so these small graphs exercise it; the tiny region
-  // cap pushes most updates onto that fallback. Every step must match a
-  // fresh (sequential) decomposition. The TSan CI leg runs this suite.
+  // Mixed edit sequences on a 4-thread index: the tiny region cap pushes
+  // most updates onto the warm whole-graph fallback, whose h-degree batches
+  // and per-level fan-out then run threaded. Every step must match a fresh
+  // 1-thread decomposition. The TSan CI leg runs this suite.
   KhCoreOptions par;
   par.num_threads = 4;
-  par.parallel = ParallelPeelMode::kOn;
-  par.parallel_min_vertices = 1;
   LocalizedUpdateOptions tiny;
   tiny.max_region_fraction = 0.0;
   tiny.min_region_cap = 4;

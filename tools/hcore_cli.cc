@@ -3,7 +3,6 @@
 //   hcore_cli decompose  --input=G.txt --h=2 [--algo=auto|bz|lb|lbub]
 //                        [--threads=N] [--partition=S]
 //                        [--ordering=none|auto|degree|bfs]
-//                        [--parallel=auto|on|off]
 //                        [--output=cores.txt]
 //   hcore_cli stats      --input=G.txt
 //   hcore_cli spectrum   --input=G.txt --max-h=4 [--output=spectrum.txt]
@@ -17,8 +16,10 @@
 //   hcore_cli serve      --input=G.txt [--h-max=4] [--threads=N] [--algo=..]
 //
 // Every command rejects a flag it does not read (`error: unknown flag --X`),
-// a value an enumerated flag does not list, and an --h below 1, with exit
-// code 1 before it loads any input.
+// a value an enumerated flag does not list, an integer flag whose value is
+// not a whole decimal integer or is below its minimum (0 for counts, 1 for
+// --h and --h-max/--max-h), and a malformed --query, with exit code 1
+// before it loads any input.
 //
 // `serve` builds an HCoreIndex (index/hcore_index.h) and answers
 // query/update commands from stdin (REPL or piped batch), one per line,
@@ -43,8 +44,7 @@
 // tests/golden/serve_shards1.golden.
 //
 // The core-decomposition flags (--h, --algo/--algorithm, --threads,
-// --partition, --ordering, --parallel) map 1:1 onto KhCoreOptions and
-// apply to every
+// --partition, --ordering) map 1:1 onto KhCoreOptions and apply to every
 // command that runs a decomposition (decompose, hierarchy, spectrum,
 // hclub, community, densest, serve). `spectrum` and `serve` read the sweep
 // depth from --h-max (alias: --max-h).
@@ -54,6 +54,8 @@
 // first-appearance order).
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -61,6 +63,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,6 +86,17 @@ namespace {
 
 using namespace hcore;
 
+/// `s` as a whole decimal number of type T, or nullopt (empty, junk,
+/// trailing characters, out of range).
+template <typename T>
+std::optional<T> ParseDecimal(const std::string& s) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -90,9 +104,11 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
+  /// Integer flags are validated up front (BadFlagValue).
   int GetInt(const std::string& key, int def) const {
     auto it = values.find(key);
-    return it == values.end() ? def : std::atoi(it->second.c_str());
+    if (it == values.end()) return def;
+    return ParseDecimal<int>(it->second).value_or(def);
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
@@ -145,13 +161,6 @@ KhCoreOptions CoreOptions(const Flags& flags) {
   } else if (ordering == "bfs") {
     opts.ordering = VertexOrdering::kBfs;
   }
-  // Round-synchronous parallel peel; auto gates on --threads and size.
-  std::string parallel = flags.Get("parallel", "auto");
-  if (parallel == "on") {
-    opts.parallel = ParallelPeelMode::kOn;
-  } else if (parallel == "off") {
-    opts.parallel = ParallelPeelMode::kOff;
-  }
   return opts;
 }
 
@@ -160,17 +169,21 @@ int HMax(const Flags& flags) {
   return flags.GetInt("h-max", flags.GetInt("max-h", 4));
 }
 
-std::vector<VertexId> ParseIdList(const std::string& s) {
+/// Comma-separated decimal vertex ids, or nullopt when any token is empty,
+/// not a number, or beyond the 32-bit id range.
+std::optional<std::vector<VertexId>> ParseIdList(const std::string& s) {
   std::vector<VertexId> out;
   size_t pos = 0;
-  while (pos < s.size()) {
+  for (;;) {
     size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(
-        static_cast<VertexId>(std::atoi(s.substr(pos, comma - pos).c_str())));
+    const std::optional<VertexId> id =
+        ParseDecimal<VertexId>(s.substr(pos, comma - pos));
+    if (!id) return std::nullopt;
+    out.push_back(*id);
+    if (comma == s.size()) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 int CmdDecompose(const Flags& flags) {
@@ -339,11 +352,12 @@ int CmdColoring(const Flags& flags) {
 }
 
 int CmdCommunity(const Flags& flags) {
+  const std::optional<std::vector<VertexId>> parsed =
+      ParseIdList(flags.Get("query"));
+  if (!parsed) return Fail("--query must be a list of vertex ids v1,v2,...");
+  const std::vector<VertexId>& query = *parsed;
   Result<Graph> g = LoadInput(flags);
   if (!g.ok()) return Fail(g.status().ToString());
-  std::string q = flags.Get("query");
-  if (q.empty()) return Fail("--query=v1,v2,... required");
-  std::vector<VertexId> query = ParseIdList(q);
   for (VertexId v : query) {
     if (v >= g.value().num_vertices()) return Fail("query vertex out of range");
   }
@@ -416,7 +430,6 @@ int CmdServe(const Flags& flags) {
   HCoreIndexOptions opts;
   opts.max_h = HMax(flags);
   opts.base = CoreOptions(flags);
-  if (opts.max_h < 1) return Fail("--h-max must be >= 1");
 
   std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
               g.value().num_vertices(),
@@ -479,14 +492,18 @@ int CmdServe(const Flags& flags) {
         std::printf("error: usage community <h> <v1,v2,...>\n");
         continue;
       }
-      std::vector<VertexId> query = ParseIdList(ids);
-      bool valid = !query.empty();
-      for (VertexId v : query) valid &= (v < n);
+      const std::optional<std::vector<VertexId>> query = ParseIdList(ids);
+      if (!query) {
+        std::printf("error: usage community <h> <v1,v2,...>\n");
+        continue;
+      }
+      bool valid = true;
+      for (VertexId v : *query) valid &= (v < n);
       if (!valid) {
         std::printf("error: query vertex out of range\n");
         continue;
       }
-      CommunityResult r = view->Community(query, h);
+      CommunityResult r = view->Community(*query, h);
       if (!r.feasible) {
         std::printf("infeasible: query spans components\n");
         continue;
@@ -590,8 +607,7 @@ struct Command {
 
   bool Accepts(const std::string& flag) const {
     static const std::vector<std::string> kCoreFlags = {
-        "h",         "algo",     "algorithm", "threads",
-        "partition", "ordering", "parallel"};
+        "h", "algo", "algorithm", "threads", "partition", "ordering"};
     auto listed = [&flag](const std::vector<std::string>& list) {
       return std::find(list.begin(), list.end(), flag) != list.end();
     };
@@ -626,10 +642,21 @@ const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
       {"algo", {"auto", "bz", "lb", "lbub"}},
       {"algorithm", {"auto", "bz", "lb", "lbub"}},
       {"ordering", {"none", "auto", "degree", "bfs"}},
-      {"parallel", {"auto", "on", "off"}},
       {"solver", {"bb", "it"}},
   };
   return kValues;
+}
+
+/// Every flag read through Flags::GetInt, with the least value a command
+/// can run with: 1 for the distance thresholds, 0 for counts; any --seed.
+const std::map<std::string, int>& IntFlagMinimums() {
+  static const std::map<std::string, int> kMinimums = {
+      {"h", 1},         {"h-max", 1},       {"max-h", 1},
+      {"threads", 0},   {"partition", 0},   {"limit", 0},
+      {"max-nodes", 0}, {"print-limit", 0}, {"n", 0},
+      {"attach", 0},    {"k", 0},           {"seed", INT_MIN},
+  };
+  return kMinimums;
 }
 
 /// An error message for the first flag value no command can run with, or
@@ -648,7 +675,17 @@ std::string BadFlagValue(const Flags& flags) {
     return "unknown value '" + value + "' for --" + flag + " (expected " +
            expected + ")";
   }
-  if (flags.Has("h") && flags.GetInt("h", 0) < 1) return "--h must be >= 1";
+  for (const auto& [flag, minimum] : IntFlagMinimums()) {
+    if (!flags.Has(flag)) continue;
+    const std::string value = flags.Get(flag);
+    const std::optional<int> parsed = ParseDecimal<int>(value);
+    if (!parsed) {
+      return "--" + flag + " must be an integer, got '" + value + "'";
+    }
+    if (*parsed < minimum) {
+      return "--" + flag + " must be >= " + std::to_string(minimum);
+    }
+  }
   return "";
 }
 
