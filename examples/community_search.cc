@@ -2,8 +2,9 @@
 // connected community containing a set of query vertices.
 //
 // The decomposition is computed ONCE into an HCoreIndex; every query is
-// then served from the snapshot (DistanceCocktailPartyFromCores runs no
-// peeling of its own — only the downward component scan).
+// then served from the snapshot, which builds one core-component hierarchy
+// per level on first use and reads each answer off it (no peeling, no
+// component scan per query).
 
 #include <cstdio>
 
@@ -32,8 +33,7 @@ int main() {
   };
   for (int h = 1; h <= 2; ++h) {
     for (const auto& q : queries) {
-      hcore::CommunityResult r = hcore::DistanceCocktailPartyFromCores(
-          snap->graph(), q, h, snap->Cores(h));
+      hcore::CommunityResult r = snap->Community(q, h);
       std::printf("h=%d query={", h);
       for (size_t i = 0; i < q.size(); ++i) {
         std::printf("%s%u", i ? "," : "", q[i]);
@@ -46,8 +46,10 @@ int main() {
                   r.vertices.size(), r.min_h_degree, r.core_level);
     }
   }
-  std::printf("decompositions run: %llu (all queries shared them)\n",
+  std::printf("decompositions run: %llu, hierarchies built: %llu "
+              "(all queries shared them)\n",
               static_cast<unsigned long long>(
-                  index.stats().level_decompositions));
+                  index.stats().level_decompositions),
+              static_cast<unsigned long long>(snap->lazy_builds()));
   return 0;
 }

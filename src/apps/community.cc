@@ -1,10 +1,6 @@
 #include "apps/community.h"
 
-#include <algorithm>
-
-#include "engine/vertex_mask.h"
-#include "graph/connectivity.h"
-#include "traversal/bounded_bfs.h"
+#include "util/check.h"
 
 namespace hcore {
 
@@ -20,55 +16,36 @@ CommunityResult DistanceCocktailParty(const Graph& g,
 }
 
 CommunityResult DistanceCocktailPartyFromCores(
-    const Graph& g, const std::vector<VertexId>& query, int h,
+    const Graph& g, const std::vector<VertexId>& query, int /*h*/,
     const std::vector<uint32_t>& core) {
+  if (query.empty() || g.num_vertices() == 0) return {};
+  return CommunityFromHierarchy(BuildCoreHierarchy(g, core), query);
+}
+
+CommunityResult CommunityFromHierarchy(const CoreHierarchy& tree,
+                                       const std::vector<VertexId>& query) {
+  constexpr uint32_t kNone = CoreHierarchyNode::kNoParentSentinel;
   CommunityResult out;
-  const VertexId n = g.num_vertices();
-  if (query.empty() || n == 0) return out;
-  HCORE_CHECK(core.size() == n);
-  for (VertexId q : query) HCORE_CHECK(q < n);
+  if (query.empty()) return out;
+  for (VertexId q : query) HCORE_CHECK(q < tree.node_of.size());
 
-  // k can be at most the minimum core index over the query.
-  uint32_t k_hi = core[query.front()];
-  for (VertexId q : query) k_hi = std::min(k_hi, core[q]);
-
-  // Scan k downward until the query lies in one component of G[C_k]. The
-  // first such k is optimal (Appendix B). The alive view only grows as k
-  // drops, so the mask is extended incrementally (each vertex is revived
-  // exactly once across the whole scan) instead of refilled per level.
-  std::vector<std::vector<VertexId>> by_level(k_hi + 1);
-  VertexMask alive(n, false);
-  for (VertexId v = 0; v < n; ++v) {
-    if (core[v] >= k_hi) {
-      alive.Revive(v);
-    } else {
-      by_level[core[v]].push_back(v);
+  // Deepest common ancestor: a parent sits at a strictly lower level than
+  // its child, so stepping the deeper of two nodes up meets at the deepest
+  // node holding both. Reaching past a root means different components.
+  uint32_t common = tree.node_of[query.front()];
+  for (VertexId q : query) {
+    uint32_t other = tree.node_of[q];
+    while (common != other) {
+      uint32_t& deeper =
+          tree.nodes[common].level >= tree.nodes[other].level ? common : other;
+      deeper = tree.nodes[deeper].parent;
+      if (deeper == kNone) return out;
     }
   }
-  for (uint32_t k = k_hi;; --k) {
-    ConnectedComponents cc = ComputeConnectedComponents(g, alive);
-    const uint32_t target = cc.component[query.front()];
-    bool together = true;
-    for (VertexId q : query) together &= (cc.component[q] == target);
-    if (together) {
-      out.feasible = true;
-      out.core_level = k;
-      alive.ForEachAlive([&](VertexId v) {
-        if (cc.component[v] == target) out.vertices.push_back(v);
-      });
-      // Report the achieved objective on the returned component.
-      VertexMask member_mask(n, out.vertices);
-      BoundedBfs bfs(n);
-      uint32_t min_deg = static_cast<uint32_t>(out.vertices.size());
-      for (VertexId v : out.vertices) {
-        min_deg = std::min(min_deg, bfs.HDegree(g, member_mask, v, h));
-      }
-      out.min_h_degree = min_deg;
-      return out;
-    }
-    if (k == 0) break;  // disconnected even in C_0 = V: infeasible
-    for (VertexId v : by_level[k - 1]) alive.Revive(v);
-  }
+  out.feasible = true;
+  out.core_level = tree.nodes[common].level;
+  out.min_h_degree = out.core_level;
+  out.vertices = tree.ComponentVertices(common);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "core/hierarchy.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "engine/vertex_mask.h"
 #include "graph/connectivity.h"
@@ -49,11 +48,6 @@ class UnionFind {
   std::vector<uint32_t> size_;
 };
 
-struct LevelBucket {
-  std::vector<uint32_t> old_nodes;     // nodes merged into this component
-  std::vector<VertexId> new_vertices;  // vertices activated at this level
-};
-
 }  // namespace
 
 std::vector<VertexId> CoreHierarchy::ComponentVertices(uint32_t node) const {
@@ -73,117 +67,73 @@ std::vector<VertexId> CoreHierarchy::ComponentVertices(uint32_t node) const {
 
 CoreHierarchy BuildCoreHierarchy(const Graph& g,
                                  const std::vector<uint32_t>& core) {
+  constexpr uint32_t kNone = CoreHierarchyNode::kNoParentSentinel;
   const VertexId n = g.num_vertices();
   HCORE_CHECK(core.size() == n);
   CoreHierarchy out;
-  out.node_of.assign(n, CoreHierarchyNode::kNoParentSentinel);
+  out.node_of.assign(n, kNone);
   if (n == 0) return out;
 
   uint32_t max_level = 0;
   for (uint32_t c : core) max_level = std::max(max_level, c);
-  // Vertices grouped by core index.
+  // Vertices grouped by core index, ascending within a level.
   std::vector<std::vector<VertexId>> by_level(max_level + 1);
   for (VertexId v = 0; v < n; ++v) by_level[core[v]].push_back(v);
 
   UnionFind uf(n);
-  // comp_node[root vertex] = current hierarchy node of that component.
-  std::unordered_map<VertexId, uint32_t> comp_node;
+  // node_at_root[r]: the current node of the component whose union-find
+  // root is r; kNone once a merge at this level absorbs that node (or for
+  // vertices that have never been a root).
+  std::vector<uint32_t> node_at_root(n, kNone);
+  std::vector<uint32_t> absorbed;  // nodes merged into a node of this level
 
   for (uint32_t k = max_level;; --k) {
-    // Per-level buckets keyed by the (evolving) component root.
-    std::unordered_map<VertexId, LevelBucket> touched;
-
-    auto bucket_of = [&](VertexId root) -> LevelBucket& {
-      auto [it, inserted] = touched.try_emplace(root);
-      if (inserted) {
-        auto existing = comp_node.find(root);
-        if (existing != comp_node.end()) {
-          it->second.old_nodes.push_back(existing->second);
-        }
-      }
-      return it->second;
-    };
-
-    auto merge_buckets = [&](VertexId into, VertexId from) {
-      if (into == from) return;
-      LevelBucket& dst = bucket_of(into);
-      auto it = touched.find(from);
-      if (it == touched.end()) {
-        // `from` was an untouched old component: adopt its node.
-        auto existing = comp_node.find(from);
-        if (existing != comp_node.end()) {
-          dst.old_nodes.push_back(existing->second);
-          comp_node.erase(existing);
-        }
-        return;
-      }
-      dst.old_nodes.insert(dst.old_nodes.end(), it->second.old_nodes.begin(),
-                           it->second.old_nodes.end());
-      dst.new_vertices.insert(dst.new_vertices.end(),
-                              it->second.new_vertices.begin(),
-                              it->second.new_vertices.end());
-      touched.erase(it);
-    };
-
-    for (VertexId v : by_level[k]) {
-      uf.MakeSet(v);
-      bucket_of(v).new_vertices.push_back(v);
-    }
+    for (VertexId v : by_level[k]) uf.MakeSet(v);
+    // Every merge runs through a level-k vertex, since edges among deeper
+    // vertices were joined at their own levels. The first merge touching
+    // an older component absorbs its node.
     for (VertexId v : by_level[k]) {
       for (VertexId u : g.neighbors(v)) {
         if (!uf.Active(u)) continue;
-        VertexId rv = uf.Find(v);
-        VertexId ru = uf.Find(u);
-        if (rv == ru) continue;
-        VertexId rz = uf.Union(rv, ru);
-        VertexId other = (rz == rv) ? ru : rv;
-        // Fold the losing root's bucket/node into the surviving root.
-        if (touched.count(rz) == 0 && comp_node.count(rz) == 0) {
-          // The survivor had no state keyed yet (it may be a brand-new
-          // vertex set whose bucket is keyed by `other`); swap roles via
-          // explicit bucket creation.
-          bucket_of(rz);
+        const VertexId ru = uf.Find(u);
+        if (node_at_root[ru] != kNone) {
+          absorbed.push_back(node_at_root[ru]);
+          node_at_root[ru] = kNone;
         }
-        merge_buckets(rz, other);
-        comp_node.erase(other);
+        uf.Union(v, ru);
       }
     }
-
-    // Materialize one node per touched final component.
-    for (auto& [root, bucket] : touched) {
-      HCORE_CHECK(uf.Find(root) == root);
-      if (bucket.new_vertices.empty() && bucket.old_nodes.size() == 1) {
-        // Pure relabeling (cannot normally happen): keep the old node.
-        comp_node[root] = bucket.old_nodes.front();
-        continue;
+    // One node per component that gained level-k vertices, numbered in the
+    // order of its smallest new vertex. Every absorbed root was cleared, so
+    // a root without a node is exactly one that needs a node made here.
+    for (VertexId v : by_level[k]) {
+      uint32_t& id = node_at_root[uf.Find(v)];
+      if (id == kNone) {
+        id = static_cast<uint32_t>(out.nodes.size());
+        out.nodes.emplace_back();
+        out.nodes.back().level = k;
       }
-      const uint32_t id = static_cast<uint32_t>(out.nodes.size());
-      out.nodes.emplace_back();
-      CoreHierarchyNode& node = out.nodes.back();
-      node.level = k;
-      node.new_vertices = std::move(bucket.new_vertices);
-      node.children = std::move(bucket.old_nodes);
-      std::sort(node.children.begin(), node.children.end());
-      node.children.erase(
-          std::unique(node.children.begin(), node.children.end()),
-          node.children.end());
-      node.subtree_size = static_cast<uint32_t>(node.new_vertices.size());
-      for (uint32_t child : node.children) {
-        out.nodes[child].parent = id;
-        node.subtree_size += out.nodes[child].subtree_size;
-      }
-      for (VertexId v : node.new_vertices) out.node_of[v] = id;
-      comp_node[root] = id;
+      CoreHierarchyNode& node = out.nodes[id];
+      node.new_vertices.push_back(v);
+      ++node.subtree_size;
+      out.node_of[v] = id;
     }
+    // Every node holds a vertex, so its first new vertex finds the
+    // component it was merged into.
+    std::sort(absorbed.begin(), absorbed.end());
+    for (uint32_t child : absorbed) {
+      CoreHierarchyNode& node = out.nodes[child];
+      node.parent = node_at_root[uf.Find(node.new_vertices.front())];
+      out.nodes[node.parent].children.push_back(child);
+      out.nodes[node.parent].subtree_size += node.subtree_size;
+    }
+    absorbed.clear();
     if (k == 0) break;
   }
 
-  for ([[maybe_unused]] const auto& [root, node] : comp_node) {
-    if (out.nodes[node].parent == CoreHierarchyNode::kNoParentSentinel) {
-      out.roots.push_back(node);
-    }
+  for (uint32_t id = 0; id < out.nodes.size(); ++id) {
+    if (out.nodes[id].parent == kNone) out.roots.push_back(id);
   }
-  std::sort(out.roots.begin(), out.roots.end());
   return out;
 }
 

@@ -9,7 +9,8 @@
 // the connected components of C_0 = V.
 //
 // Construction runs one union-find sweep over vertices in decreasing core
-// order (O(n α(n) + m)) after the decomposition itself. NOTE: components
+// order (O(n α(n) + m)) after the decomposition itself, keeping only the
+// current node of each union-find root. NOTE: components
 // are measured with graph edges inside the core vertex set, which for
 // h-cores matches the paper's usage of "connected (k,h)-core" (e.g. the
 // cocktail-party application of Appendix B).
@@ -58,6 +59,9 @@ struct CoreHierarchy {
 
 /// Builds the hierarchy from a decomposition's core indexes. `core` must
 /// have one entry per vertex of `g` (as produced by KhCoreDecomposition).
+/// The output is deterministic: within a level, node ids follow each
+/// node's smallest new vertex, and deeper levels get smaller ids.
+/// `new_vertices`, `children` and `roots` are ascending.
 CoreHierarchy BuildCoreHierarchy(const Graph& g,
                                  const std::vector<uint32_t>& core);
 

@@ -94,7 +94,7 @@ std::vector<VertexId> HCoreSnapshot::CoreComponentOf(VertexId v, uint32_t k,
 
 CommunityResult HCoreSnapshot::Community(const std::vector<VertexId>& query,
                                          int h) const {
-  return DistanceCocktailPartyFromCores(*graph_, query, h, Cores(h));
+  return CommunityFromHierarchy(Hierarchy(h), query);
 }
 
 std::vector<HCoreSnapshot::LevelDensity> HCoreSnapshot::TopDensestLevels(

@@ -129,8 +129,9 @@ class HCoreSnapshot {
   /// (the batch left it unchanged; the vectors are physically shared).
   bool LevelReused(int h) const;
 
-  /// Core-component dendrogram at level h. Built lazily on first call and
-  /// cached for the lifetime of the snapshot.
+  /// Core-component dendrogram at level h. Built lazily on first call (one
+  /// O(n α(n) + m) sweep) and cached for the lifetime of the snapshot;
+  /// CoreComponentOf and Community read it.
   const CoreHierarchy& Hierarchy(int h) const;
 
   /// Vertices of the connected component of the (k,h)-core containing `v`
@@ -152,7 +153,9 @@ class HCoreSnapshot {
   std::vector<LevelDensity> TopDensestLevels(int h, size_t top_k) const;
 
   /// Distance-generalized cocktail-party community of `query` at threshold
-  /// h, computed from this epoch's level-h cores.
+  /// h, read off this epoch's cached Hierarchy(h) (CommunityFromHierarchy):
+  /// after the first build, a query costs its ancestor walk and the size of
+  /// the answer. Query ids must be valid vertices.
   CommunityResult Community(const std::vector<VertexId>& query, int h) const;
 
   /// Lazy artifacts materialized so far (for tests and serving telemetry).

@@ -87,6 +87,12 @@ TEST(CoreHierarchy, ConnectedCoreComponentsMatchesDefinition) {
   CoreHierarchy tree = BuildCoreHierarchy(g, core);
   ASSERT_EQ(tree.roots.size(), 1u);
   EXPECT_EQ(tree.nodes[tree.roots[0]].subtree_size, 9u);
+  // Ids are deterministic: the deeper level first, then by smallest new
+  // vertex, so the two K4s are nodes 0 and 1, in that order under the root.
+  EXPECT_EQ(tree.nodes[tree.roots[0]].children,
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(tree.nodes[0].new_vertices, (std::vector<VertexId>{0, 1, 2, 3}));
+  EXPECT_EQ(tree.nodes[1].new_vertices, (std::vector<VertexId>{5, 6, 7, 8}));
 }
 
 class HierarchyProperty
@@ -152,6 +158,23 @@ TEST_P(HierarchyProperty, ParentChildLevelsAndSizesAreConsistent) {
     EXPECT_EQ(node.subtree_size, size);
     EXPECT_EQ(tree.ComponentVertices(id).size(), node.subtree_size);
   }
+  // Ascending lists, and a second build is identical node for node.
+  CoreHierarchy again = BuildCoreHierarchy(g, FreshCores(g, h));
+  ASSERT_EQ(again.nodes.size(), tree.nodes.size());
+  for (uint32_t id = 0; id < tree.nodes.size(); ++id) {
+    const CoreHierarchyNode& node = tree.nodes[id];
+    EXPECT_TRUE(std::is_sorted(node.new_vertices.begin(),
+                               node.new_vertices.end()));
+    EXPECT_TRUE(std::is_sorted(node.children.begin(), node.children.end()));
+    const CoreHierarchyNode& twin = again.nodes[id];
+    EXPECT_EQ(twin.level, node.level) << "node " << id;
+    EXPECT_EQ(twin.parent, node.parent) << "node " << id;
+    EXPECT_EQ(twin.children, node.children) << "node " << id;
+    EXPECT_EQ(twin.new_vertices, node.new_vertices) << "node " << id;
+    EXPECT_EQ(twin.subtree_size, node.subtree_size) << "node " << id;
+  }
+  EXPECT_EQ(again.node_of, tree.node_of);
+  EXPECT_EQ(again.roots, tree.roots);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -403,6 +403,17 @@ TEST(HCoreIndex, ConcurrentReadersSeeConsistentEpochsDuringUpdates) {
       for (VertexId u : snap->CoreComponentOf(0, 1, 2)) {
         if (snap->CoreOf(u, 2) < 1) failed.store(true);
       }
+      // A one-vertex community is v's component at its own core level,
+      // read off the same lazily built, shared hierarchy at every h.
+      for (VertexId v = 0; v < n; v += 11) {
+        const int h = 1 + static_cast<int>(v % 3);
+        const uint32_t k = snap->CoreOf(v, h);
+        const CommunityResult c = snap->Community({v}, h);
+        if (!c.feasible || c.core_level != k || c.min_h_degree != k ||
+            c.vertices != snap->CoreComponentOf(v, k, h)) {
+          failed.store(true);
+        }
+      }
       (void)snap->TopDensestLevels(2, 3);
       if (snap->epoch() != epoch || snap->graph().num_edges() != edges) {
         failed.store(true);
