@@ -3,8 +3,7 @@
 //
 // The decomposition is computed ONCE into an HCoreIndex; every query is
 // then served from the snapshot, which builds one core-component hierarchy
-// per level on first use and reads each answer off it (no peeling, no
-// component scan per query).
+// per level on first use and reads each answer off it.
 
 #include <cstdio>
 

@@ -10,10 +10,10 @@
 //
 // Construction runs one union-find sweep over vertices in decreasing core
 // order (O(n α(n) + m)) after the decomposition itself, keeping only the
-// current node of each union-find root. NOTE: components
-// are measured with graph edges inside the core vertex set, which for
-// h-cores matches the paper's usage of "connected (k,h)-core" (e.g. the
-// cocktail-party application of Appendix B).
+// current node of each union-find root. NOTE: components are measured with
+// graph edges inside the core vertex set, which for h-cores matches the
+// paper's usage of "connected (k,h)-core" (e.g. the cocktail-party
+// application of Appendix B).
 
 #ifndef HCORE_CORE_HIERARCHY_H_
 #define HCORE_CORE_HIERARCHY_H_
