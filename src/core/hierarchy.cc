@@ -32,15 +32,14 @@ class UnionFind {
     return root;
   }
 
-  /// Unions the sets of a and b; returns the surviving root.
-  VertexId Union(VertexId a, VertexId b) {
+  /// Unions the sets of a and b.
+  void Union(VertexId a, VertexId b) {
     VertexId ra = Find(a);
     VertexId rb = Find(b);
-    if (ra == rb) return ra;
+    if (ra == rb) return;
     if (size_[ra] < size_[rb]) std::swap(ra, rb);
     parent_[rb] = ra;
     size_[ra] += size_[rb];
-    return ra;
   }
 
  private:
