@@ -90,8 +90,8 @@ struct KhCoreOptions {
   /// roughly 16 partitions; otherwise must be >= 1.
   int partition_size = 0;
   /// Worker threads for h-degree batches (§4.6). 1 = sequential. The peel
-  /// loop stays sequential at any value; HCoreIndex also sizes its
-  /// per-level fan-out from it.
+  /// loop, and HCoreIndex's per-level write loop, stay sequential at any
+  /// value; results and Table-3 counters do not depend on it.
   int num_threads = 1;
   /// Benchmark compat (see ParallelPeelMode): accepted and ignored.
   ParallelPeelMode parallel = ParallelPeelMode::kAuto;

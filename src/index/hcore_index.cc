@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "core/spectrum.h"
 #include "graph/ordering.h"
 
 namespace hcore {
@@ -161,15 +162,19 @@ HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
   HCORE_CHECK(options_.base.extra_lower_bound == nullptr);
   HCORE_CHECK(options_.base.extra_upper_bound == nullptr);
   auto graph = std::make_shared<const Graph>(std::move(g));
-  // The object is not shared yet, but the analysis (rightly) has no notion
-  // of "not shared yet" — claim the capabilities the accessed members name.
-  writer_.Assume();
-  HCoreIndexStats boot;
-  std::vector<HCoreSnapshot::Level> levels =
-      DecomposeAll(*graph, /*prev=*/nullptr, /*pure_insert=*/false,
-                   /*pure_delete=*/false, /*effective=*/{}, &boot);
+  SpectrumOptions spectrum_options;
+  spectrum_options.max_h = options_.max_h;
+  spectrum_options.base = options_.base;
+  SpectrumResult spectrum = KhCoreSpectrum(*graph, spectrum_options);
+  std::vector<HCoreSnapshot::Level> levels(options_.max_h);
+  for (int h = 1; h <= options_.max_h; ++h) {
+    levels[h - 1].core = std::make_shared<const std::vector<uint32_t>>(
+        std::move(spectrum.core[h - 1]));
+    levels[h - 1].degeneracy = spectrum.degeneracy[h - 1];
+  }
   MutexLock lock(mu_);
-  stats_.Add(boot);
+  stats_.level_decompositions = options_.max_h;
+  stats_.decomposition = spectrum.stats;
   snap_.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
                                 /*epoch=*/0));
 }
@@ -180,10 +185,9 @@ std::shared_ptr<const HCoreSnapshot> HCoreIndex::snapshot() const {
 }
 
 std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
-    const Graph& g, const HCoreSnapshot* prev, bool pure_insert,
+    const Graph& g, const HCoreSnapshot& prev, bool pure_insert,
     bool pure_delete, std::span<const EdgeEdit> effective,
     HCoreIndexStats* stats) {
-  const VertexId n = g.num_vertices();
   // Localized maintenance applies to batches small enough for a joint
   // candidate region (core/incremental.h); each level falls back to the
   // whole-graph warm start independently when its region overflows. Pure
@@ -191,9 +195,8 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
   // cascade and the insert region re-peel through the intermediate graph
   // (prev + deletes) — canonical effective edits are per-edge disjoint, so
   // the sequential composition equals the joint batch.
-  const bool try_localized =
-      prev != nullptr && options_.localized.enable && !effective.empty() &&
-      effective.size() <= options_.localized.max_batch;
+  const bool try_localized = options_.localized.enable && !effective.empty() &&
+                             effective.size() <= options_.localized.max_batch;
   const bool mixed = !pure_insert && !pure_delete;
   Graph g_mid;  // mixed-chain intermediate: prev graph with deletes applied
   std::vector<EdgeEdit> chain_deletes, chain_inserts;
@@ -201,7 +204,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     for (const EdgeEdit& e : effective) {
       (e.insert ? chain_inserts : chain_deletes).push_back(e);
     }
-    g_mid = prev->graph().ApplyCanonicalEdits(chain_deletes);
+    g_mid = prev.graph().ApplyCanonicalEdits(chain_deletes);
   }
   // Resolve the cache-locality relabeling ONCE per epoch — and lazily, on
   // the first level that actually re-peels the whole graph: every level
@@ -225,94 +228,50 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       peel = &relabeled;
     }
   };
-  // Phase A: localized attempts. Dirty levels are independent of each other
-  // (only the warm FALLBACK consumes the spectrum chain, where level h - 1
-  // of this epoch seeds level h), so with two or more workers the attempts
-  // fan out over the index-owned pool on per-level single-threaded updaters
-  // — the write path's parallelism is this level fan-out; each region peel
-  // is sequential. Outcomes merge deterministically in the loop below, so
-  // results are identical to the serial loop.
-  struct LocalizedOutcome {
-    bool ok = false;
-    std::vector<uint32_t> core;
-    LocalizedUpdateStats ls;
-  };
-  std::vector<LocalizedOutcome> outcomes;
-  if (try_localized) {
-    outcomes.resize(options_.max_h);
-    auto attempt = [&](LocalizedUpdater& updater, int h,
-                       LocalizedOutcome& out) {
-      out.core = *prev->levels_[h - 1].core;
-      if (!mixed) {
-        out.ok = updater.UpdateLevel(prev->graph(), g, effective, pure_insert,
-                                     h, &out.core, options_.localized,
-                                     &out.ls);
-        return;
-      }
-      // Mixed chain: deletes against prev -> g_mid, then inserts against
-      // g_mid -> g; either phase overflowing rejects the whole attempt and
-      // the level falls back warm. Stats accumulate across both phases.
-      out.ok = updater.UpdateLevel(prev->graph(), g_mid, chain_deletes,
-                                   /*inserts=*/false, h, &out.core,
-                                   options_.localized, &out.ls);
-      if (!out.ok) return;
-      LocalizedUpdateStats insert_ls;
-      out.ok = updater.UpdateLevel(g_mid, g, chain_inserts, /*inserts=*/true,
-                                   h, &out.core, options_.localized,
-                                   &insert_ls);
-      out.ls.Add(insert_ls);
-    };
-    const int fan =
-        std::min(options_.max_h, std::max(1, options_.base.num_threads));
-    if (fan > 1) {
-      if (level_pool_ == nullptr) {
-        level_pool_ = std::make_unique<ThreadPool>(fan);
-        for (int h = 1; h <= options_.max_h; ++h) {
-          level_updaters_.push_back(std::make_unique<LocalizedUpdater>(1));
-        }
-      }
-      TaskGroup group(level_pool_.get());
-      for (int h = 1; h <= options_.max_h; ++h) {
-        // Hoist the per-level updater/outcome out of the guarded containers
-        // on the coordinator (which holds the writer role): the worker-side
-        // lambda is analyzed as an unannotated function and must not touch
-        // GUARDED_BY members — and indeed must not, since workers are not
-        // the writer. Each task owns its hoisted pointers exclusively until
-        // group.Wait().
-        LocalizedUpdater* updater = level_updaters_[h - 1].get();
-        LocalizedOutcome* out = &outcomes[h - 1];
-        group.Run([&attempt, updater, h, out] { attempt(*updater, h, *out); });
-      }
-      group.Wait();
-    } else {
-      for (int h = 1; h <= options_.max_h; ++h) {
-        attempt(updater_, h, outcomes[h - 1]);
-      }
-    }
-  }
 
-  // Phase B: merge outcomes in level order; levels whose attempt failed (or
-  // with no attempt at all) take the warm whole-graph fallback.
   std::vector<HCoreSnapshot::Level> levels(options_.max_h);
   const std::vector<uint32_t>* prev_level = nullptr;  // this epoch, h - 1
   std::vector<uint32_t> lower;
   for (int h = 1; h <= options_.max_h; ++h) {
-    const std::vector<uint32_t>* old_core =
-        prev != nullptr ? prev->levels_[h - 1].core.get() : nullptr;
+    const std::vector<uint32_t>& old_core = *prev.levels_[h - 1].core;
     HCoreSnapshot::Level& level = levels[h - 1];
     std::vector<uint32_t> core;
-    if (try_localized && outcomes[h - 1].ok) {
-      LocalizedOutcome& out = outcomes[h - 1];
-      ++stats->localized_updates;
-      stats->decomposition.visited_vertices += out.ls.visited;
-      stats->decomposition.hdegree_computations += out.ls.hdegree_computations;
-      stats->decomposition.decrement_updates += out.ls.decrement_updates;
-      uint32_t degeneracy = 0;
-      for (const uint32_t c : out.core) degeneracy = std::max(degeneracy, c);
-      level.degeneracy = degeneracy;
-      core = std::move(out.core);
-    } else {
-      if (prev != nullptr) ++stats->fallback_repeels;
+    bool localized = false;
+    if (try_localized) {
+      core = old_core;
+      LocalizedUpdateStats ls;
+      if (!mixed) {
+        localized = updater_.UpdateLevel(prev.graph(), g, effective,
+                                         pure_insert, h, &core,
+                                         options_.localized, &ls);
+      } else {
+        // Mixed chain: deletes against prev -> g_mid, then inserts against
+        // g_mid -> g; either phase overflowing rejects the whole attempt
+        // and the level falls back warm. Stats accumulate across both
+        // phases.
+        localized = updater_.UpdateLevel(prev.graph(), g_mid, chain_deletes,
+                                         /*inserts=*/false, h, &core,
+                                         options_.localized, &ls);
+        if (localized) {
+          LocalizedUpdateStats insert_ls;
+          localized = updater_.UpdateLevel(g_mid, g, chain_inserts,
+                                           /*inserts=*/true, h, &core,
+                                           options_.localized, &insert_ls);
+          ls.Add(insert_ls);
+        }
+      }
+      if (localized) {
+        ++stats->localized_updates;
+        stats->decomposition.visited_vertices += ls.visited;
+        stats->decomposition.hdegree_computations += ls.hdegree_computations;
+        stats->decomposition.decrement_updates += ls.decrement_updates;
+        for (const uint32_t c : core) {
+          level.degeneracy = std::max(level.degeneracy, c);
+        }
+      }
+    }
+    if (!localized) {
+      ++stats->fallback_repeels;
       resolve_order();
       KhCoreOptions opts = options_.base;
       opts.h = h;
@@ -326,14 +285,10 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
         //    cores would be upper bounds, but forcing h-LB+UB to consume
         //    them measured slower than the chain-seeded h-LB (see
         //    KhCoreOptions::extra_upper_bound).
-        lower.assign(n, 0);
-        if (prev_level != nullptr) {
-          std::copy(prev_level->begin(), prev_level->end(), lower.begin());
-        }
-        if (pure_insert && old_core != nullptr) {
-          const size_t limit = std::min<size_t>(old_core->size(), n);
-          for (size_t v = 0; v < limit; ++v) {
-            lower[v] = std::max(lower[v], (*old_core)[v]);
+        lower = *prev_level;
+        if (pure_insert) {
+          for (size_t v = 0; v < old_core.size(); ++v) {
+            lower[v] = std::max(lower[v], old_core[v]);
           }
         }
         if (!order.empty()) lower = GatherByPermutation(lower, order);
@@ -348,9 +303,9 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     }
     // Reuse is decided on the exact vector for both paths: the mixed
     // localized chain can report phase-local changes that cancel out.
-    if (old_core != nullptr && *old_core == core) {
+    if (old_core == core) {
       // Dirty flag stayed clean: share the previous epoch's vector.
-      level.core = prev->levels_[h - 1].core;
+      level.core = prev.levels_[h - 1].core;
       level.reused = true;
       ++stats->levels_unchanged;
     } else {
@@ -421,7 +376,7 @@ void HCoreIndex::CommitGroup(std::span<PendingWrite* const> group) {
     // Purity is judged on the EFFECTIVE edits: a no-op edit of the opposite
     // kind (e.g. deleting an absent edge) must not disable the warm start.
     std::vector<HCoreSnapshot::Level> levels =
-        DecomposeAll(*graph, prev.get(), /*pure_insert=*/summary.deletes == 0,
+        DecomposeAll(*graph, *prev, /*pure_insert=*/summary.deletes == 0,
                      /*pure_delete=*/summary.inserts == 0, effective, &delta);
     next.reset(new HCoreSnapshot(std::move(graph), std::move(levels),
                                  prev->epoch() + 1));

@@ -13,10 +13,10 @@
 //     per level, on first query — never eagerly at update time;
 //   * the localized level repair of core/incremental.* drives ApplyBatch,
 //     which merges a whole batch of edits into ONE copy-on-write CSR
-//     splice plus one repair per h level — localized where the candidate
-//     region stays small, else a warm-started whole-graph
-//     re-decomposition. This is the one write front door: every edge
-//     update, single or batched, goes through it.
+//     splice plus one repair per h level, run level by level in a single
+//     loop — localized where the candidate region stays small, else a
+//     warm-started whole-graph re-decomposition. This is the one write
+//     front door: every edge update, single or batched, goes through it.
 //
 // Concurrency model: readers call snapshot() and query the returned
 // HCoreSnapshot for as long as they like; snapshots are immutable (lazy
@@ -29,7 +29,9 @@
 // concatenated batch (arrival order preserved, so last-edit-wins holds
 // across writers) as ONE epoch, and wakes every coalesced writer with its
 // own attributed effective-edit count. A lone writer gets exactly one
-// epoch per effective batch.
+// epoch per effective batch. The leader repairs the levels serially;
+// KhCoreOptions::num_threads only parallelizes the h-degree batches inside
+// each repair (paper §4.6), so results and counters do not depend on it.
 //
 // Dirty flags: after a batch, levels whose core vector came out identical
 // to the previous epoch share the old vector (pointer equality, see
@@ -52,7 +54,6 @@
 #include "graph/graph.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace hcore {
 
@@ -210,8 +211,8 @@ class HCoreSnapshot {
 /// immutable snapshots, and advances epochs under batched edge updates.
 class HCoreIndex {
  public:
-  /// Decomposes `g` for every h in [1, options.max_h] (warm-start sweep)
-  /// and publishes epoch 0.
+  /// Decomposes `g` for every h in [1, options.max_h] with KhCoreSpectrum
+  /// (the warm-start sweep) and publishes epoch 0.
   explicit HCoreIndex(Graph g, const HCoreIndexOptions& options = {});
 
   int max_h() const { return options_.max_h; }
@@ -221,8 +222,8 @@ class HCoreIndex {
   std::shared_ptr<const HCoreSnapshot> snapshot() const EXCLUDES(mu_);
 
   /// Applies a batch of edge edits: ONE copy-on-write page splice via
-  /// Graph::ApplyCanonicalEdits (O(touched pages)), then per level either a
-  /// LOCALIZED repair (batches up to options.localized.max_batch effective
+  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to
+  /// max_h on the writer's thread, either a LOCALIZED repair (batches up to options.localized.max_batch effective
   /// edits whose candidate region fits the cap — see core/incremental.h; pure
   /// batches run one region pass, mixed batches chain the delete cascade
   /// and the insert region re-peel through the intermediate graph) or a
@@ -269,16 +270,18 @@ class HCoreIndex {
   void CommitGroup(std::span<PendingWrite* const> group) REQUIRES(writer_)
       EXCLUDES(mu_);
 
+  /// Advances every level from `prev` to the spliced graph `g`, one level
+  /// at a time: the localized repair on `updater_`, else the warm
+  /// whole-graph fallback.
   std::vector<HCoreSnapshot::Level> DecomposeAll(
-      const Graph& g, const HCoreSnapshot* prev, bool pure_insert,
+      const Graph& g, const HCoreSnapshot& prev, bool pure_insert,
       bool pure_delete, std::span<const EdgeEdit> effective,
       HCoreIndexStats* stats) REQUIRES(writer_);
 
   HCoreIndexOptions options_;
   // Group commit: queued writers and the leader-election flag. The flag is
-  // the one writer lock: the elected leader (and the constructor, before
-  // the object is shared) claims `writer_`, the role that owns the write
-  // path's state below.
+  // the one writer lock: the elected leader claims `writer_`, the role that
+  // owns the write path's state below.
   Mutex commit_mu_;
   CondVar commit_cv_;
   std::vector<PendingWrite*> commit_queue_ GUARDED_BY(commit_mu_);
@@ -287,15 +290,9 @@ class HCoreIndex {
   mutable Mutex mu_;       // guards snap_ swap and stats_
   std::shared_ptr<const HCoreSnapshot> snap_ GUARDED_BY(mu_);
   HCoreIndexStats stats_ GUARDED_BY(mu_);
-  // Writer-only scratch.
+  // Writer-only scratch: every localized attempt runs on it, and its
+  // h-degree batches use base.num_threads.
   LocalizedUpdater updater_ GUARDED_BY(writer_);
-  // Concurrent dirty-level machinery (writer-only; both lazy — serial
-  // indexes never pay for them). The pool is index-owned: fanning out on a
-  // pool shared with another component could deadlock (every shared worker
-  // blocked in a Wait while the level tasks queue behind them).
-  std::unique_ptr<ThreadPool> level_pool_ GUARDED_BY(writer_);
-  std::vector<std::unique_ptr<LocalizedUpdater>> level_updaters_
-      GUARDED_BY(writer_);
 };
 
 }  // namespace hcore

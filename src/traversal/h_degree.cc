@@ -62,7 +62,7 @@ void HDegreeComputer::ComputeBatch(const Graph& g, const VertexMask& alive,
     // Materialize on the dispatching thread: slot t is then touched only by
     // worker t, keeping lazy construction off the shared path.
     BoundedBfs* bfs = &Scratch(t);
-    pool_->Submit([&, bfs, cursor, grain] {
+    pool_->Submit([&g, &alive, h, batch, out, bfs, cursor, grain] {
       for (;;) {
         size_t lo = cursor->fetch_add(grain);
         if (lo >= batch.size()) return;

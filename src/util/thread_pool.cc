@@ -1,7 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 #include "util/mutex.h"
 
@@ -55,67 +55,6 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
   while (!tasks_.empty() || active_ != 0) done_cv_.Wait(lock);
-}
-
-void ThreadPool::ParallelFor(uint64_t begin, uint64_t end, uint64_t grain,
-                             const std::function<void(uint64_t)>& body) {
-  if (begin >= end) return;
-  grain = std::max<uint64_t>(1, grain);
-  const uint64_t total = end - begin;
-  const int workers = num_threads();
-  if (workers <= 1 || total <= grain) {
-    for (uint64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  auto cursor = std::make_shared<std::atomic<uint64_t>>(begin);
-  const int launched = static_cast<int>(
-      std::min<uint64_t>(workers, (total + grain - 1) / grain));
-  for (int t = 0; t < launched; ++t) {
-    Submit([cursor, end, grain, &body] {
-      for (;;) {
-        uint64_t lo = cursor->fetch_add(grain);
-        if (lo >= end) return;
-        uint64_t hi = std::min(end, lo + grain);
-        for (uint64_t i = lo; i < hi; ++i) body(i);
-      }
-    });
-  }
-  Wait();
-}
-
-void TaskGroup::Run(std::function<void()> task) {
-  if (pool_ == nullptr) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    Finish();
-  });
-}
-
-void TaskGroup::Finish() {
-  MutexLock lock(mu_);
-  if (--pending_ == 0) done_cv_.NotifyAll();
-}
-
-void TaskGroup::Wait() {
-  MutexLock lock(mu_);
-  while (pending_ != 0) done_cv_.Wait(lock);
-}
-
-void MaybeParallelFor(ThreadPool* pool, uint64_t begin, uint64_t end,
-                      uint64_t grain,
-                      const std::function<void(uint64_t)>& body) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (uint64_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  pool->ParallelFor(begin, end, grain, body);
 }
 
 }  // namespace hcore

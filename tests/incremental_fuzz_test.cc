@@ -11,6 +11,7 @@
 #include "core/incremental.h"
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <utility>
@@ -104,8 +105,9 @@ TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
 TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
   // Mixed edit sequences on a 4-thread index: the tiny region cap pushes
   // most updates onto the warm whole-graph fallback, whose h-degree batches
-  // and per-level fan-out then run threaded. Every step must match a fresh
-  // 1-thread decomposition. The TSan CI leg runs this suite.
+  // then run threaded (the levels themselves are repaired one after
+  // another). Every step must match a fresh 1-thread decomposition. The
+  // TSan CI leg runs this suite.
   KhCoreOptions par;
   par.num_threads = 4;
   LocalizedUpdateOptions tiny;
@@ -269,40 +271,65 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
   EXPECT_GT(total_fallback, 0u);
 }
 
-TEST(IndexFuzz, ConcurrentDirtyLevelsMatchFreshAndCountersBalance) {
-  // Concurrent per-level maintenance: dirty-level localized attempts fan
-  // out over the index-owned pool (base.num_threads > 1).
-  // Results and counters must be exactly those of the serial merge — the
-  // Phase A attempts are independent, only their fan-out is concurrent.
+/// Every HCoreIndexStats counter except the wall-clock `seconds` and
+/// `bound_seconds`, so two indexes' stats can be compared in one assertion.
+std::vector<uint64_t> CountersWithoutTime(const HCoreIndexStats& s) {
+  const KhCoreStats& d = s.decomposition;
+  return {s.csr_rebuilds,         s.batches_applied,    s.edits_applied,
+          s.edits_rejected,       s.pages_shared,       s.pages_copied,
+          s.level_decompositions, s.levels_unchanged,   s.localized_updates,
+          s.fallback_repeels,     d.visited_vertices,   d.hdegree_computations,
+          d.decrement_updates,    d.pops,               d.partitions};
+}
+
+TEST(IndexFuzz, ThreadCountsMatchFreshAndAgreeOnCounters) {
+  // The write path is one serial loop over levels; num_threads only
+  // parallelizes the h-degree batches inside each repair. Replaying the
+  // same batches on indexes with 1, 2 and 4 threads must give fresh-exact
+  // cores and the same counters, so the thread count changes only speed.
   constexpr int kMaxH = 3;
+  constexpr int kThreads[] = {1, 2, 4};
   uint64_t total_localized = 0;
   uint64_t total_fallback = 0;
   for (const RandomGraphSpec& spec : Corpus(40, 3)) {
-    HCoreIndexOptions iopts = IndexOptions(kMaxH);
-    iopts.base.num_threads = 4;
-    iopts.localized.max_region_fraction = 0.3;
-    iopts.localized.min_region_cap = 8;
-    iopts.localized.max_batch = 4;
-    HCoreIndex index(MakeRandomGraph(spec), iopts);
+    std::vector<std::unique_ptr<HCoreIndex>> indexes;
+    for (int threads : kThreads) {
+      HCoreIndexOptions iopts = IndexOptions(kMaxH);
+      iopts.base.num_threads = threads;
+      iopts.localized.max_region_fraction = 0.3;
+      iopts.localized.min_region_cap = 8;
+      iopts.localized.max_batch = 4;
+      indexes.push_back(
+          std::make_unique<HCoreIndex>(MakeRandomGraph(spec), iopts));
+    }
     Rng rng(spec.seed * 1171 + 29);
     for (int round = 0; round < 6; ++round) {
       const int size = 1 + static_cast<int>(rng.NextIndex(6));
       const int kind = round % 3;
-      const HCoreIndexStats before = index.stats();
-      auto batch = RandomBatch(index.snapshot()->graph(), &rng,
+      const HCoreIndexStats before = indexes[0]->stats();
+      auto batch = RandomBatch(indexes[0]->snapshot()->graph(), &rng,
                                kind == 1 ? 0 : size, kind == 0 ? 0 : size);
-      const size_t applied = index.ApplyBatch(batch);
-      const HCoreIndexStats after = index.stats();
+      std::vector<size_t> applied;
+      for (auto& index : indexes) applied.push_back(index->ApplyBatch(batch));
+      const HCoreIndexStats after = indexes[0]->stats();
       const uint64_t loc = after.localized_updates - before.localized_updates;
       const uint64_t fb = after.fallback_repeels - before.fallback_repeels;
-      ASSERT_EQ(loc + fb, applied > 0 ? static_cast<uint64_t>(kMaxH) : 0u)
+      ASSERT_EQ(loc + fb, applied[0] > 0 ? static_cast<uint64_t>(kMaxH) : 0u)
           << spec.Name() << " round=" << round;
       total_localized += loc;
       total_fallback += fb;
-      auto snap = index.snapshot();
-      for (int h = 1; h <= kMaxH; ++h) {
-        ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
-            << spec.Name() << " round=" << round << " h=" << h;
+      for (size_t i = 0; i < indexes.size(); ++i) {
+        ASSERT_EQ(applied[i], applied[0])
+            << spec.Name() << " round=" << round << " threads=" << kThreads[i];
+        ASSERT_EQ(CountersWithoutTime(indexes[i]->stats()),
+                  CountersWithoutTime(after))
+            << spec.Name() << " round=" << round << " threads=" << kThreads[i];
+        auto snap = indexes[i]->snapshot();
+        for (int h = 1; h <= kMaxH; ++h) {
+          ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
+              << spec.Name() << " round=" << round << " h=" << h
+              << " threads=" << kThreads[i];
+        }
       }
     }
   }

@@ -157,34 +157,12 @@ TEST(RngTest, ShuffleIsAPermutation) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(sorted[i], i);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, 1000, 16, [&](uint64_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.ParallelFor(5, 5, 8, [&](uint64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 0);
-  pool.ParallelFor(0, 3, 8, [&](uint64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ThreadPoolTest, SubmitAndWait) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) pool.Submit([&] { done.fetch_add(1); });
+  for (int i = 0; i < 32; ++i) pool.Submit([&done] { done.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPoolTest, MaybeParallelForSequentialFallback) {
-  std::vector<int> hits(100, 0);
-  MaybeParallelFor(nullptr, 0, 100, 10, [&](uint64_t i) { ++hits[i]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(StatusTest, OkAndErrors) {
