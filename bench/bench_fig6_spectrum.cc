@@ -9,11 +9,10 @@
 // 1, mass away from the diagonal; vertices with low h=1 index can climb to
 // very high h=3..5 indexes).
 
-#include <cmath>
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/kh_core.h"
+#include "core/spectrum.h"
 
 int main(int argc, char** argv) {
   using namespace hcore;
@@ -24,45 +23,28 @@ int main(int argc, char** argv) {
   std::printf("n=%u m=%llu\n", n,
               static_cast<unsigned long long>(d.graph.num_edges()));
 
-  auto normalized = [&](int h) {
-    KhCoreOptions opts;
-    opts.h = h;
-    opts.num_threads = bench::EffectiveThreads(args);
-    KhCoreResult r = KhCoreDecomposition(d.graph, opts);
-    std::vector<double> x(n);
-    for (VertexId v = 0; v < n; ++v) {
-      x[v] = r.degeneracy ? static_cast<double>(r.core[v]) / r.degeneracy : 0;
-    }
-    return x;
+  SpectrumOptions opts;
+  opts.max_h = 5;
+  opts.base.num_threads = bench::EffectiveThreads(args);
+  const SpectrumResult spectrum = KhCoreSpectrum(d.graph, opts);
+
+  // Normalized index core_h(v) / Ĉ_h binned into quartiles.
+  auto quart = [&](int h, VertexId v) {
+    const uint32_t degeneracy = spectrum.degeneracy[h - 1];
+    const double x =
+        degeneracy ? static_cast<double>(spectrum.core[h - 1][v]) / degeneracy
+                   : 0;
+    int q = static_cast<int>(x * 4.0 - 1e-12);
+    return q < 0 ? 0 : (q > 3 ? 3 : q);
   };
-
-  std::vector<double> base = normalized(1);
   for (int h = 2; h <= 5; ++h) {
-    std::vector<double> other = normalized(h);
-    // Pearson correlation.
-    double mx = 0, my = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      mx += base[v];
-      my += other[v];
-    }
-    mx /= n;
-    my /= n;
-    double sxy = 0, sxx = 0, syy = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      sxy += (base[v] - mx) * (other[v] - my);
-      sxx += (base[v] - mx) * (base[v] - mx);
-      syy += (other[v] - my) * (other[v] - my);
-    }
-    double corr = (sxx > 0 && syy > 0) ? sxy / std::sqrt(sxx * syy) : 0.0;
-
     uint32_t joint[4][4] = {};
-    auto quart = [](double x) {
-      int q = static_cast<int>(x * 4.0 - 1e-12);
-      return q < 0 ? 0 : (q > 3 ? 3 : q);
-    };
-    for (VertexId v = 0; v < n; ++v) ++joint[quart(base[v])][quart(other[v])];
+    for (VertexId v = 0; v < n; ++v) ++joint[quart(1, v)][quart(h, v)];
 
-    std::printf("\nh=1 vs h=%d: Pearson corr = %.3f\n", h, corr);
+    // Pearson correlation is scale-invariant: the raw core indexes give the
+    // same value as the normalized ones.
+    std::printf("\nh=1 vs h=%d: Pearson corr = %.3f\n", h,
+                spectrum.LevelCorrelation(1, h));
     std::printf("joint quartile histogram (rows: h=1 low->high, cols: h=%d):\n",
                 h);
     for (int r = 0; r < 4; ++r) {

@@ -54,7 +54,7 @@ enum class UpperBoundMode {
 /// Vertex relabeling applied before peeling (cache-locality pass). The
 /// decomposition runs on a relabeled copy whose hot h-bounded BFS walks
 /// near-sequential memory, and core indexes are mapped back to the caller's
-/// ids by the engine — results are identical for every mode.
+/// ids by KhCoreDecomposition — results are identical for every mode.
 enum class VertexOrdering {
   kNone,              ///< Peel the graph as given.
   /// Locality heuristic: relabel by kBfs iff the mean |v - neighbor| id gap
@@ -185,9 +185,9 @@ std::vector<uint32_t> BruteForceKhCore(const Graph& g, int h);
 
 /// Resolves a VertexOrdering for `g` to a concrete permutation
 /// (new-id -> old-id), or empty for "peel the graph as given". kAuto applies
-/// the locality heuristic here (one gap-sampling pass). Exposed so callers
-/// that decompose the same graph repeatedly (e.g. the multi-level
-/// HCoreIndex) can resolve and relabel once instead of once per run.
+/// the locality heuristic here (one gap-sampling pass). KhCoreDecomposition
+/// is the only library caller; the declaration is public so tests can check
+/// which graphs kAuto relabels.
 std::vector<VertexId> ResolveVertexOrdering(const Graph& g,
                                             VertexOrdering ordering);
 

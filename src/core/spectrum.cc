@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/ordering.h"
-
 namespace hcore {
 
 std::vector<uint32_t> SpectrumResult::VertexSpectrum(VertexId v) const {
@@ -55,46 +53,26 @@ double SpectrumResult::LevelCorrelation(int h_a, int h_b) const {
 
 SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options) {
   HCORE_CHECK(options.max_h >= 1);
-  // Bound pointers are managed per level by the sweep itself; a
-  // caller-supplied one would be ignored (lower) or id-inconsistent with
-  // the relabeled peel (upper).
+  // The sweep sets the lower bound per level itself. An upper bound holds
+  // only at the h it was computed for: core_h grows with h, so it cannot
+  // bound the larger levels.
   HCORE_CHECK(options.base.extra_lower_bound == nullptr);
   HCORE_CHECK(options.base.extra_upper_bound == nullptr);
   SpectrumResult out;
   out.core.reserve(options.max_h);
   out.degeneracy.reserve(options.max_h);
-
-  // Resolve the cache-locality relabeling ONCE for the whole sweep: every
-  // level peels the same graph, so per-level resolution inside
-  // KhCoreDecomposition would redo the identical gap sampling + relabel
-  // max_h times. The sweep runs entirely in relabeled ids and maps every
-  // level back at the end.
-  const std::vector<VertexId> order =
-      ResolveVertexOrdering(g, options.base.ordering);
-  Graph relabeled;
-  const Graph* peel = &g;
-  if (!order.empty()) {
-    relabeled = g.Relabeled(order);
-    peel = &relabeled;
-  }
-
   const std::vector<uint32_t>* previous = nullptr;
   for (int h = 1; h <= options.max_h; ++h) {
     KhCoreOptions opts = options.base;
     opts.h = h;
-    opts.ordering = VertexOrdering::kNone;  // resolved above, once
     // core_h is monotone non-decreasing in h, so the previous level is a
     // valid lower bound for this one.
     opts.extra_lower_bound = previous;
-    KhCoreResult level = KhCoreDecomposition(*peel, opts);
+    KhCoreResult level = KhCoreDecomposition(g, opts);
     out.stats.Add(level.stats);
     out.degeneracy.push_back(level.degeneracy);
     out.core.push_back(std::move(level.core));
     previous = &out.core.back();
-  }
-  if (!order.empty()) {
-    // Map every level's core indexes back to the caller's ids.
-    for (auto& level : out.core) level = ScatterByPermutation(level, order);
   }
   return out;
 }

@@ -4,14 +4,11 @@
 // for several values of h at once, treating the vector
 //   spectrum(v) = (core_1(v), core_2(v), ..., core_H(v))
 // as a structural fingerprint of v. This module implements that
-// computation, sharing work across h values where it is sound to do so:
-//
-//  * one pass computes all h-degrees up to H with a single truncated BFS
-//    per vertex (the depth-H BFS yields every prefix h-degree for free);
-//  * each level's decomposition is seeded with the previous level's core
-//    index as an extra lower bound, which is valid because core indexes are
-//    monotone in h: core_h(v) <= core_{h+1}(v) (the h-neighborhood only
-//    grows with h, in every induced subgraph).
+// computation as a chain of per-level decompositions that shares work
+// across h: each level's decomposition is seeded with the previous level's
+// core index as an extra lower bound, which is valid because core indexes
+// are monotone in h: core_h(v) <= core_{h+1}(v) (the h-neighborhood only
+// grows with h, in every induced subgraph).
 
 #ifndef HCORE_CORE_SPECTRUM_H_
 #define HCORE_CORE_SPECTRUM_H_
@@ -56,10 +53,10 @@ struct SpectrumOptions {
 
 /// Computes the (k,h)-core decomposition for every h in [1, max_h].
 ///
-/// Levels h >= 2 run the h-LB machinery with the previous level's core
-/// index injected as an additional lower bound (sound by monotonicity in
-/// h), which saves a large fraction of the h-degree recomputations compared
-/// to independent runs.
+/// Each level h >= 2 runs KhCoreDecomposition with `base`'s algorithm and
+/// ordering and the previous level's core index injected as an additional
+/// lower bound (sound by monotonicity in h), which saves a large fraction
+/// of the h-degree recomputations compared to independent runs.
 SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options = {});
 
 /// Convenience: true iff core indexes are monotone non-decreasing in h for

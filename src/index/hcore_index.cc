@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/spectrum.h"
-#include "graph/ordering.h"
 
 namespace hcore {
 
@@ -206,29 +205,6 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     }
     g_mid = prev.graph().ApplyCanonicalEdits(chain_deletes);
   }
-  // Resolve the cache-locality relabeling ONCE per epoch — and lazily, on
-  // the first level that actually re-peels the whole graph: every level
-  // peels the same graph, so per-level resolution (and for kAuto, per-level
-  // gap sampling) inside KhCoreDecomposition would redo identical work
-  // max_h times, and when every level is served by the localized path the
-  // sampling and the O(n + m) relabel never run at all. When a relabel
-  // applies, the id round-trip for bounds and results is handled here and
-  // the per-level runs peel with kNone. The localized path always works in
-  // original ids (its regions are too small for locality to matter).
-  bool order_resolved = false;
-  std::vector<VertexId> order;
-  Graph relabeled;
-  const Graph* peel = &g;
-  auto resolve_order = [&]() {
-    if (order_resolved) return;
-    order_resolved = true;
-    order = ResolveVertexOrdering(g, options_.base.ordering);
-    if (!order.empty()) {
-      relabeled = g.Relabeled(order);
-      peel = &relabeled;
-    }
-  };
-
   std::vector<HCoreSnapshot::Level> levels(options_.max_h);
   const std::vector<uint32_t>* prev_level = nullptr;  // this epoch, h - 1
   std::vector<uint32_t> lower;
@@ -272,12 +248,10 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     }
     if (!localized) {
       ++stats->fallback_repeels;
-      resolve_order();
       KhCoreOptions opts = options_.base;
       opts.h = h;
-      opts.ordering = VertexOrdering::kNone;
       if (h > 1) {
-        // Warm start, two lower bounds combined (both in original ids):
+        // Warm start, two lower bounds combined:
         //  * spectrum chain: core_{h-1} of THIS epoch lower-bounds core_h
         //    (monotone in h);
         //  * after a pure-insert batch, the previous epoch's core_h
@@ -291,11 +265,9 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
             lower[v] = std::max(lower[v], old_core[v]);
           }
         }
-        if (!order.empty()) lower = GatherByPermutation(lower, order);
         opts.extra_lower_bound = &lower;
       }
-      KhCoreResult r = KhCoreDecomposition(*peel, opts);
-      if (!order.empty()) r.core = ScatterByPermutation(r.core, order);
+      KhCoreResult r = KhCoreDecomposition(g, opts);
       ++stats->level_decompositions;
       stats->decomposition.Add(r.stats);
       level.degeneracy = r.degeneracy;

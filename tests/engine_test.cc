@@ -14,6 +14,7 @@
 
 #include "core/classic_core.h"
 #include "core/kh_core.h"
+#include "core/spectrum.h"
 #include "engine/vertex_mask.h"
 #include "graph/generators.h"
 #include "graph/ordering.h"
@@ -438,9 +439,21 @@ TEST_P(OrderingInvariance, AllOrderingsProduceIdenticalCores) {
   base.h = h;
   base.ordering = VertexOrdering::kNone;
   KhCoreResult expect = KhCoreDecomposition(g, base);
+  // The spectrum sweep passes its ordering and the previous level's cores
+  // to KhCoreDecomposition at every level.
+  SpectrumOptions sweep;
+  sweep.max_h = h;
+  sweep.base.ordering = VertexOrdering::kNone;
+  const SpectrumResult expect_sweep = KhCoreSpectrum(g, sweep);
+  EXPECT_EQ(expect_sweep.core.back(), expect.core) << spec.Name();
   for (VertexOrdering ordering :
        {VertexOrdering::kAuto, VertexOrdering::kDegreeDescending,
         VertexOrdering::kBfs}) {
+    sweep.base.ordering = ordering;
+    const SpectrumResult swept = KhCoreSpectrum(g, sweep);
+    EXPECT_EQ(swept.core, expect_sweep.core)
+        << spec.Name() << " spectrum ordering=" << static_cast<int>(ordering);
+    EXPECT_EQ(swept.degeneracy, expect_sweep.degeneracy);
     for (KhCoreAlgorithm alg : {KhCoreAlgorithm::kBz, KhCoreAlgorithm::kLb,
                                 KhCoreAlgorithm::kLbUb}) {
       KhCoreOptions opts;

@@ -13,11 +13,14 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/kh_core.h"
 #include "graph/generators.h"
 #include "index/hcore_index.h"
 #include "test_util.h"
@@ -218,57 +221,89 @@ TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
   }
 }
 
-TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
-  constexpr int kMaxH = 3;
-  uint64_t total_localized = 0;
-  uint64_t total_fallback = 0;
-  for (const RandomGraphSpec& spec : Corpus(40, 2)) {
-    HCoreIndexOptions iopts = IndexOptions(kMaxH);
-    // Small caps so overflow fallback and the batch-size gate both fire on
-    // these graphs, alongside genuinely localized levels.
-    iopts.localized.max_region_fraction = 0.3;
-    iopts.localized.min_region_cap = 8;
-    iopts.localized.max_batch = 4;
-    HCoreIndex index(MakeRandomGraph(spec), iopts);
-    Rng rng(spec.seed * 523 + 11);
-    for (int round = 0; round < 6; ++round) {
-      // Cycle pure-insert, pure-delete, mixed; sizes sometimes exceed the
-      // localized batch cap.
-      const int size = 1 + static_cast<int>(rng.NextIndex(6));
-      const int kind = round % 3;
-      const int inserts = kind == 1 ? 0 : size;
-      const int deletes = kind == 0 ? 0 : size;
-      const HCoreIndexStats before = index.stats();
-      auto batch = RandomBatch(index.snapshot()->graph(), &rng, inserts,
-                               deletes);
-      const size_t applied = index.ApplyBatch(batch);
-      const HCoreIndexStats after = index.stats();
-      const uint64_t loc = after.localized_updates - before.localized_updates;
-      const uint64_t fb = after.fallback_repeels - before.fallback_repeels;
-      if (applied > 0) {
-        // Every dirty level was served by exactly one of the two paths.
-        ASSERT_EQ(loc + fb, static_cast<uint64_t>(kMaxH))
-            << spec.Name() << " round=" << round;
-      } else {
-        ASSERT_EQ(loc + fb, 0u);
+/// Applies `rounds` random batches to `index` and checks every level
+/// against a fresh decomposition after each one. Batch kinds cycle through
+/// `kinds` (0 pure-insert, 1 pure-delete, 2 mixed), with 1..6 edits of each
+/// kind, so sizes sometimes exceed a small localized batch cap. Adds the
+/// levels served by each path to `*localized` and `*fallback`.
+void CheckBatches(HCoreIndex& index, int max_h, Rng* rng, int rounds,
+                  const std::vector<int>& kinds, const std::string& label,
+                  uint64_t* localized, uint64_t* fallback) {
+  for (int round = 0; round < rounds; ++round) {
+    const int size = 1 + static_cast<int>(rng->NextIndex(6));
+    const int kind = kinds[round % kinds.size()];
+    const int inserts = kind == 1 ? 0 : size;
+    const int deletes = kind == 0 ? 0 : size;
+    const HCoreIndexStats before = index.stats();
+    auto batch = RandomBatch(index.snapshot()->graph(), rng, inserts, deletes);
+    const size_t applied = index.ApplyBatch(batch);
+    const HCoreIndexStats after = index.stats();
+    const uint64_t loc = after.localized_updates - before.localized_updates;
+    const uint64_t fb = after.fallback_repeels - before.fallback_repeels;
+    if (applied > 0) {
+      // Every dirty level was served by exactly one of the two paths.
+      ASSERT_EQ(loc + fb, static_cast<uint64_t>(max_h))
+          << label << " round=" << round;
+    } else {
+      ASSERT_EQ(loc + fb, 0u);
+    }
+    *localized += loc;
+    *fallback += fb;
+    auto snap = index.snapshot();
+    for (int h = 1; h <= max_h; ++h) {
+      ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
+          << label << " round=" << round << " h=" << h;
+      uint32_t degeneracy = 0;
+      for (uint32_t c : snap->Cores(h)) {
+        degeneracy = std::max(degeneracy, c);
       }
-      total_localized += loc;
-      total_fallback += fb;
-      auto snap = index.snapshot();
-      for (int h = 1; h <= kMaxH; ++h) {
-        ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
-            << spec.Name() << " round=" << round << " h=" << h;
-        uint32_t degeneracy = 0;
-        for (uint32_t c : snap->Cores(h)) {
-          degeneracy = std::max(degeneracy, c);
-        }
-        ASSERT_EQ(snap->Degeneracy(h), degeneracy);
-      }
+      ASSERT_EQ(snap->Degeneracy(h), degeneracy);
     }
   }
-  // The sweep genuinely exercised both paths.
-  EXPECT_GT(total_localized, 0u);
-  EXPECT_GT(total_fallback, 0u);
+}
+
+TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
+  // Preferential attachment at 5000 vertices exceeds kGapLocalityWindow
+  // and scores a high id gap, so kAuto relabels the build and every warm
+  // fallback; the corpus graphs are too small for kAuto to relabel.
+  Rng ba_rng(19);
+  const Graph ba = gen::BarabasiAlbert(5000, 3, &ba_rng);
+  ASSERT_FALSE(ResolveVertexOrdering(ba, VertexOrdering::kAuto).empty());
+  for (VertexOrdering ordering :
+       {VertexOrdering::kNone, VertexOrdering::kAuto,
+        VertexOrdering::kDegreeDescending, VertexOrdering::kBfs}) {
+    const std::string name =
+        "ordering=" + std::to_string(static_cast<int>(ordering)) + " ";
+    // Small caps so overflow fallback and the batch-size gate both fire on
+    // these graphs, alongside genuinely localized levels.
+    auto options = [ordering](int max_h) {
+      HCoreIndexOptions iopts = IndexOptions(max_h);
+      iopts.base.ordering = ordering;
+      iopts.localized.max_region_fraction = 0.3;
+      iopts.localized.min_region_cap = 8;
+      iopts.localized.max_batch = 4;
+      return iopts;
+    };
+    uint64_t total_localized = 0;
+    uint64_t total_fallback = 0;
+    for (const RandomGraphSpec& spec : Corpus(40, 2)) {
+      HCoreIndex index(MakeRandomGraph(spec), options(/*max_h=*/3));
+      Rng rng(spec.seed * 523 + 11);
+      CheckBatches(index, /*max_h=*/3, &rng, /*rounds=*/6, /*kinds=*/{0, 1, 2},
+                   name + spec.Name(), &total_localized, &total_fallback);
+    }
+    // The sweep genuinely exercised both paths.
+    EXPECT_GT(total_localized, 0u) << name;
+    EXPECT_GT(total_fallback, 0u) << name;
+
+    HCoreIndex index(ba, options(/*max_h=*/2));
+    Rng rng(311);
+    uint64_t ba_localized = 0;
+    uint64_t ba_fallback = 0;
+    CheckBatches(index, /*max_h=*/2, &rng, /*rounds=*/3, /*kinds=*/{2},
+                 name + "ba5000", &ba_localized, &ba_fallback);
+    EXPECT_GT(ba_fallback, 0u) << name;
+  }
 }
 
 /// Every HCoreIndexStats counter except the wall-clock `seconds` and

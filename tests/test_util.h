@@ -69,10 +69,12 @@ inline std::vector<RandomGraphSpec> Corpus(uint32_t n, int seeds) {
   return out;
 }
 
-/// Exact (k,h)-core indexes of `g` from a fresh decomposition.
+/// Exact (k,h)-core indexes of `g` from a fresh decomposition of the graph
+/// as given (no relabeling), so relabeling paths are checked against it.
 inline std::vector<uint32_t> FreshCores(const Graph& g, int h) {
   KhCoreOptions opts;
   opts.h = h;
+  opts.ordering = VertexOrdering::kNone;
   return KhCoreDecomposition(g, opts).core;
 }
 

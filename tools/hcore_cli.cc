@@ -18,8 +18,9 @@
 // Every command rejects a flag it does not read (`error: unknown flag --X`),
 // a value an enumerated flag does not list, an integer flag whose value is
 // not a whole decimal integer or is below its minimum (0 for counts, 1 for
-// --h and --h-max/--max-h), and a malformed --query, with exit code 1
-// before it loads any input.
+// --h, --h-max/--max-h and --attach), a --p or --beta that is not a number
+// in [0, 1], and a malformed --query, with exit code 1 before it loads any
+// input. `generate --model=ws` also needs --n > 2 * --k.
 //
 // `serve` builds an HCoreIndex (index/hcore_index.h) and answers
 // query/update commands from stdin (REPL or piped batch), one per line,
@@ -57,7 +58,6 @@
 #include <charconv>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -109,6 +109,12 @@ struct Flags {
     auto it = values.find(key);
     if (it == values.end()) return def;
     return ParseDecimal<int>(it->second).value_or(def);
+  }
+  /// Probability flags are validated up front (BadFlagValue).
+  double GetProbability(const std::string& key, double def) const {
+    auto it = values.find(key);
+    if (it == values.end()) return def;
+    return ParseDecimal<double>(it->second).value_or(def);
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
@@ -568,19 +574,22 @@ int CmdServe(const Flags& flags) {
 
 int CmdGenerate(const Flags& flags) {
   std::string model = flags.Get("model", "ba");
+  const VertexId n = static_cast<VertexId>(flags.GetInt("n", 1000));
+  const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
+  if (model == "ws" && n <= 2 * k) {
+    return Fail("--model=ws needs --n > 2 * --k");
+  }
   std::string out_path = flags.Get("output");
   if (out_path.empty()) return Fail("--output=<file> required");
-  const VertexId n = static_cast<VertexId>(flags.GetInt("n", 1000));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   Graph g;
   if (model == "ba") {
     g = gen::BarabasiAlbert(n, static_cast<uint32_t>(flags.GetInt("attach", 3)),
                             &rng);
   } else if (model == "gnp") {
-    g = gen::ErdosRenyiGnp(n, std::atof(flags.Get("p", "0.01").c_str()), &rng);
+    g = gen::ErdosRenyiGnp(n, flags.GetProbability("p", 0.01), &rng);
   } else if (model == "ws") {
-    g = gen::WattsStrogatz(n, static_cast<uint32_t>(flags.GetInt("k", 3)),
-                           std::atof(flags.Get("beta", "0.1").c_str()), &rng);
+    g = gen::WattsStrogatz(n, k, flags.GetProbability("beta", 0.1), &rng);
   } else if (model == "road") {
     VertexId side = static_cast<VertexId>(std::max(2.0, std::sqrt(double(n))));
     g = gen::RoadLattice(side, side, 0.72, &rng);
@@ -648,15 +657,22 @@ const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
 }
 
 /// Every flag read through Flags::GetInt, with the least value a command
-/// can run with: 1 for the distance thresholds, 0 for counts; any --seed.
+/// can run with: 1 for the distance thresholds and --attach, 0 for counts;
+/// any --seed.
 const std::map<std::string, int>& IntFlagMinimums() {
   static const std::map<std::string, int> kMinimums = {
       {"h", 1},         {"h-max", 1},       {"max-h", 1},
       {"threads", 0},   {"partition", 0},   {"limit", 0},
       {"max-nodes", 0}, {"print-limit", 0}, {"n", 0},
-      {"attach", 0},    {"k", 0},           {"seed", INT_MIN},
+      {"attach", 1},    {"k", 0},           {"seed", INT_MIN},
   };
   return kMinimums;
+}
+
+/// Every flag read through Flags::GetProbability: a number in [0, 1].
+const std::vector<std::string>& ProbabilityFlags() {
+  static const std::vector<std::string> kFlags = {"p", "beta"};
+  return kFlags;
 }
 
 /// An error message for the first flag value no command can run with, or
@@ -684,6 +700,14 @@ std::string BadFlagValue(const Flags& flags) {
     }
     if (*parsed < minimum) {
       return "--" + flag + " must be >= " + std::to_string(minimum);
+    }
+  }
+  for (const std::string& flag : ProbabilityFlags()) {
+    if (!flags.Has(flag)) continue;
+    const std::string value = flags.Get(flag);
+    const std::optional<double> parsed = ParseDecimal<double>(value);
+    if (!parsed || !(*parsed >= 0.0 && *parsed <= 1.0)) {
+      return "--" + flag + " must be a number in [0, 1], got '" + value + "'";
     }
   }
   return "";
