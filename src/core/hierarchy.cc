@@ -71,10 +71,11 @@ CoreHierarchy BuildCoreHierarchy(const Graph& g,
   HCORE_CHECK(core.size() == n);
   CoreHierarchy out;
   out.node_of.assign(n, kNone);
-  if (n == 0) return out;
 
   uint32_t max_level = 0;
   for (uint32_t c : core) max_level = std::max(max_level, c);
+  out.vertices_in_core.resize(max_level + 1);
+  out.edges_in_core.resize(max_level + 1);
   // Vertices grouped by core index, ascending within a level.
   std::vector<std::vector<VertexId>> by_level(max_level + 1);
   for (VertexId v = 0; v < n; ++v) by_level[core[v]].push_back(v);
@@ -85,15 +86,21 @@ CoreHierarchy BuildCoreHierarchy(const Graph& g,
   // vertices that have never been a root).
   std::vector<uint32_t> node_at_root(n, kNone);
   std::vector<uint32_t> absorbed;  // nodes merged into a node of this level
+  uint32_t vertices = 0;  // running |C_k| and |E(G[C_k])|
+  uint64_t edges = 0;
 
   for (uint32_t k = max_level;; --k) {
-    for (VertexId v : by_level[k]) uf.MakeSet(v);
     // Every merge runs through a level-k vertex, since edges among deeper
     // vertices were joined at their own levels. The first merge touching
-    // an older component absorbs its node.
+    // an older component absorbs its node. A level-k vertex joins the
+    // union-find just before its scan, so its active neighbors are the
+    // deeper ones and the level-k ones with smaller ids: each edge of
+    // G[C_k] not in G[C_{k+1}] is seen exactly once.
     for (VertexId v : by_level[k]) {
+      uf.MakeSet(v);
       for (VertexId u : g.neighbors(v)) {
         if (!uf.Active(u)) continue;
+        ++edges;
         const VertexId ru = uf.Find(u);
         if (node_at_root[ru] != kNone) {
           absorbed.push_back(node_at_root[ru]);
@@ -127,6 +134,9 @@ CoreHierarchy BuildCoreHierarchy(const Graph& g,
       out.nodes[node.parent].subtree_size += node.subtree_size;
     }
     absorbed.clear();
+    vertices += static_cast<uint32_t>(by_level[k].size());
+    out.vertices_in_core[k] = vertices;
+    out.edges_in_core[k] = edges;
     if (k == 0) break;
   }
 

@@ -10,10 +10,12 @@
 //
 // Construction runs one union-find sweep over vertices in decreasing core
 // order (O(n α(n) + m)) after the decomposition itself, keeping only the
-// current node of each union-find root. NOTE: components are measured with
-// graph edges inside the core vertex set, which for h-cores matches the
-// paper's usage of "connected (k,h)-core" (e.g. the cocktail-party
-// application of Appendix B).
+// current node of each union-find root. The same sweep counts |C_k| and
+// |E(G[C_k])| for every level, which is all the densest-level query of
+// §5.3 needs. NOTE: components are measured with graph edges inside the
+// core vertex set, which for h-cores matches the paper's usage of
+// "connected (k,h)-core" (e.g. the cocktail-party application of
+// Appendix B).
 
 #ifndef HCORE_CORE_HIERARCHY_H_
 #define HCORE_CORE_HIERARCHY_H_
@@ -52,6 +54,13 @@ struct CoreHierarchy {
   std::vector<uint32_t> node_of;
   /// Ids of root nodes (one per connected component of G).
   std::vector<uint32_t> roots;
+  /// Suffix counts over k in [0, max core]: vertices_in_core[k] = |C_k| and
+  /// edges_in_core[k] = |E(G[C_k])|. The sweep counts each edge once, at
+  /// the level of its shallower endpoint: a level-k vertex counts an edge
+  /// to a deeper neighbor always, and one to another level-k vertex only
+  /// from the larger id. (Both hold one zero entry for the empty graph.)
+  std::vector<uint32_t> vertices_in_core;
+  std::vector<uint64_t> edges_in_core;
 
   /// All vertices of the component represented by `node` (subtree union).
   std::vector<VertexId> ComponentVertices(uint32_t node) const;

@@ -118,7 +118,6 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
                      /*strict=*/true, hdeg_gate, options.MaxRegion(n));
     local->visited += cr.visited;
     local->region = cr.region.size();
-    local->boundary = cr.boundary.size();
     if (cr.overflow) return false;
     if (cr.region.empty()) {
       // No seed passed the filter: nothing can change at any covered level
@@ -150,7 +149,6 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
       reached = std::max(reached, std::min(next_core_[e.u], next_core_[e.v]));
     }
     if (reached < bound) return true;
-    ++local->escalations;
     hdeg_gate = bound;
     bound = std::max(bound + 1, 2 * reached);
   }

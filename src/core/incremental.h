@@ -75,10 +75,6 @@ struct LocalizedUpdateStats {
   /// Inserts: candidate vertices re-peeled (final trial). Deletes:
   /// vertices the cascade demoted.
   size_t region = 0;
-  size_t boundary = 0;  ///< Pinned vertices replayed around them (inserts).
-  /// Insert-side trial-bound escalations (see LocalizedUpdater): 0 means
-  /// the classic-subcore bound was certified on the first try.
-  size_t escalations = 0;
   /// Table-3-style counters covering discovery + the region peel.
   uint64_t visited = 0;
   uint64_t hdegree_computations = 0;
@@ -88,8 +84,6 @@ struct LocalizedUpdateStats {
   /// insert phases into one outcome).
   void Add(const LocalizedUpdateStats& other) {
     region += other.region;
-    boundary += other.boundary;
-    escalations += other.escalations;
     visited += other.visited;
     hdegree_computations += other.hdegree_computations;
     decrement_updates += other.decrement_updates;

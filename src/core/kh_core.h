@@ -174,7 +174,9 @@ struct KhCoreResult {
 ///
 /// All algorithm choices return identical `core` values; pick via
 /// `options.algorithm` for performance experiments. Invalid options
-/// (h < 1, partition_size < 1) abort via HCORE_CHECK.
+/// (h < 1, partition_size < 0, num_threads < 0) abort via HCORE_CHECK;
+/// partition_size 0 picks the automatic width, num_threads 0 runs
+/// sequentially.
 KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options = {});
 
 /// Definition-level reference implementation used by the test suite: for

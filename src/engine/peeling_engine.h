@@ -106,7 +106,6 @@ class PeelingEngine {
   int h() const { return h_; }
   VertexMask& alive() { return *alive_; }
   HDegreeComputer& degrees() { return *degrees_; }
-  BucketQueue& queue() { return queue_; }
   PeelingStats& stats() { return stats_; }
 
   /// Per-vertex keys (true degrees, not bucket-clamped). Policies may read
@@ -119,14 +118,13 @@ class PeelingEngine {
     queue_.Insert(v, key);
   }
 
-  /// Inserts or relocates `v` at `key`, clamped to at least `floor`.
-  void SeedOrMove(VertexId v, uint32_t key, uint32_t floor = 0) {
+  /// Inserts or relocates `v` at `key`.
+  void SeedOrMove(VertexId v, uint32_t key) {
     keys_[v] = key;
-    const uint32_t clamped = std::max(key, floor);
     if (queue_.Contains(v)) {
-      queue_.Move(v, clamped);
+      queue_.Move(v, key);
     } else {
-      queue_.Insert(v, clamped);
+      queue_.Insert(v, key);
     }
   }
 

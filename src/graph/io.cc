@@ -10,7 +10,8 @@ namespace hcore::io {
 namespace {
 
 // Parses one unsigned integer starting at text[*pos]; advances *pos.
-// Returns false if no digits are present or the value overflows uint64_t.
+// Returns false if no digits are present, the value overflows uint64_t, or
+// the digits run into anything but whitespace or the end of the text.
 bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
   size_t i = *pos;
   if (i >= text.size() || !std::isdigit(static_cast<unsigned char>(text[i]))) {
@@ -22,6 +23,9 @@ bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
     if (value > (UINT64_MAX - digit) / 10) return false;
     value = value * 10 + digit;
     ++i;
+  }
+  if (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) {
+    return false;
   }
   *pos = i;
   *out = value;

@@ -1,8 +1,10 @@
 // Edge-list I/O in the SNAP text format.
 //
 // Input files contain one `u v` pair per line; lines starting with '#' or
-// '%' are comments. Vertex ids are arbitrary non-negative integers and are
-// relabeled to a dense range in first-appearance order (stable across runs).
+// '%' are comments. Columns after the pair (e.g. a weight) are ignored, but
+// each id must be a whole token: `1 2x` or `1 2.5` is a parse error. Vertex
+// ids are arbitrary non-negative integers and are relabeled to a dense range
+// in first-appearance order (stable across runs).
 
 #ifndef HCORE_GRAPH_IO_H_
 #define HCORE_GRAPH_IO_H_

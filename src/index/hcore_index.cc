@@ -31,8 +31,7 @@ HCoreSnapshot::HCoreSnapshot(std::shared_ptr<const Graph> graph,
     : graph_(std::move(graph)),
       levels_(std::move(levels)),
       epoch_(epoch),
-      hierarchy_(levels_.size()),
-      density_(levels_.size()) {}
+      hierarchy_(levels_.size()) {}
 
 const std::vector<uint32_t>& HCoreSnapshot::Cores(int h) const {
   HCORE_CHECK(h >= 1 && h <= max_h());
@@ -99,45 +98,14 @@ CommunityResult HCoreSnapshot::Community(const std::vector<VertexId>& query,
 
 std::vector<HCoreSnapshot::LevelDensity> HCoreSnapshot::TopDensestLevels(
     int h, size_t top_k) const {
-  HCORE_CHECK(h >= 1 && h <= max_h());
-  const uint32_t degeneracy = levels_[h - 1].degeneracy;
-  const DensityTable* table = nullptr;
-  {
-    MutexLock lock(lazy_mu_);
-    std::unique_ptr<DensityTable>& slot = density_[h - 1];
-    if (slot == nullptr) {
-      slot = std::make_unique<DensityTable>();
-      const std::vector<uint32_t>& core = *levels_[h - 1].core;
-      slot->vertices_in_core.assign(degeneracy + 1, 0);
-      slot->edges_in_core.assign(degeneracy + 1, 0);
-      for (VertexId v = 0; v < core.size(); ++v) {
-        ++slot->vertices_in_core[core[v]];
-      }
-      // An edge {u, v} lives in C_k for every k <= min(core(u), core(v)):
-      // bucket by the min, then suffix-sum.
-      const Graph& g = *graph_;
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        for (VertexId u : g.neighbors(v)) {
-          if (v < u) ++slot->edges_in_core[std::min(core[v], core[u])];
-        }
-      }
-      for (uint32_t k = degeneracy; k > 0; --k) {
-        slot->vertices_in_core[k - 1] += slot->vertices_in_core[k];
-        slot->edges_in_core[k - 1] += slot->edges_in_core[k];
-      }
-      lazy_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    table = slot.get();
-  }
-  // `table` is immutable once built; safe to read outside the lock.
+  const CoreHierarchy& tree = Hierarchy(h);
   std::vector<LevelDensity> out;
-  out.reserve(degeneracy);
-  for (uint32_t k = 1; k <= degeneracy; ++k) {
+  for (uint32_t k = 1; k < tree.vertices_in_core.size(); ++k) {
     LevelDensity d;
     d.k = k;
-    d.vertices = table->vertices_in_core[k];
-    d.edges = table->edges_in_core[k];
-    d.density = d.vertices > 0 ? static_cast<double>(d.edges) / d.vertices : 0;
+    d.vertices = tree.vertices_in_core[k];  // >= 1: k is at most the max core
+    d.edges = tree.edges_in_core[k];
+    d.density = static_cast<double>(d.edges) / d.vertices;
     out.push_back(d);
   }
   std::sort(out.begin(), out.end(),

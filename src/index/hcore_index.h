@@ -20,7 +20,7 @@
 //
 // Concurrency model: readers call snapshot() and query the returned
 // HCoreSnapshot for as long as they like; snapshots are immutable (lazy
-// artifacts are built under an internal mutex, which is the only point of
+// hierarchies are built under an internal mutex, which is the only point of
 // reader-reader contention) and epoch-stamped. A writer running ApplyBatch
 // never blocks readers: it prepares the next snapshot off to the side and
 // publishes it with a pointer swap. Concurrent writers are GROUP-COMMITTED:
@@ -36,7 +36,8 @@
 // Dirty flags: after a batch, levels whose core vector came out identical
 // to the previous epoch share the old vector (pointer equality, see
 // LevelReused) and their derived artifacts are simply not rebuilt unless
-// queried — the hierarchy and density tables are per-snapshot lazy caches.
+// queried — each level's core hierarchy is the snapshot's one lazy cache,
+// and component, community and densest queries all read it.
 
 #ifndef HCORE_INDEX_HCORE_INDEX_H_
 #define HCORE_INDEX_HCORE_INDEX_H_
@@ -130,16 +131,17 @@ class HCoreSnapshot {
   /// (the batch left it unchanged; the vectors are physically shared).
   bool LevelReused(int h) const;
 
-  /// Core-component dendrogram at level h. Built lazily on first call (one
-  /// O(n α(n) + m) sweep) and cached for the lifetime of the snapshot;
-  /// CoreComponentOf and Community read it.
+  /// Core-component dendrogram at level h, with its per-level core sizes
+  /// and edge counts. Built lazily on first call (one O(n α(n) + m) sweep)
+  /// and cached for the lifetime of the snapshot; CoreComponentOf,
+  /// TopDensestLevels and Community read it.
   const CoreHierarchy& Hierarchy(int h) const;
 
   /// Vertices of the connected component of the (k,h)-core containing `v`
   /// (sorted). Empty when core_h(v) < k. k = 0 yields v's component of G.
   std::vector<VertexId> CoreComponentOf(VertexId v, uint32_t k, int h) const;
 
-  /// One row of the densest-level table: the (k,h)-core C_k with its size,
+  /// One row of a TopDensestLevels answer: the (k,h)-core C_k with its size,
   /// induced edge count, and edge density |E(G[C_k])| / |C_k|.
   struct LevelDensity {
     uint32_t k = 0;
@@ -149,8 +151,9 @@ class HCoreSnapshot {
   };
 
   /// The `top_k` core levels of threshold h with the highest edge density,
-  /// densest first (ties: deeper level first). Per-level edge counts are
-  /// computed lazily once per snapshot (one O(m) pass) and cached.
+  /// densest first (ties: deeper level first), read off the counts of the
+  /// cached Hierarchy(h): after the first build, a query costs
+  /// O(Ĉ_h log Ĉ_h).
   std::vector<LevelDensity> TopDensestLevels(int h, size_t top_k) const;
 
   /// Distance-generalized cocktail-party community of `query` at threshold
@@ -159,7 +162,8 @@ class HCoreSnapshot {
   /// the answer. Query ids must be valid vertices.
   CommunityResult Community(const std::vector<VertexId>& query, int h) const;
 
-  /// Lazy artifacts materialized so far (for tests and serving telemetry).
+  /// Hierarchies built so far — at most one per level (for tests and
+  /// serving telemetry).
   uint64_t lazy_builds() const {
     return lazy_builds_.load(std::memory_order_relaxed);
   }
@@ -184,12 +188,6 @@ class HCoreSnapshot {
     bool reused = false;
   };
 
-  /// Cached per-level aggregates: suffix counts over k in [0, degeneracy].
-  struct DensityTable {
-    std::vector<uint32_t> vertices_in_core;
-    std::vector<uint64_t> edges_in_core;
-  };
-
   HCoreSnapshot(std::shared_ptr<const Graph> graph, std::vector<Level> levels,
                 uint64_t epoch);
 
@@ -197,12 +195,10 @@ class HCoreSnapshot {
   std::vector<Level> levels_;
   uint64_t epoch_ = 0;
 
-  // Lazily built, logically-const artifacts (guarded: snapshots are shared
-  // by concurrent readers).
+  // The lazily built, logically-const artifact, one slot per level
+  // (guarded: snapshots are shared by concurrent readers).
   mutable Mutex lazy_mu_;
   mutable std::vector<std::unique_ptr<CoreHierarchy>> hierarchy_
-      GUARDED_BY(lazy_mu_);
-  mutable std::vector<std::unique_ptr<DensityTable>> density_
       GUARDED_BY(lazy_mu_);
   mutable std::atomic<uint64_t> lazy_builds_{0};
 };
@@ -222,21 +218,21 @@ class HCoreIndex {
   std::shared_ptr<const HCoreSnapshot> snapshot() const EXCLUDES(mu_);
 
   /// Applies a batch of edge edits: ONE copy-on-write page splice via
-  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to
-  /// max_h on the writer's thread, either a LOCALIZED repair (batches up to options.localized.max_batch effective
-  /// edits whose candidate region fits the cap — see core/incremental.h; pure
-  /// batches run one region pass, mixed batches chain the delete cascade
-  /// and the insert region re-peel through the intermediate graph) or a
-  /// warm-started whole-graph re-decomposition — every level h > 1 takes
-  /// this epoch's core_{h-1} as a lower bound (the spectrum chain), and
-  /// pure-insert batches add the old cores as lower bounds. Deletes get no
-  /// upper bound: h-LB+UB consuming one measured slower than the chain
+  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to max_h
+  /// on the writer's thread, either a LOCALIZED repair (batches up to
+  /// options.localized.max_batch effective edits whose candidate region fits
+  /// the cap — see core/incremental.h; pure batches run one region pass, mixed
+  /// batches chain the delete cascade and the insert region re-peel through the
+  /// intermediate graph) or a warm-started whole-graph re-decomposition — every
+  /// level h > 1 takes this epoch's core_{h-1} as a lower bound (the spectrum
+  /// chain), and pure-insert batches add the old cores as lower bounds. Deletes
+  /// get no upper bound: h-LB+UB consuming one measured slower than the chain
   /// alone (see KhCoreOptions::extra_upper_bound). The localized_updates /
-  /// fallback_repeels stats record which path served each level. Publishes
-  /// a new epoch unless every edit was a no-op. Returns the number of edits
-  /// from THIS call's batch that had an effect; the call may block while a
-  /// leader applies a coalesced epoch containing it (see the group commit
-  /// note above). Thread-safe; concurrent readers are never blocked.
+  /// fallback_repeels stats record which path served each level. Publishes a
+  /// new epoch unless every edit was a no-op. Returns the number of edits from
+  /// THIS call's batch that had an effect; the call may block while a leader
+  /// applies a coalesced epoch containing it (see the group commit note above).
+  /// Thread-safe; concurrent readers are never blocked.
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(commit_mu_, mu_);
 

@@ -128,17 +128,33 @@ TEST(GraphIo, ParsesSnapFormatWithCommentsAndRelabeling) {
       "10 20\n"
       "20 30\n"
       "\n"
-      "10 30\n";
+      "10 30\n"
+      "30 40 7\n"      // a trailing weight column is ignored
+      "40 10\r\n";   // so is a CRLF line ending
   Result<Graph> r = io::ParseEdgeList(text);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().num_vertices(), 3u);  // 10, 20, 30 -> 0, 1, 2
-  EXPECT_EQ(r.value().num_edges(), 3u);
+  EXPECT_EQ(r.value().num_vertices(), 4u);  // 10, 20, 30, 40 -> 0, 1, 2, 3
+  EXPECT_EQ(r.value().num_edges(), 5u);
 }
 
 TEST(GraphIo, RejectsMalformedLines) {
   EXPECT_FALSE(io::ParseEdgeList("1 x\n").ok());
   EXPECT_FALSE(io::ParseEdgeList("abc def\n").ok());
   EXPECT_FALSE(io::ParseEdgeList("42\n").ok());
+  // An id is a whole token: trailing garbage is not silently dropped, and
+  // the error names the token that is bad.
+  for (const char* text : {"1 2x\n", "1 2.5\n", "1 2x"}) {
+    Result<Graph> r = io::ParseEdgeList(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.status().ToString().find("bad target id at line 1"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  Result<Graph> bad_source = io::ParseEdgeList("1 2\n3x 4\n");
+  ASSERT_FALSE(bad_source.ok());
+  EXPECT_NE(bad_source.status().ToString().find("bad source id at line 2"),
+            std::string::npos)
+      << bad_source.status().ToString();
   // An id past UINT64_MAX is rejected with its line number, not wrapped.
   Result<Graph> overflow =
       io::ParseEdgeList("1 2\n3 99999999999999999999999\n");

@@ -62,6 +62,8 @@ TEST(CoreHierarchy, EmptyGraph) {
   CoreHierarchy tree = BuildCoreHierarchy(Graph(), {});
   EXPECT_TRUE(tree.nodes.empty());
   EXPECT_TRUE(tree.roots.empty());
+  EXPECT_EQ(tree.vertices_in_core, std::vector<uint32_t>{0});
+  EXPECT_EQ(tree.edges_in_core, std::vector<uint64_t>{0});
 }
 
 TEST(CoreHierarchy, ConnectedCoreComponentsMatchesDefinition) {
@@ -175,6 +177,30 @@ TEST_P(HierarchyProperty, ParentChildLevelsAndSizesAreConsistent) {
   }
   EXPECT_EQ(again.node_of, tree.node_of);
   EXPECT_EQ(again.roots, tree.roots);
+}
+
+TEST_P(HierarchyProperty, CoreSizesAndEdgeCountsMatchDirectCount) {
+  const auto& [spec, h] = GetParam();
+  Graph g = MakeRandomGraph(spec);
+  std::vector<uint32_t> core = FreshCores(g, h);
+  CoreHierarchy tree = BuildCoreHierarchy(g, core);
+  uint32_t max_level = 0;
+  for (uint32_t c : core) max_level = std::max(max_level, c);
+  ASSERT_EQ(tree.vertices_in_core.size(), max_level + 1);
+  ASSERT_EQ(tree.edges_in_core.size(), max_level + 1);
+  const auto edges = g.Edges();
+  for (uint32_t k = 0; k <= max_level; ++k) {
+    uint32_t vertices = 0;
+    for (uint32_t c : core) {
+      if (c >= k) ++vertices;
+    }
+    uint64_t induced = 0;
+    for (const auto& [u, v] : edges) {
+      if (core[u] >= k && core[v] >= k) ++induced;
+    }
+    EXPECT_EQ(tree.vertices_in_core[k], vertices) << spec.Name() << " k=" << k;
+    EXPECT_EQ(tree.edges_in_core[k], induced) << spec.Name() << " k=" << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,7 @@
 //                        [--threads=N] [--partition=S]
 //                        [--ordering=none|auto|degree|bfs]
 //                        [--output=cores.txt]
+//   hcore_cli hierarchy  --input=G.txt --h=2 [--limit=60] [--dot=G.dot]
 //   hcore_cli stats      --input=G.txt
 //   hcore_cli spectrum   --input=G.txt --max-h=4 [--output=spectrum.txt]
 //   hcore_cli hclub      --input=G.txt --h=2 [--solver=bb|it] [--no-core]
