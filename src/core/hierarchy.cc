@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/vertex_mask.h"
-#include "graph/connectivity.h"
 #include "util/check.h"
 
 namespace hcore {
@@ -143,20 +141,6 @@ CoreHierarchy BuildCoreHierarchy(const Graph& g,
   for (uint32_t id = 0; id < out.nodes.size(); ++id) {
     if (out.nodes[id].parent == kNone) out.roots.push_back(id);
   }
-  return out;
-}
-
-std::vector<std::vector<VertexId>> ConnectedCoreComponents(
-    const Graph& g, const std::vector<uint32_t>& core, uint32_t k) {
-  const VertexId n = g.num_vertices();
-  HCORE_CHECK(core.size() == n);
-  VertexMask alive(n, false);
-  for (VertexId v = 0; v < n; ++v) {
-    if (core[v] >= k) alive.Revive(v);
-  }
-  ConnectedComponents cc = ComputeConnectedComponents(g, alive);
-  std::vector<std::vector<VertexId>> out(cc.num_components);
-  alive.ForEachAlive([&](VertexId v) { out[cc.component[v]].push_back(v); });
   return out;
 }
 

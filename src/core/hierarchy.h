@@ -11,11 +11,13 @@
 // Construction runs one union-find sweep over vertices in decreasing core
 // order (O(n α(n) + m)) after the decomposition itself, keeping only the
 // current node of each union-find root. The same sweep counts |C_k| and
-// |E(G[C_k])| for every level, which is all the densest-level query of
-// §5.3 needs. NOTE: components are measured with graph edges inside the
-// core vertex set, which for h-cores matches the paper's usage of
-// "connected (k,h)-core" (e.g. the cocktail-party application of
-// Appendix B).
+// |E(G[C_k])| for every level, which is all that ranking levels by edge
+// density |E(G[C_k])| / |C_k| needs (HCoreSnapshot::TopDensestLevels). That
+// is f_1/2 in §5.3's terms; at h >= 2 it is not the average h-degree f_h of
+// the paper's densest-subgraph problem (apps/densest.h). NOTE: components
+// are measured with graph edges inside the core vertex set, which for
+// h-cores matches the paper's usage of "connected (k,h)-core" (e.g. the
+// cocktail-party application of Appendix B).
 
 #ifndef HCORE_CORE_HIERARCHY_H_
 #define HCORE_CORE_HIERARCHY_H_
@@ -73,12 +75,6 @@ struct CoreHierarchy {
 /// `new_vertices`, `children` and `roots` are ascending.
 CoreHierarchy BuildCoreHierarchy(const Graph& g,
                                  const std::vector<uint32_t>& core);
-
-/// Connected components of the (k,h)-core C_k = {v : core[v] >= k}, each a
-/// sorted vertex list (convenience wrapper over the alive-masked component
-/// finder).
-std::vector<std::vector<VertexId>> ConnectedCoreComponents(
-    const Graph& g, const std::vector<uint32_t>& core, uint32_t k);
 
 }  // namespace hcore
 

@@ -8,18 +8,24 @@
 namespace hcore {
 namespace {
 
+// `state_` values; 0 marks an untouched vertex, and every entry is 0
+// between calls.
+constexpr uint8_t kPinned = 1;  // insertion trial: boundary, keeps its core
+constexpr uint8_t kRegion = 2;  // insertion trial: candidate, re-peeled
+constexpr uint8_t kQueued = 1;  // delete cascade: in the worklist
+
 /// Engine policy for the localized region peel. Region vertices behave like
 /// a plain eager peel (assign the bucket on pop; neighbors at full distance
 /// h take the exact unit decrement, closer ones a batched recomputation).
 /// Pinned boundary vertices are scheduled removals: popped at their old
 /// core index, never reassigned, never updated as neighbors.
 struct LocalizedPolicy : PeelPolicyBase {
-  LocalizedPolicy(const std::vector<uint8_t>& pinned,
+  LocalizedPolicy(const std::vector<uint8_t>& state,
                   std::vector<uint32_t>* core, int h)
-      : pinned(pinned), core(core), h(h) {}
+      : state(state), core(core), h(h) {}
 
   bool OnPop(VertexId v, uint32_t k) {
-    if (pinned[v]) {
+    if (state[v] == kPinned) {
       // Region soundness: a pinned vertex keeps its old index, so its
       // seeded bucket is exactly where the true peel removes it.
       HCORE_DCHECK(k == (*core)[v]);
@@ -30,11 +36,11 @@ struct LocalizedPolicy : PeelPolicyBase {
   }
 
   PeelAction OnNeighbor(VertexId u, int dist, uint32_t) {
-    if (pinned[u]) return PeelAction::kSkip;
+    if (state[u] == kPinned) return PeelAction::kSkip;
     return dist < h ? PeelAction::kRecompute : PeelAction::kDecrement;
   }
 
-  const std::vector<uint8_t>& pinned;
+  const std::vector<uint8_t>& state;
   std::vector<uint32_t>* core;
   int h;
 };
@@ -65,16 +71,25 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
   LocalizedUpdateStats local;
   bool ok = false;
   if (options.enable && !effective.empty()) {
+    // The updater processes one batch at a time, driven end-to-end by the
+    // calling thread — it coordinates the computer.
+    degrees_.coordinator().Assume();
+    const uint64_t visits_before =
+        bfs_.total_visited() + degrees_.total_visited();
     // Deletions never shrink the vertex set; insertions may grow it, and
     // the newcomers' pre-edit core index is 0 (they did not exist).
     // `base_core_` keeps the pristine resized old cores; `next_core_`
     // receives the result.
     base_core_ = *core;
     base_core_.resize(g_after.num_vertices(), 0);
-    ok = inserts ? InsertUpdate(g_after, effective, h, base_core_, options,
-                                &local)
+    if (state_.size() < g_after.num_vertices()) {
+      state_.resize(g_after.num_vertices(), 0);
+    }
+    ok = inserts ? InsertUpdate(g_after, effective, h, options, &local)
                  : DeleteCascade(g_before, g_after, effective, h, options,
                                  &local);
+    local.visited = bfs_.total_visited() + degrees_.total_visited() -
+                    visits_before;
     if (ok) *core = std::move(next_core_);
   }
   if (stats != nullptr) *stats = local;
@@ -84,7 +99,6 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
 bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
                                     std::span<const EdgeEdit> effective,
                                     int h,
-                                    const std::vector<uint32_t>& old_core,
                                     const LocalizedUpdateOptions& options,
                                     LocalizedUpdateStats* local) {
   const VertexId n = g_after.num_vertices();
@@ -97,48 +111,35 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
   // can then have changed — and escalates geometrically otherwise.
   uint32_t bound = 0;
   for (const EdgeEdit& e : effective) {
-    bound = std::max(bound, std::min(old_core[e.u], old_core[e.v]));
+    bound = std::max(bound, std::min(base_core_[e.u], base_core_[e.v]));
   }
   bound += 1;
 
-  // The updater processes one batch at a time, driven end-to-end by the
-  // calling thread — it coordinates the computer.
   degrees_.coordinator().Assume();
   degrees_.EnsureCapacity(n);
-  if (pinned_.size() < n) pinned_.resize(n, 0);
 
   // Escalated trials gate admissions on h-degree: the failed trial was
   // exact below its bound, so the only new changes live at levels >= it,
   // and a vertex reaching such a level needs an h-degree that high.
   uint32_t hdeg_gate = 0;
   for (;;) {
-    // Insertions shrink distances, so the post-edit graph hosts the chains.
-    CandidateRegion cr =
-        finder_.Find(g_after, effective, h, old_core, bound,
-                     /*strict=*/true, hdeg_gate, options.MaxRegion(n));
-    local->visited += cr.visited;
-    local->region = cr.region.size();
-    if (cr.overflow) return false;
-    if (cr.region.empty()) {
-      // No seed passed the filter: nothing can change at any covered level
-      // and no endpoint core can rise. Accept.
-      next_core_ = old_core;
-      return true;
-    }
+    const bool fits = FindRegion(g_after, effective, h, bound, hdeg_gate,
+                                 options.MaxRegion(n));
+    local->region = region_.size();
+    if (!fits) return false;
+    next_core_ = base_core_;
+    // An empty region means no seed passed the filter: nothing can change
+    // at any covered level and no endpoint core can rise. Accept.
+    if (region_.empty()) return true;
 
-    next_core_ = old_core;
-    const uint64_t degree_visits_before = degrees_.total_visited();
     mask_.Assign(n, false);
-    for (const VertexId v : cr.region) mask_.Revive(v);
-    for (const VertexId v : cr.boundary) mask_.Revive(v);
-    for (const VertexId v : cr.boundary) pinned_[v] = 1;
-
+    for (const VertexId v : region_) mask_.Revive(v);
+    for (const VertexId v : boundary_) mask_.Revive(v);
     PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
-    LocalizedPolicy policy(pinned_, &next_core_, h);
-    engine.PeelRegion(cr.region, cr.boundary, next_core_, policy);
-
-    for (const VertexId v : cr.boundary) pinned_[v] = 0;
-    local->visited += degrees_.total_visited() - degree_visits_before;
+    LocalizedPolicy policy(state_, &next_core_, h);
+    engine.PeelRegion(region_, boundary_, next_core_, policy);
+    for (const VertexId v : region_) state_[v] = 0;
+    for (const VertexId v : boundary_) state_[v] = 0;
     local->hdegree_computations += engine.stats().hdegree_computations;
     local->decrement_updates += engine.stats().decrement_updates;
 
@@ -154,6 +155,76 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
   }
 }
 
+bool LocalizedUpdater::FindRegion(const Graph& g,
+                                  std::span<const EdgeEdit> effective, int h,
+                                  uint32_t bound, uint32_t hdeg_gate,
+                                  size_t max_region) {
+  region_.clear();
+  boundary_.clear();
+  mask_.Assign(g.num_vertices(), true);
+
+  // The change filter (see the file comment). The h-degree gate costs one
+  // bounded BFS, so it runs last — on the computer's scratch, because the
+  // filter is evaluated from inside the seed/expansion BFS visitors and
+  // bfs_ is mid-run there.
+  auto could_change = [&](VertexId x) {
+    if (base_core_[x] >= bound) return false;
+    if (hdeg_gate == 0 || base_core_[x] < hdeg_gate) return true;
+    degrees_.coordinator().Assume();  // the updater's driving thread
+    return degrees_.Compute(g, mask_, x, h) >= hdeg_gate;
+  };
+
+  bool overflow = false;
+  auto add_region = [&](VertexId x) {
+    if (overflow || state_[x] == kRegion) return;
+    if (region_.size() >= max_region) {
+      overflow = true;
+      return;
+    }
+    // The filter is fixed, so a pinned vertex (filter failure) never flips
+    // to the region; only untouched vertices land here.
+    state_[x] = kRegion;
+    region_.push_back(x);
+  };
+
+  // Seeds: filter-passing vertices within distance h-1 of an inserted
+  // endpoint (cause (a) of the cascade), endpoints included.
+  for (const EdgeEdit& e : effective) {
+    HCORE_DCHECK(e.insert && e.u != e.v);
+    for (const VertexId s : {e.u, e.v}) {
+      if (could_change(s)) add_region(s);
+      if (overflow) break;
+      bfs_.Run(g, mask_, s, h - 1, [&](VertexId x, int) {
+        if (could_change(x)) add_region(x);
+      });
+      if (overflow) break;
+    }
+    if (overflow) break;
+  }
+
+  // Chain closure (cause (b)): depth-h expansion from every accepted
+  // vertex. Filter-failing visits become the pinned boundary; together the
+  // expansions cover all of N_h(region) \ region.
+  for (size_t i = 0; i < region_.size() && !overflow; ++i) {
+    bfs_.Run(g, mask_, region_[i], h, [&](VertexId x, int) {
+      if (state_[x] != 0) return;  // classified once; the filter is fixed
+      if (could_change(x)) {
+        add_region(x);
+      } else {
+        state_[x] = kPinned;
+        boundary_.push_back(x);
+      }
+    });
+  }
+  if (!overflow) return true;
+  // Reset only the touched scratch entries (keeps discovery o(n)).
+  for (const VertexId x : region_) state_[x] = 0;
+  for (const VertexId x : boundary_) state_[x] = 0;
+  region_.clear();
+  boundary_.clear();
+  return false;
+}
+
 bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
                                      const Graph& g_after,
                                      std::span<const EdgeEdit> effective,
@@ -162,7 +233,6 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
                                      LocalizedUpdateStats* local) {
   const VertexId n = g_after.num_vertices();
   next_core_ = base_core_;
-  if (pinned_.size() < n) pinned_.resize(n, 0);  // doubles as in-worklist
   mask_.Assign(n, true);
 
   // Work caps: the cascade degenerates to the warm fallback rather than
@@ -171,12 +241,11 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
   const size_t max_rechecks = 256 + 8 * max_changed;
   size_t rechecks = 0;
   size_t changed = 0;
-  const uint64_t visited_before = cascade_bfs_.total_visited();
 
   worklist_.clear();
   auto enqueue = [&](VertexId v) {
-    if (pinned_[v] || next_core_[v] == 0) return;
-    pinned_[v] = 1;
+    if (state_[v] == kQueued || next_core_[v] == 0) return;
+    state_[v] = kQueued;
     worklist_.push_back(v);
   };
 
@@ -186,8 +255,8 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
     HCORE_DCHECK(!e.insert);
     for (const VertexId s : {e.u, e.v}) {
       enqueue(s);
-      cascade_bfs_.Run(g_before, mask_, s, h - 1,
-                       [&](VertexId x, int) { enqueue(x); });
+      bfs_.Run(g_before, mask_, s, h - 1,
+               [&](VertexId x, int) { enqueue(x); });
     }
   }
 
@@ -195,7 +264,7 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
   while (!worklist_.empty() && !capped) {
     const VertexId v = worklist_.back();
     worklist_.pop_back();
-    pinned_[v] = 0;
+    state_[v] = 0;
     const uint32_t level = next_core_[v];
     if (level == 0) continue;
     if (++rechecks > max_rechecks) {
@@ -204,7 +273,7 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
     }
     const LevelMask support{&next_core_, level};
     ++local->hdegree_computations;
-    if (cascade_bfs_.HDegree(g_after, support, v, h) >= level) continue;
+    if (bfs_.HDegree(g_after, support, v, h) >= level) continue;
 
     // Violated: v drops one level. Level-mates within distance h may have
     // lost v (or a path through it) from their support — recheck them, and
@@ -217,13 +286,12 @@ bool LocalizedUpdater::DeleteCascade(const Graph& g_before,
     }
     next_core_[v] = level - 1;
     enqueue(v);
-    cascade_bfs_.Run(g_after, mask_, v, h, [&](VertexId x, int) {
+    bfs_.Run(g_after, mask_, v, h, [&](VertexId x, int) {
       if (next_core_[x] == level) enqueue(x);
     });
   }
-  local->visited += cascade_bfs_.total_visited() - visited_before;
   local->region = changed;
-  for (const VertexId v : worklist_) pinned_[v] = 0;
+  for (const VertexId v : worklist_) state_[v] = 0;
   worklist_.clear();
   return !capped;
 }

@@ -15,25 +15,43 @@
 //     cur == new core exactly. Only vertices that actually change — plus
 //     one h-bounded BFS per recheck — are ever touched.
 //
-//   * INSERTION — candidate-region re-peel. Region discovery
-//     (traversal/region.h) over-approximates the set of vertices whose
-//     core index can rise at any level below a TRIAL bound; the region is
-//     re-peeled through the shared PeelingEngine on a VertexMask holding
-//     region ∪ boundary alive, boundary vertices pinned at their old
-//     index so their pops replay the surrounding true peel bucket by
-//     bucket. The peel is provably exact on every level below the bound,
-//     so a trial is accepted exactly when the computed min endpoint core
-//     of every edit stays below it (no deeper level can then have
-//     changed); otherwise the bound escalates geometrically and the peel
-//     reruns, giving up once the region overflows the cap.
+//   * INSERTION — candidate-region re-peel. Fix a level k and let C be
+//     the post-insert (k,h)-core. Re-running the shrink-to-fixpoint on C in
+//     the pre-insert graph removes exactly its vertices of old index below
+//     k, one at a time, and every removal is caused either (a) by an
+//     inserted edge directly — the removed vertex had a <= h path through
+//     the edge inside C, so it lies within distance h-1 of one of the
+//     edge's endpoints — or (b) by an earlier removal within distance h
+//     inside C. So every changed vertex is linked to an inserted endpoint
+//     by a chain of changed vertices with hops of length <= h, and it
+//     passes the level filter old_core(x) < k, where a change at level k
+//     needs k <= min(core'(u), core'(v)) for some inserted edge (u, v).
+//
+//     Discovery over-approximates that chain closure in the post-insert
+//     graph (distances only shrank there) with bounded BFS, below a TRIAL
+//     bound: seed every vertex with old_core < bound within distance h-1 of
+//     an inserted endpoint, then expand depth h from every accepted vertex,
+//     accepting filter-passers. Visited vertices that fail the filter form
+//     the pinned boundary — a superset of N_h(region) \ region. The region
+//     is re-peeled through the shared PeelingEngine on a VertexMask holding
+//     region ∪ boundary alive, boundary vertices pinned at their old index
+//     so their pops replay the surrounding true peel bucket by bucket. The
+//     peel is provably exact on every level below the bound, so a trial is
+//     accepted exactly when the computed min endpoint core of every edit
+//     stays below it (no deeper level can then have changed); otherwise the
+//     bound escalates geometrically and the peel reruns. An escalated trial
+//     also gates admissions on h-degree: the failed trial B was exact below
+//     B, so a vertex with old_core >= B can only change by reaching a level
+//     >= B, which needs h-degree >= B in the post-insert graph.
 //
 // The updater returns false when the region (or the cascade's work)
 // exceeds LocalizedUpdateOptions::MaxRegion — edits that restructure a
 // large part of the graph. HCoreIndex (index/hcore_index.h), the one write
 // front door, then re-decomposes that level of the whole graph
-// warm-started; see HCoreIndex::ApplyBatch for the bounds it uses. Both
-// paths return exactly the decomposition a fresh run would produce; the
-// fuzz suite (tests/incremental_fuzz_test.cc) checks that at every step.
+// warm-started; it sends mixed batches there directly, since each strategy
+// is exact only for a pure batch. Both paths return exactly the
+// decomposition a fresh run would produce; the fuzz suite
+// (tests/incremental_fuzz_test.cc) checks that at every step.
 
 #ifndef HCORE_CORE_INCREMENTAL_H_
 #define HCORE_CORE_INCREMENTAL_H_
@@ -45,8 +63,8 @@
 
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
+#include "traversal/bounded_bfs.h"
 #include "traversal/h_degree.h"
-#include "traversal/region.h"
 
 namespace hcore {
 
@@ -79,19 +97,10 @@ struct LocalizedUpdateStats {
   uint64_t visited = 0;
   uint64_t hdegree_computations = 0;
   uint64_t decrement_updates = 0;
-
-  /// Field-wise accumulation (the index chains a mixed batch's delete and
-  /// insert phases into one outcome).
-  void Add(const LocalizedUpdateStats& other) {
-    region += other.region;
-    visited += other.visited;
-    hdegree_computations += other.hdegree_computations;
-    decrement_updates += other.decrement_updates;
-  }
 };
 
-/// Localized re-peel machinery with scratch reused across updates (BFS
-/// buffers, masks, the region finder). Not thread-safe; callers serialize.
+/// Localized re-peel machinery with scratch reused across updates (one BFS
+/// buffer, masks, the region). Not thread-safe; callers serialize.
 class LocalizedUpdater {
  public:
   explicit LocalizedUpdater(int num_threads = 1);
@@ -113,19 +122,28 @@ class LocalizedUpdater {
  private:
   bool InsertUpdate(const Graph& g_after,
                     std::span<const EdgeEdit> effective, int h,
-                    const std::vector<uint32_t>& old_core,
                     const LocalizedUpdateOptions& options,
                     LocalizedUpdateStats* local);
+  /// Discovery for one insertion trial (see the file comment): fills
+  /// `region_` and `boundary_` with the vertices of old core < `bound`
+  /// (h-degree >= `hdeg_gate` too when old core >= a nonzero gate) and
+  /// their pinned surroundings. Returns false, with both cleared, once the
+  /// region exceeds `max_region`.
+  bool FindRegion(const Graph& g, std::span<const EdgeEdit> effective, int h,
+                  uint32_t bound, uint32_t hdeg_gate, size_t max_region);
   bool DeleteCascade(const Graph& g_before, const Graph& g_after,
                      std::span<const EdgeEdit> effective, int h,
                      const LocalizedUpdateOptions& options,
                      LocalizedUpdateStats* local);
 
   HDegreeComputer degrees_;
-  RegionFinder finder_;
-  BoundedBfs cascade_bfs_;
+  BoundedBfs bfs_;  // insertion discovery and the delete cascade
   VertexMask mask_;
-  std::vector<uint8_t> pinned_;
+  // Per-vertex scratch, zero between calls: kRegion/kPinned during an
+  // insertion trial, the in-worklist flag during the delete cascade.
+  std::vector<uint8_t> state_;
+  std::vector<VertexId> region_;
+  std::vector<VertexId> boundary_;
   std::vector<uint32_t> base_core_;
   std::vector<uint32_t> next_core_;
   std::vector<VertexId> worklist_;

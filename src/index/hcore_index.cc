@@ -155,24 +155,15 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     const Graph& g, const HCoreSnapshot& prev, bool pure_insert,
     bool pure_delete, std::span<const EdgeEdit> effective,
     HCoreIndexStats* stats) {
-  // Localized maintenance applies to batches small enough for a joint
+  // Localized maintenance applies to pure batches small enough for a joint
   // candidate region (core/incremental.h); each level falls back to the
-  // whole-graph warm start independently when its region overflows. Pure
-  // batches run the matching single pass; MIXED batches chain the delete
-  // cascade and the insert region re-peel through the intermediate graph
-  // (prev + deletes) — canonical effective edits are per-edge disjoint, so
-  // the sequential composition equals the joint batch.
-  const bool try_localized = options_.localized.enable && !effective.empty() &&
+  // whole-graph warm start independently when its region overflows. Each
+  // localized strategy is exact only for a pure batch, so a mixed batch
+  // goes straight to the warm start.
+  const bool try_localized = options_.localized.enable &&
+                             (pure_insert || pure_delete) &&
+                             !effective.empty() &&
                              effective.size() <= options_.localized.max_batch;
-  const bool mixed = !pure_insert && !pure_delete;
-  Graph g_mid;  // mixed-chain intermediate: prev graph with deletes applied
-  std::vector<EdgeEdit> chain_deletes, chain_inserts;
-  if (try_localized && mixed) {
-    for (const EdgeEdit& e : effective) {
-      (e.insert ? chain_inserts : chain_deletes).push_back(e);
-    }
-    g_mid = prev.graph().ApplyCanonicalEdits(chain_deletes);
-  }
   std::vector<HCoreSnapshot::Level> levels(options_.max_h);
   const std::vector<uint32_t>* prev_level = nullptr;  // this epoch, h - 1
   std::vector<uint32_t> lower;
@@ -184,26 +175,9 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     if (try_localized) {
       core = old_core;
       LocalizedUpdateStats ls;
-      if (!mixed) {
-        localized = updater_.UpdateLevel(prev.graph(), g, effective,
-                                         pure_insert, h, &core,
-                                         options_.localized, &ls);
-      } else {
-        // Mixed chain: deletes against prev -> g_mid, then inserts against
-        // g_mid -> g; either phase overflowing rejects the whole attempt
-        // and the level falls back warm. Stats accumulate across both
-        // phases.
-        localized = updater_.UpdateLevel(prev.graph(), g_mid, chain_deletes,
-                                         /*inserts=*/false, h, &core,
-                                         options_.localized, &ls);
-        if (localized) {
-          LocalizedUpdateStats insert_ls;
-          localized = updater_.UpdateLevel(g_mid, g, chain_inserts,
-                                           /*inserts=*/true, h, &core,
-                                           options_.localized, &insert_ls);
-          ls.Add(insert_ls);
-        }
-      }
+      localized = updater_.UpdateLevel(prev.graph(), g, effective,
+                                       pure_insert, h, &core,
+                                       options_.localized, &ls);
       if (localized) {
         ++stats->localized_updates;
         stats->decomposition.visited_vertices += ls.visited;
@@ -241,8 +215,7 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
       level.degeneracy = r.degeneracy;
       core = std::move(r.core);
     }
-    // Reuse is decided on the exact vector for both paths: the mixed
-    // localized chain can report phase-local changes that cancel out.
+    // Reuse is decided on the exact vector for both paths.
     if (old_core == core) {
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev.levels_[h - 1].core;

@@ -14,9 +14,10 @@
 //   * the localized level repair of core/incremental.* drives ApplyBatch,
 //     which merges a whole batch of edits into ONE copy-on-write CSR
 //     splice plus one repair per h level, run level by level in a single
-//     loop — localized where the candidate region stays small, else a
-//     warm-started whole-graph re-decomposition. This is the one write
-//     front door: every edge update, single or batched, goes through it.
+//     loop — localized for a pure (all-insert or all-delete) batch whose
+//     candidate region stays small, else a warm-started whole-graph
+//     re-decomposition. This is the one write front door: every edge
+//     update, single or batched, goes through it.
 //
 // Concurrency model: readers call snapshot() and query the returned
 // HCoreSnapshot for as long as they like; snapshots are immutable (lazy
@@ -150,10 +151,12 @@ class HCoreSnapshot {
     double density = 0.0;
   };
 
-  /// The `top_k` core levels of threshold h with the highest edge density,
-  /// densest first (ties: deeper level first), read off the counts of the
-  /// cached Hierarchy(h): after the first build, a query costs
-  /// O(Ĉ_h log Ĉ_h).
+  /// The `top_k` core levels of threshold h with the highest edge density
+  /// |E(G[C_k])| / |C_k|, densest first (ties: deeper level first), read off
+  /// the counts of the cached Hierarchy(h): after the first build, a query
+  /// costs O(Ĉ_h log Ĉ_h). This is plain edge density, f_1/2 in the paper's
+  /// §5.3 terms; at h >= 2 it is not the average h-degree f_h that
+  /// DensestByCoreDecomposition (apps/densest.h) maximizes.
   std::vector<LevelDensity> TopDensestLevels(int h, size_t top_k) const;
 
   /// Distance-generalized cocktail-party community of `query` at threshold
@@ -218,21 +221,21 @@ class HCoreIndex {
   std::shared_ptr<const HCoreSnapshot> snapshot() const EXCLUDES(mu_);
 
   /// Applies a batch of edge edits: ONE copy-on-write page splice via
-  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to max_h
-  /// on the writer's thread, either a LOCALIZED repair (batches up to
-  /// options.localized.max_batch effective edits whose candidate region fits
-  /// the cap — see core/incremental.h; pure batches run one region pass, mixed
-  /// batches chain the delete cascade and the insert region re-peel through the
-  /// intermediate graph) or a warm-started whole-graph re-decomposition — every
-  /// level h > 1 takes this epoch's core_{h-1} as a lower bound (the spectrum
-  /// chain), and pure-insert batches add the old cores as lower bounds. Deletes
-  /// get no upper bound: h-LB+UB consuming one measured slower than the chain
-  /// alone (see KhCoreOptions::extra_upper_bound). The localized_updates /
-  /// fallback_repeels stats record which path served each level. Publishes a
-  /// new epoch unless every edit was a no-op. Returns the number of edits from
-  /// THIS call's batch that had an effect; the call may block while a leader
-  /// applies a coalesced epoch containing it (see the group commit note above).
-  /// Thread-safe; concurrent readers are never blocked.
+  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to
+  /// max_h on the writer's thread, either a LOCALIZED repair (pure batches
+  /// of up to options.localized.max_batch effective edits whose candidate
+  /// region fits the cap — see core/incremental.h; a batch with both
+  /// effective inserts and deletes never localizes) or a warm-started
+  /// whole-graph re-decomposition — every level h > 1 takes this epoch's
+  /// core_{h-1} as a lower bound (the spectrum chain), and pure-insert
+  /// batches add the old cores as lower bounds. Deletes get no upper bound:
+  /// h-LB+UB consuming one measured slower than the chain alone (see
+  /// KhCoreOptions::extra_upper_bound). The localized_updates /
+  /// fallback_repeels stats record which path served each level. Publishes
+  /// a new epoch unless every edit was a no-op. Returns the number of edits
+  /// from THIS call's batch that had an effect; the call may block while a
+  /// leader applies a coalesced epoch containing it (see the group commit
+  /// note above). Thread-safe; concurrent readers are never blocked.
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(commit_mu_, mu_);
 
@@ -267,8 +270,8 @@ class HCoreIndex {
       EXCLUDES(mu_);
 
   /// Advances every level from `prev` to the spliced graph `g`, one level
-  /// at a time: the localized repair on `updater_`, else the warm
-  /// whole-graph fallback.
+  /// at a time: the localized repair on `updater_` for a pure batch, else
+  /// the warm whole-graph fallback.
   std::vector<HCoreSnapshot::Level> DecomposeAll(
       const Graph& g, const HCoreSnapshot& prev, bool pure_insert,
       bool pure_delete, std::span<const EdgeEdit> effective,

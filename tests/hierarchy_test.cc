@@ -15,6 +15,7 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::ConnectedCoreComponents;
 using ::hcore::testing::FreshCores;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;

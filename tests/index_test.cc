@@ -23,6 +23,7 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::ConnectedCoreComponents;
 using ::hcore::testing::Corpus;
 using ::hcore::testing::FreshCores;
 using ::hcore::testing::IndexOptions;
@@ -221,6 +222,27 @@ TEST(HCoreIndex, PureDeleteBatchCanReuseUnchangedLevels) {
   EXPECT_EQ(index.stats().levels_unchanged,
             static_cast<uint64_t>(after->LevelReused(1)) +
                 static_cast<uint64_t>(after->LevelReused(2)));
+}
+
+TEST(HCoreIndex, MixedBatchesTakeTheWarmFallback) {
+  // Each localized strategy is exact only for a pure batch, so a batch with
+  // both effective inserts and deletes re-peels every level warm. On this
+  // graph, chaining the delete cascade into the insert re-peel through the
+  // intermediate graph would localize every level of this batch.
+  constexpr int kMaxH = 3;
+  HCoreIndex index(gen::PaperFigure1(), IndexOptions(kMaxH));
+  const HCoreIndexStats before = index.stats();
+  const std::vector<EdgeEdit> batch = {EdgeEdit::Insert(1, 6),
+                                       EdgeEdit::Delete(0, 2)};
+  ASSERT_EQ(index.ApplyBatch(batch), 2u);
+  const HCoreIndexStats after = index.stats();
+  EXPECT_EQ(after.localized_updates - before.localized_updates, 0u);
+  EXPECT_EQ(after.fallback_repeels - before.fallback_repeels,
+            static_cast<uint64_t>(kMaxH));
+  const auto snap = index.snapshot();
+  for (int h = 1; h <= kMaxH; ++h) {
+    EXPECT_EQ(snap->Cores(h), FreshCores(snap->graph(), h)) << "h=" << h;
+  }
 }
 
 TEST(HCoreIndex, EpochSharesUntouchedGraphPages) {

@@ -1,6 +1,7 @@
 // Shared helpers for the hcore test suites: a small corpus of random graphs
 // spanning the structural classes the algorithms care about, the fresh
-// decomposition every maintained core vector is checked against, and
+// decomposition every maintained core vector is checked against, the
+// connected core components the hierarchy is checked against, and
 // deterministic random edit batches.
 
 #ifndef HCORE_TESTS_TEST_UTIL_H_
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "core/kh_core.h"
+#include "engine/vertex_mask.h"
+#include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "index/hcore_index.h"
@@ -76,6 +79,23 @@ inline std::vector<uint32_t> FreshCores(const Graph& g, int h) {
   opts.h = h;
   opts.ordering = VertexOrdering::kNone;
   return KhCoreDecomposition(g, opts).core;
+}
+
+/// Connected components of the (k,h)-core C_k = {v : core[v] >= k}, each a
+/// sorted vertex list. The reference the core hierarchy is checked against:
+/// it runs the alive-masked component finder on C_k and shares no code with
+/// the hierarchy's union-find sweep.
+inline std::vector<std::vector<VertexId>> ConnectedCoreComponents(
+    const Graph& g, const std::vector<uint32_t>& core, uint32_t k) {
+  const VertexId n = g.num_vertices();
+  VertexMask alive(n, false);
+  for (VertexId v = 0; v < n; ++v) {
+    if (core[v] >= k) alive.Revive(v);
+  }
+  ConnectedComponents cc = ComputeConnectedComponents(g, alive);
+  std::vector<std::vector<VertexId>> out(cc.num_components);
+  alive.ForEachAlive([&](VertexId v) { out[cc.component[v]].push_back(v); });
+  return out;
 }
 
 /// Index options with every default but the indexed depth.

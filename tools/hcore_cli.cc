@@ -31,7 +31,10 @@
 //   spectrum <v>             core_1(v) .. core_H(v)
 //   component <v> <k> <h>    connected component of v in the (k,h)-core
 //   community <h> v1,v2,..   cocktail-party community
-//   densest <h> <top-k>      densest core levels of threshold h
+//   densest <h> <top-k>      core levels of threshold h with the highest
+//                            edge density |E(G[C_k])|/|C_k| (f_1/2; at
+//                            h >= 2 not the paper's f_h, which the
+//                            `densest` subcommand maximizes)
 //   insert <u> <v>           stage an edge insertion into the pending batch
 //   delete <u> <v>           stage an edge deletion into the pending batch
 //   apply                    apply the pending batch (one epoch); inserts
