@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       std::vector<uint32_t> hdeg;
       degrees.ComputeAllAlive(d.graph, alive, h, &hdeg);
       std::vector<uint32_t> lb1 = ComputeLB1(d.graph, h, &degrees);
-      std::vector<uint32_t> lb2 = ComputeLB2(d.graph, h, lb1, &degrees);
+      std::vector<uint32_t> lb2 = ComputeLB2(d.graph, h, lb1);
       std::vector<uint32_t> ub =
           ComputePowerGraphUpperBound(d.graph, h, hdeg, &degrees);
 

@@ -21,23 +21,21 @@ std::vector<uint32_t> ComputeLB1(const Graph& g, int h,
 }
 
 std::vector<uint32_t> ComputeLB2(const Graph& g, int h,
-                                 const std::vector<uint32_t>& lb1,
-                                 HDegreeComputer* degrees) {
+                                 const std::vector<uint32_t>& lb1) {
   HCORE_CHECK(h >= 2);
-  degrees->coordinator().Assume();  // caller's thread drives the computer
   const VertexId n = g.num_vertices();
-  const int radius = (h + 1) / 2;  // ⌈h/2⌉
-  VertexMask alive(n, true);
+  // The closed r-ball of v is the union of the closed (r-1)-balls of v's
+  // closed 1-neighborhood, so ⌈h/2⌉ double-buffered sweeps of "max over the
+  // closed 1-neighborhood" give the max of LB1 over the closed ⌈h/2⌉-ball.
   std::vector<uint32_t> lb2 = lb1;
-  // For every v, take the maximum LB1 over its closed ⌈h/2⌉-neighborhood.
-  // Each vertex's neighborhood is enumerated on the calling thread; the
-  // traversal volume matches LB1's and is charged to the same stats.
-  std::vector<std::pair<VertexId, int>> nbhd;
-  for (VertexId v = 0; v < n; ++v) {
-    degrees->CollectNeighborhood(g, alive, v, radius, &nbhd);
-    for ([[maybe_unused]] const auto& [u, d] : nbhd) {
-      lb2[v] = std::max(lb2[v], lb1[u]);
+  std::vector<uint32_t> next(n);
+  for (int round = 0; round < (h + 1) / 2; ++round) {
+    for (VertexId v = 0; v < n; ++v) {
+      uint32_t best = lb2[v];
+      for (VertexId u : g.neighbors(v)) best = std::max(best, lb2[u]);
+      next[v] = best;
     }
+    lb2.swap(next);
   }
   return lb2;
 }
@@ -88,34 +86,51 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
 
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
                           VertexMask* alive, const std::vector<uint32_t>& lb2,
-                          HDegreeComputer* degrees) {
+                          const std::vector<uint8_t>& settled,
+                          uint32_t settled_floor, HDegreeComputer* degrees) {
   const VertexId n = g.num_vertices();
+  HCORE_CHECK(settled.size() == n);
   degrees->coordinator().Assume();  // caller's thread drives the computer
   ImproveLbResult out;
-  out.hdeg.assign(n, 0);
   out.lb3.assign(n, 0);
-  degrees->ComputeAllAlive(g, *alive, h, &out.hdeg);
 
-  // Minimum h-degree over the candidate set, before cleaning (Property 3).
-  uint32_t min_hdeg = 0;
-  bool any = false;
+  // Only unsettled candidates are measured; a settled one's h-degree in the
+  // candidate set is >= its core index >= settled_floor (Observation 3).
+  std::vector<VertexId> open;
+  bool any_settled = false;
   alive->ForEachAlive([&](VertexId v) {
-    min_hdeg = any ? std::min(min_hdeg, out.hdeg[v]) : out.hdeg[v];
-    any = true;
+    if (settled[v]) {
+      any_settled = true;
+    } else {
+      open.push_back(v);
+    }
   });
-  if (!any) return out;
+  if (open.empty() && !any_settled) return out;
+  std::vector<uint32_t> open_hdeg(open.size());
+  degrees->ComputeBatch(g, *alive, h, open, open_hdeg.data());
+  out.computed = open.size();
+
+  // Minimum h-degree over the candidate set, before cleaning (Property 3),
+  // with settled_floor standing in for every settled candidate.
+  std::vector<uint32_t> hdeg(n, 0);
+  uint32_t min_hdeg = any_settled ? settled_floor : open_hdeg[0];
+  for (size_t i = 0; i < open.size(); ++i) {
+    hdeg[open[i]] = open_hdeg[i];
+    min_hdeg = std::min(min_hdeg, open_hdeg[i]);
+  }
 
   // Cascade-remove vertices whose optimistic h-degree sinks below k_min.
   // As in Algorithm 5, each removal only decrements neighbors by 1 (an
   // upper bound on the true h-degree), which is sound for exclusion.
+  // Settled vertices never sink below k_min, so they are never decremented.
   std::vector<VertexId> stack;
   std::vector<uint8_t> queued(n, 0);
-  alive->ForEachAlive([&](VertexId v) {
-    if (out.hdeg[v] < k_min) {
+  for (VertexId v : open) {
+    if (hdeg[v] < k_min) {
       stack.push_back(v);
       queued[v] = 1;
     }
-  });
+  }
   std::vector<std::pair<VertexId, int>> nbhd;
   while (!stack.empty()) {
     VertexId v = stack.back();
@@ -125,9 +140,9 @@ ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
     alive->Kill(v);
     ++out.removed;
     for ([[maybe_unused]] const auto& [u, dist] : nbhd) {
-      if (!alive->IsAlive(u)) continue;
-      if (out.hdeg[u] > 0) --out.hdeg[u];
-      if (out.hdeg[u] < k_min && !queued[u]) {
+      if (!alive->IsAlive(u) || settled[u]) continue;
+      if (hdeg[u] > 0) --hdeg[u];
+      if (hdeg[u] < k_min && !queued[u]) {
         stack.push_back(u);
         queued[u] = 1;
       }

@@ -7,9 +7,11 @@
 //   LB3    = max(LB2, min h-degree within a candidate set)    (Algorithm 6,
 //            Property 3), together with optimistic cleaning of the set.
 //
-// All functions run their BFS workloads through an HDegreeComputer so the
-// caller controls threading and visit accounting; the UB peel itself is a
-// unit-decrement policy over the shared PeelingEngine.
+// LB2 needs no BFS: the max over a closed r-ball is r rounds of "max over
+// the closed 1-neighborhood". The other functions run their BFS workloads
+// through an HDegreeComputer so the caller controls threading and visit
+// accounting; the UB peel itself is a unit-decrement policy over the shared
+// PeelingEngine.
 
 #ifndef HCORE_CORE_BOUNDS_H_
 #define HCORE_CORE_BOUNDS_H_
@@ -28,10 +30,10 @@ namespace hcore {
 std::vector<uint32_t> ComputeLB1(const Graph& g, int h,
                                  HDegreeComputer* degrees);
 
-/// LB2 from a precomputed LB1: max of LB1 over the closed ⌈h/2⌉-neighborhood.
+/// LB2 from a precomputed LB1: max of LB1 over the closed ⌈h/2⌉-neighborhood,
+/// computed as ⌈h/2⌉ sweeps of max over each closed 1-neighborhood.
 std::vector<uint32_t> ComputeLB2(const Graph& g, int h,
-                                 const std::vector<uint32_t>& lb1,
-                                 HDegreeComputer* degrees);
+                                 const std::vector<uint32_t>& lb1);
 
 /// Algorithm 5: upper bound via implicit power-graph peeling. `hdeg` must be
 /// the h-degrees of all vertices in the full graph. Each removal performs
@@ -54,23 +56,32 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
 
 /// Output of ImproveLB (Algorithm 6).
 struct ImproveLbResult {
-  /// Optimistic h-degrees of surviving vertices w.r.t. the cleaned set
-  /// (exact for vertices untouched by the cascade, upper bound otherwise).
-  std::vector<uint32_t> hdeg;
   /// LB3 lower bound for surviving vertices (max of lb2 and the minimum
   /// h-degree of the original candidate set — Property 3).
   std::vector<uint32_t> lb3;
   /// Number of vertices removed by the cleaning cascade.
   uint32_t removed = 0;
+  /// h-degree BFS runs made: one per unsettled candidate.
+  uint64_t computed = 0;
 };
 
 /// Algorithm 6: cleans the candidate set (the alive vertices of `alive`) by
 /// cascade-removing every vertex whose optimistic h-degree drops below
 /// `k_min`, and computes LB3. `alive` is updated in place; removed vertices
 /// are killed in the mask.
+///
+/// `settled[v]` (one entry per vertex) marks candidates whose core index is
+/// already known to be at least `settled_floor` >= k_min, e.g. vertices
+/// assigned by a higher h-LB+UB partition. Only unsettled candidates get an
+/// h-degree BFS. A settled vertex's h-degree in the candidate set is at
+/// least its core index (Observation 3), so it is never cleaned, the
+/// cascade never decrements it, and it enters LB3's minimum as
+/// `settled_floor`. The removed set is the one the unmasked call removes;
+/// LB3 is at most the unmasked LB3.
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
                           VertexMask* alive, const std::vector<uint32_t>& lb2,
-                          HDegreeComputer* degrees);
+                          const std::vector<uint8_t>& settled,
+                          uint32_t settled_floor, HDegreeComputer* degrees);
 
 }  // namespace hcore
 

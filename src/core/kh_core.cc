@@ -27,6 +27,7 @@ class Decomposer {
         degrees_(n_, opts.num_threads),
         alive_(n_, true),
         set_lb_(n_, 0),
+        lazy_key_(n_, 0),
         assigned_(n_, 0),
         engine_(g, opts.h, &alive_, &degrees_, n_ > 0 ? n_ : 1) {
     result_.core.assign(n_, 0);
@@ -96,9 +97,13 @@ class Decomposer {
 
   // -------------------------------------------------------------------
   // Algorithm 3: the shared peeling loop of h-LB and h-LB+UB. Bucket keys
-  // start as lower bounds (set_lb_ marks them lazy); the true h-degree is
-  // materialized on first pop. Neighbors at full distance h take an exact
-  // unit decrement; closer ones are recomputed in (parallel) batches.
+  // start as lower bounds (set_lb_ marks them lazy, lazy_key_ keeps the
+  // seed); the true h-degree is materialized when a lazy vertex is popped.
+  // Neighbors at full distance h take an exact unit decrement. Closer ones
+  // are demoted back to their lazy seed key instead of being recomputed at
+  // once (the paper's line 19), so several removals near one vertex
+  // collapse into the single BFS of its next pop. The cores are the
+  // paper's; the Table-3 counts are not (fewer BFS runs, more pops).
   // -------------------------------------------------------------------
   struct LazyLbPolicy : PeelPolicyBase {
     LazyLbPolicy(Decomposer* d, uint32_t k_min) : d(d), k_min(k_min) {}
@@ -124,12 +129,19 @@ class Decomposer {
       return true;
     }
 
-    PeelAction OnNeighbor(VertexId u, int dist, uint32_t) {
+    PeelAction OnNeighbor(VertexId u, int dist, uint32_t k) {
       if (d->set_lb_[u]) return PeelAction::kSkip;  // key is a lower bound
       // dist == h: removing the popped vertex eliminates exactly itself
       // from u's h-neighborhood (any path through it now exceeds h), so a
       // unit decrement is exact (Algorithm 3, line 17).
-      return dist < d->h_ ? PeelAction::kRecompute : PeelAction::kDecrement;
+      if (dist == d->h_) return PeelAction::kDecrement;
+      // dist < h: the h-degree may drop by more than one. Demote u to a
+      // lazy key instead of recomputing now. lazy_key_[u] <= core(u) as
+      // when it was seeded, and u alive in bucket k has core(u) >= k, so
+      // max(lazy_key_[u], k) is still a lower bound.
+      d->set_lb_[u] = 1;
+      d->engine_.SeedOrMove(u, std::max(d->lazy_key_[u], k));
+      return PeelAction::kSkip;
     }
 
     Decomposer* d;
@@ -151,6 +163,7 @@ class Decomposer {
     result_.stats.bound_seconds += bound_timer.ElapsedSeconds();
     for (VertexId v = 0; v < n_; ++v) {
       set_lb_[v] = 1;
+      lazy_key_[v] = lb[v];
       engine_.Seed(v, lb[v]);
     }
     CoreDecomp(/*k_min=*/0, /*k_max=*/n_);
@@ -221,15 +234,16 @@ class Decomposer {
     for (VertexId v = 0; v < n_; ++v) {
       if (ub[v] >= k_min) alive_.Revive(v);
     }
-    const uint64_t candidates = alive_.num_alive();
-    if (candidates == 0) return;
+    if (alive_.num_alive() == 0) return;
 
     // Line 13-14: ImproveLB cleans V[k_min] and lifts the lower bound
     // (Property 3). Vertices already assigned in higher partitions are
-    // never cleaned: their true h-degree in V[k_min] is >= their core
-    // index >= k_min (Observation 3).
-    ImproveLbResult improved = ImproveLB(g_, h_, k_min, &alive_, lb, &degrees_);
-    engine_.stats().hdegree_computations += candidates;
+    // settled: their true h-degree in V[k_min] is >= their core index
+    // >= k_max + 1 (Observation 3), so ImproveLB never cleans them and
+    // skips their BFS, counting them at that floor in LB3's minimum.
+    ImproveLbResult improved = ImproveLB(g_, h_, k_min, &alive_, lb, assigned_,
+                                         k_max + 1, &degrees_);
+    engine_.stats().hdegree_computations += improved.computed;
 
     // Lines 15-17: re-bucket every surviving candidate lazily.
     const uint32_t floor_key = (k_min == 0) ? 0 : k_min - 1;
@@ -237,6 +251,7 @@ class Decomposer {
       uint32_t key = std::max(improved.lb3[v], floor_key);
       if (assigned_[v]) key = std::max(key, result_.core[v]);
       set_lb_[v] = 1;
+      lazy_key_[v] = key;
       engine_.SeedOrMove(v, key);
     });
     CoreDecomp(k_min, k_max);
@@ -255,7 +270,7 @@ class Decomposer {
         break;
       case LowerBoundMode::kLb2: {
         std::vector<uint32_t> lb1 = ComputeLB1(g_, h_, &degrees_);
-        lb = ComputeLB2(g_, h_, lb1, &degrees_);
+        lb = ComputeLB2(g_, h_, lb1);
         break;
       }
     }
@@ -274,6 +289,9 @@ class Decomposer {
   HDegreeComputer degrees_;
   VertexMask alive_;
   std::vector<uint8_t> set_lb_;
+  // Seed key of each lazy vertex (a lower bound on its core index), which a
+  // demoted vertex returns to.
+  std::vector<uint32_t> lazy_key_;
   std::vector<uint8_t> assigned_;
   PeelingEngine engine_;
   KhCoreResult result_;

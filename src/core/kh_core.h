@@ -11,10 +11,19 @@
 // h-bounded BFS traversals they perform (Table 3 of the paper). All three
 // are driven through the shared PeelingEngine (engine/peeling_engine.h);
 // this module contributes only the policies (what a pop assigns, when a
-// neighbor takes a unit decrement vs a recomputation) and the h-LB+UB
-// partition schedule. The peel loop itself is sequential; worker threads
-// (§4.6) run only its h-degree batches: the initial pass, the LB/UB bounds,
-// ImproveLB and each removal's recomputation batch.
+// neighbor takes a unit decrement, a recomputation or a demotion) and the
+// h-LB+UB partition schedule.
+//
+// Two departures from the paper make h-LB and h-LB+UB run fewer BFS than
+// its Table 3 counts, with the same cores. A neighbor closer than h to a
+// removed vertex is not recomputed (Algorithm 3, line 19) but demoted back
+// to its lazy lower-bound key, so one BFS at its next pop covers every
+// removal near it. And ImproveLB (Algorithm 6) skips the candidates that a
+// higher partition already settled (Observation 3).
+//
+// The peel loop itself is sequential; worker threads (§4.6) run only its
+// h-degree batches: the initial pass, the LB1/UB bounds, ImproveLB and
+// h-BZ's per-removal recomputation batch.
 
 #ifndef HCORE_CORE_KH_CORE_H_
 #define HCORE_CORE_KH_CORE_H_

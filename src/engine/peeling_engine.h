@@ -53,7 +53,7 @@ struct PeelingStats {
 
 /// Reaction of a policy to a surviving neighbor of a removed vertex.
 enum class PeelAction : uint8_t {
-  kSkip,       ///< Leave the neighbor's key untouched.
+  kSkip,       ///< The engine leaves the key (the policy may move it).
   kDecrement,  ///< Exact unit decrement (neighbor at full distance h).
   kRecompute,  ///< Queue a full h-degree recomputation (batched).
 };

@@ -5,6 +5,8 @@
 #include "core/bounds.h"
 
 #include <algorithm>
+#include <queue>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -31,7 +33,7 @@ TEST(BoundsPaperExample, Example3Lb1Lb2Values) {
   EXPECT_EQ(lb1[0], 2u);  // v1
   EXPECT_EQ(lb1[1], 2u);  // v2
   EXPECT_EQ(lb1[3], 5u);  // v4
-  std::vector<uint32_t> lb2 = ComputeLB2(g, 2, lb1, &degrees);
+  std::vector<uint32_t> lb2 = ComputeLB2(g, 2, lb1);
   EXPECT_EQ(lb2[1], 5u);  // v2
   EXPECT_EQ(lb2[0], 2u);  // v1 stays at 2 (its neighbors have LB1 = 2)
   // Example 5: B[5] holds v2..v13 after LB2 bucketing.
@@ -59,13 +61,31 @@ TEST(BoundsPaperExample, ImproveLbCleansV6Partition) {
   VertexMask alive(g.num_vertices(), true);
   alive.Kill(0);  // v1 has UB 4 < 6
   std::vector<uint32_t> lb2(g.num_vertices(), 5);
-  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, lb2, &degrees);
+  const std::vector<uint8_t> none(g.num_vertices(), 0);
+  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, lb2, none, 7, &degrees);
+  EXPECT_EQ(r.computed, 12u);
   EXPECT_EQ(r.removed, 2u);
   EXPECT_FALSE(alive.IsAlive(1));  // v2 cleaned
   EXPECT_FALSE(alive.IsAlive(2));  // v3 cleaned
   for (VertexId v = 3; v < 13; ++v) {
     EXPECT_TRUE(alive.IsAlive(v)) << "v" << v + 1;
   }
+}
+
+TEST(BoundsImproveLb, SettledCandidatesEnterLb3AtTheFloor) {
+  // K_6 at h = 2: every h-degree and core index is 5. With every vertex but
+  // 0 settled at floor 3, only vertex 0 is measured, nothing is cleaned, and
+  // LB3 is min(5, 3) = 3, not the h-degree 5 of the one measured vertex.
+  Graph g = gen::Complete(6);
+  HDegreeComputer degrees(g.num_vertices(), 1);
+  VertexMask alive(g.num_vertices(), true);
+  std::vector<uint8_t> settled(g.num_vertices(), 1);
+  settled[0] = 0;
+  const std::vector<uint32_t> zeros(g.num_vertices(), 0);
+  ImproveLbResult r = ImproveLB(g, 2, 1, &alive, zeros, settled, 3, &degrees);
+  EXPECT_EQ(r.computed, 1u);
+  EXPECT_EQ(r.removed, 0u);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(r.lb3[v], 3u);
 }
 
 class BoundsProperty
@@ -81,7 +101,7 @@ TEST_P(BoundsProperty, SandwichLb1Lb2CoreUbHdeg) {
   std::vector<uint32_t> hdeg;
   degrees.ComputeAllAlive(g, alive, h, &hdeg);
   std::vector<uint32_t> lb1 = ComputeLB1(g, h, &degrees);
-  std::vector<uint32_t> lb2 = ComputeLB2(g, h, lb1, &degrees);
+  std::vector<uint32_t> lb2 = ComputeLB2(g, h, lb1);
   std::vector<uint32_t> ub = ComputePowerGraphUpperBound(g, h, hdeg, &degrees);
   std::vector<uint32_t> core = BruteForceKhCore(g, h);
   for (VertexId v = 0; v < n; ++v) {
@@ -137,10 +157,11 @@ TEST_P(BoundsProperty, ImproveLbNeverRemovesTrueCoreMembers) {
   for (uint32_t c : core) degeneracy = std::max(degeneracy, c);
   HDegreeComputer degrees(n, 1);
   std::vector<uint32_t> zeros(n, 0);
+  const std::vector<uint8_t> none(n, 0);
   for (uint32_t k : {degeneracy, degeneracy / 2}) {
     if (k == 0) continue;
     VertexMask alive(n, true);
-    ImproveLbResult r = ImproveLB(g, h, k, &alive, zeros, &degrees);
+    ImproveLbResult r = ImproveLB(g, h, k, &alive, zeros, none, k, &degrees);
     for (VertexId v = 0; v < n; ++v) {
       if (core[v] >= k) {
         EXPECT_TRUE(alive.IsAlive(v))
@@ -156,6 +177,73 @@ TEST_P(BoundsProperty, ImproveLbNeverRemovesTrueCoreMembers) {
   }
 }
 
+TEST_P(BoundsProperty, ImproveLbSkipsSettledVerticesWithoutChangingCleaning) {
+  // The h-LB+UB schedule cleans V[k_min] = {v : UB(v) >= k_min} and passes
+  // the vertices a higher partition settled (core > k_max) with the floor
+  // k_max + 1. Against the unmasked call the removed set must be identical,
+  // LB3 no higher and still at most the core index, and only the unsettled
+  // candidates may be measured.
+  const auto& [spec, h] = GetParam();
+  Graph g = MakeRandomGraph(spec);
+  const VertexId n = g.num_vertices();
+  std::vector<uint32_t> core = BruteForceKhCore(g, h);
+  uint32_t degeneracy = 0;
+  for (uint32_t c : core) degeneracy = std::max(degeneracy, c);
+  HDegreeComputer degrees(n, 1);
+  degrees.coordinator().Assume();  // test body is the sole driver
+  VertexMask all(n, true);
+  std::vector<uint32_t> hdeg;
+  degrees.ComputeAllAlive(g, all, h, &hdeg);
+  const std::vector<uint32_t> ub =
+      ComputePowerGraphUpperBound(g, h, hdeg, &degrees);
+  const std::vector<uint32_t> lb2 =
+      ComputeLB2(g, h, ComputeLB1(g, h, &degrees));
+  const std::vector<uint8_t> none(n, 0);
+  for (uint32_t k_max : {degeneracy / 2, degeneracy > 0 ? degeneracy - 1 : 0}) {
+    std::vector<uint8_t> settled(n, 0);
+    for (VertexId v = 0; v < n; ++v) settled[v] = core[v] > k_max;
+    for (uint32_t k_min : {1u, k_max / 2 + 1, k_max}) {
+      if (k_min > k_max) continue;
+      VertexMask candidates(n, false);
+      uint64_t unsettled = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        if (ub[v] < k_min) continue;
+        candidates.Revive(v);
+        unsettled += !settled[v];
+      }
+      VertexMask plain_alive = candidates;
+      degrees.ResetStats();
+      ImproveLbResult plain =
+          ImproveLB(g, h, k_min, &plain_alive, lb2, none, k_max + 1, &degrees);
+      const uint64_t plain_visits = degrees.total_visited();
+      VertexMask masked_alive = candidates;
+      degrees.ResetStats();
+      ImproveLbResult masked = ImproveLB(g, h, k_min, &masked_alive, lb2,
+                                         settled, k_max + 1, &degrees);
+      const uint64_t masked_visits = degrees.total_visited();
+      const std::string at =
+          " k_min=" + std::to_string(k_min) + " k_max=" + std::to_string(k_max);
+      EXPECT_EQ(masked.removed, plain.removed) << at;
+      EXPECT_EQ(masked.computed, unsettled) << at;
+      EXPECT_EQ(plain.computed, candidates.num_alive()) << at;
+      EXPECT_LE(masked_visits, plain_visits) << at;
+      const bool any_settled = unsettled < candidates.num_alive();
+      for (VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(masked_alive.IsAlive(v), plain_alive.IsAlive(v))
+            << "v=" << v << at;
+        if (!masked_alive.IsAlive(v)) continue;
+        EXPECT_LE(masked.lb3[v], plain.lb3[v]) << "v=" << v << at;
+        EXPECT_LE(masked.lb3[v], core[v]) << "v=" << v << at;
+        // Settled candidates enter LB3's minimum at the floor.
+        if (any_settled) {
+          EXPECT_LE(masked.lb3[v], std::max(lb2[v], k_max + 1))
+              << "v=" << v << at;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Corpus, BoundsProperty,
     ::testing::Combine(::testing::ValuesIn(Corpus(40, 2)),
@@ -165,12 +253,46 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+TEST(BoundsLb2, SweepsEqualPlainBfsBallMaximum) {
+  // LB2 is computed by ⌈h/2⌉ neighborhood-max sweeps; check it against the
+  // definition, a plain BFS over each closed ⌈h/2⌉-ball.
+  for (const RandomGraphSpec& spec : Corpus(60, 2)) {
+    Graph g = MakeRandomGraph(spec);
+    const VertexId n = g.num_vertices();
+    HDegreeComputer degrees(n, 1);
+    for (int h = 2; h <= 5; ++h) {
+      std::vector<uint32_t> lb1 = ComputeLB1(g, h, &degrees);
+      std::vector<uint32_t> lb2 = ComputeLB2(g, h, lb1);
+      const int radius = (h + 1) / 2;
+      for (VertexId v = 0; v < n; ++v) {
+        std::vector<int> dist(n, -1);
+        std::queue<VertexId> frontier;
+        dist[v] = 0;
+        frontier.push(v);
+        uint32_t expect = lb1[v];
+        while (!frontier.empty()) {
+          const VertexId x = frontier.front();
+          frontier.pop();
+          expect = std::max(expect, lb1[x]);
+          if (dist[x] == radius) continue;
+          for (VertexId y : g.neighbors(x)) {
+            if (dist[y] >= 0) continue;
+            dist[y] = dist[x] + 1;
+            frontier.push(y);
+          }
+        }
+        EXPECT_EQ(lb2[v], expect) << spec.Name() << " h=" << h << " v=" << v;
+      }
+    }
+  }
+}
+
 TEST(BoundsQuality, Lb2TighterThanLb1OnSocialGraph) {
   Rng rng(11);
   Graph g = gen::BarabasiAlbert(300, 4, &rng);
   HDegreeComputer degrees(g.num_vertices(), 1);
   std::vector<uint32_t> lb1 = ComputeLB1(g, 2, &degrees);
-  std::vector<uint32_t> lb2 = ComputeLB2(g, 2, lb1, &degrees);
+  std::vector<uint32_t> lb2 = ComputeLB2(g, 2, lb1);
   uint64_t sum1 = 0, sum2 = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     sum1 += lb1[v];

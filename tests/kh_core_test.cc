@@ -280,11 +280,18 @@ TEST_P(KhCoreOptionsProperty, ThreadCountDoesNotChangeResult) {
 }
 
 TEST_P(KhCoreOptionsProperty, PartitionSizeDoesNotChangeResult) {
+  // h-LB demotes neighbors closer than h back to their lazy seed key, and
+  // h-LB+UB does so in every partition, where settled vertices also skip
+  // ImproveLB. Both must match the brute force at every partition size.
   Graph g = MakeRandomGraph(GetParam());
-  KhCoreResult base = Decompose(g, 3, KhCoreAlgorithm::kLb);
-  for (int s : {1, 2, 5, 1000}) {
-    KhCoreResult part = Decompose(g, 3, KhCoreAlgorithm::kLbUb, 1, s);
-    EXPECT_EQ(base.core, part.core) << "S=" << s;
+  for (int h : {2, 3, 4}) {
+    const std::vector<uint32_t> expect = BruteForceKhCore(g, h);
+    EXPECT_EQ(Decompose(g, h, KhCoreAlgorithm::kLb).core, expect)
+        << "h-LB h=" << h;
+    for (int s : {0, 1, 2, 3, 5, 1000}) {
+      EXPECT_EQ(Decompose(g, h, KhCoreAlgorithm::kLbUb, 1, s).core, expect)
+          << "h-LB+UB h=" << h << " S=" << s;
+    }
   }
 }
 
