@@ -6,6 +6,13 @@
 //   * h-LB and h-LB+UB beat h-BZ by >= one order of magnitude in visits;
 //   * h-LB wins on road networks (sparse, low h-degree everywhere);
 //   * h-LB+UB wins for h >= 3 on social/collaboration graphs.
+// The third point does not hold for this code. h-LB lowers a neighbor's
+// key by a ball size instead of re-running its BFS, and so at h = 3 it
+// ran 1.4-2.5x faster than h-LB+UB on every dataset stand-in that takes
+// over 1 ms (ten of twelve at scale 0.1, 1 thread, 4-thread x86 box),
+// social and collaboration sets included, with fewer visits on all twelve.
+// At h = 4 it was faster on all but lj, where the two tie (6.6 s each).
+// kAuto follows this: h-LB through h = 3, h-LB+UB from h = 4.
 // Absolute values differ (synthetic stand-ins, reduced scale).
 
 #include <cstdio>

@@ -15,11 +15,13 @@
 // h-LB+UB partition schedule.
 //
 // Two departures from the paper make h-LB and h-LB+UB run fewer BFS than
-// its Table 3 counts, with the same cores. A neighbor closer than h to a
-// removed vertex is not recomputed (Algorithm 3, line 19) but demoted back
-// to its lazy lower-bound key, so one BFS at its next pop covers every
-// removal near it. And ImproveLB (Algorithm 6) skips the candidates that a
-// higher partition already settled (Observation 3).
+// its Table 3 counts, with the same cores. A neighbor u at distance d < h
+// from a removed vertex w is not recomputed (Algorithm 3, line 19): its key
+// drops by |B(w, h - d)|, the ball that holds every vertex u can lose, and
+// only when that bound gets too weak is u demoted back to its lazy
+// lower-bound key, so one BFS at its next pop covers every removal near it.
+// And ImproveLB (Algorithm 6) skips the candidates that a higher partition
+// already settled (Observation 3).
 //
 // The peel loop itself is sequential; worker threads (§4.6) run only its
 // h-degree batches: the initial pass, the LB1/UB bounds, ImproveLB and
@@ -38,8 +40,13 @@ namespace hcore {
 
 /// Which decomposition algorithm to run.
 enum class KhCoreAlgorithm {
-  /// h-LB+UB for h >= 3 or dense graphs, h-LB otherwise (mirrors the
-  /// paper's empirical guidance in §6.2).
+  /// h-LB for h <= 3, h-LB+UB for h >= 4; no density test is involved.
+  /// The paper's §6.2 has h-LB+UB winning from h = 3. Here h-LB's
+  /// ball-bounded demotion makes it 1.4-2.5x faster than h-LB+UB at h = 3
+  /// on every dataset stand-in that takes over 1 ms (scale 0.1, 1 thread)
+  /// and on perfbench's clustered h = 3 shape. h >= 4 keeps the paper's
+  /// choice until larger inputs are measured: h-LB won most h = 4 inputs
+  /// tried too, but tied on the largest stand-in (lj).
   kAuto,
   kBz,    ///< Algorithm 1 (baseline).
   kLb,    ///< Algorithms 2+3.
@@ -132,7 +139,8 @@ struct KhCoreStats {
   uint64_t visited_vertices = 0;
   /// Number of full h-degree recomputations (BFS runs).
   uint64_t hdegree_computations = 0;
-  /// Number of O(1) decrement updates taken instead of a BFS.
+  /// Number of O(1) decrement updates taken instead of a BFS: unit
+  /// decrements, plus h-LB's decrements by a ball size.
   uint64_t decrement_updates = 0;
   /// Vertices popped by the peel, lazy re-queues included (h-BZ pops each
   /// vertex exactly once). 0 for h = 1 (the classic path reports no engine

@@ -45,7 +45,8 @@ namespace hcore {
 struct PeelingStats {
   /// Full h-degree recomputations (each one h-bounded BFS).
   uint64_t hdegree_computations = 0;
-  /// O(1) unit decrements taken instead of a BFS.
+  /// O(1) decrements taken instead of a BFS: the engine's unit decrements
+  /// plus any a policy applies itself (h-LB's ball-size decrements).
   uint64_t decrement_updates = 0;
   /// Vertices popped from the queue (including lazy re-queues).
   uint64_t pops = 0;
@@ -111,6 +112,18 @@ class PeelingEngine {
   /// Per-vertex keys (true degrees, not bucket-clamped). Policies may read
   /// and write entries directly, e.g. when lazily materializing a degree.
   std::vector<uint32_t>& keys() { return keys_; }
+
+  /// |B(w, r)|: the closed ball of radius `r` (0 <= r <= h) around the
+  /// vertex `w` being removed, `w` included, over the alive set just before
+  /// its removal. Valid only inside OnNeighbor. The h-neighborhood is
+  /// collected in BFS order, so the ball is a prefix of it and this is one
+  /// binary search: policies that never ask pay nothing.
+  uint32_t BallSize(int r) const {
+    const auto end = std::partition_point(
+        nbhd_.begin(), nbhd_.end(),
+        [r](const std::pair<VertexId, int>& e) { return e.second <= r; });
+    return 1 + static_cast<uint32_t>(end - nbhd_.begin());
+  }
 
   /// Inserts `v` with key `key` (and records it as v's degree).
   void Seed(VertexId v, uint32_t key) {

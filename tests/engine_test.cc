@@ -225,6 +225,68 @@ TEST(PeelingEngine, KeyUpdateHookSeesEveryChangeWhenPinnedSkipOff) {
   EXPECT_GE(policy.hub_updates, 3);
 }
 
+/// Records |B(w, r)| for r = 0..h at the first neighbor update of each
+/// removed vertex w (every neighbor is skipped, so keys never move).
+struct BallPolicy : PeelPolicyBase {
+  BallPolicy(const PeelingEngine* e, VertexId n) : e(e), balls(n) {}
+  bool OnPop(VertexId v, uint32_t) {
+    popped = v;
+    return true;
+  }
+  PeelAction OnNeighbor(VertexId, int, uint32_t) {
+    std::vector<uint32_t>& ball = balls[popped];
+    if (ball.empty()) {
+      for (int r = 0; r <= e->h(); ++r) ball.push_back(e->BallSize(r));
+    }
+    return PeelAction::kSkip;
+  }
+  const PeelingEngine* e;
+  VertexId popped = 0;
+  std::vector<std::vector<uint32_t>> balls;
+};
+
+/// Peels `g` in `order` (vertex order[i] is seeded at key i) and returns
+/// each removal's ball sizes for radii 0..h over the vertices alive then.
+std::vector<std::vector<uint32_t>> BallSizesInOrder(
+    const Graph& g, int h, const std::vector<VertexId>& order) {
+  const VertexId n = g.num_vertices();
+  VertexMask alive(n, true);
+  HDegreeComputer degrees(n, 1);
+  PeelingEngine engine(g, h, &alive, &degrees, n);
+  for (VertexId i = 0; i < n; ++i) engine.Seed(order[i], i);
+  BallPolicy policy(&engine, n);
+  engine.Peel(0, n, policy);
+  return policy.balls;
+}
+
+TEST(PeelingEngine, BallSizeOnPathCountsAliveVerticesWithinRadius) {
+  // Path 0-1-2-3-4-5-6 at h = 3. Removing 3 first sees the full path
+  // around it; removing 2 next no longer counts the dead 3, and removing 0
+  // after 1 sees only itself.
+  const Graph g = gen::Path(7);
+  const auto balls = BallSizesInOrder(g, 3, {3, 2, 1, 0, 4, 5, 6});
+  EXPECT_EQ(balls[3], (std::vector<uint32_t>{1, 3, 5, 7}));
+  EXPECT_EQ(balls[2], (std::vector<uint32_t>{1, 2, 3, 3}));
+  EXPECT_EQ(balls[1], (std::vector<uint32_t>{1, 2, 2, 2}));
+  EXPECT_TRUE(balls[0].empty());  // no alive neighbor: never asked
+  EXPECT_EQ(balls[4], (std::vector<uint32_t>{1, 2, 3, 3}));
+}
+
+TEST(PeelingEngine, BallSizeOnStarReachesLeavesThroughTheHub) {
+  // Star with hub 0 and leaves 1..5 at h = 2: a leaf's radius-1 ball is
+  // itself and the hub, its radius-2 ball the whole star. Once the hub is
+  // gone, the remaining leaves are isolated.
+  const Graph g = gen::Star(6);
+  auto balls = BallSizesInOrder(g, 2, {1, 2, 0, 3, 4, 5});
+  EXPECT_EQ(balls[1], (std::vector<uint32_t>{1, 2, 6}));
+  EXPECT_EQ(balls[2], (std::vector<uint32_t>{1, 2, 5}));
+  EXPECT_EQ(balls[0], (std::vector<uint32_t>{1, 4, 4}));
+  EXPECT_TRUE(balls[3].empty());
+
+  balls = BallSizesInOrder(g, 2, {0, 1, 2, 3, 4, 5});
+  EXPECT_EQ(balls[0], (std::vector<uint32_t>{1, 6, 6}));
+}
+
 // ---------------------------------------------------------------------------
 // Orderings / Graph::Relabeled (cache-locality pass).
 // ---------------------------------------------------------------------------

@@ -327,6 +327,54 @@ INSTANTIATE_TEST_SUITE_P(Corpus, KhCoreOptionsProperty,
                          });
 
 // ---------------------------------------------------------------------------
+// Ball-bounded demotion: a neighbor at distance d < h of a removed vertex w
+// drops its key by |B(w, h - d)| instead of taking a BFS. Hub-heavy graphs
+// (one removal near a hub lowers many keys at once) and small-world graphs
+// (rings whose shortcuts give short, overlapping balls) stress the bound.
+// ---------------------------------------------------------------------------
+
+TEST(KhCoreBallBound, LbAndLbUbMatchBruteForceOnHubAndSmallWorldGraphs) {
+  int graphs = 0;
+  for (uint64_t seed = 1; seed <= 160; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    const VertexId n = 12 + static_cast<VertexId>(seed % 37);
+    const Graph hubs =
+        seed % 2 == 0
+            ? gen::BarabasiAlbert(n, 1 + static_cast<uint32_t>(seed % 4), &rng)
+            : gen::StarHeavySocial(n, 2 * n, 2, 0.4, &rng);
+    const Graph small_world = gen::WattsStrogatz(
+        n, 1 + static_cast<uint32_t>(seed % 3), 0.1 * (seed % 5), &rng);
+    for (const Graph* g : {&hubs, &small_world}) {
+      ++graphs;
+      for (int h : {2, 3, 4}) {
+        const std::vector<uint32_t> expect = BruteForceKhCore(*g, h);
+        for (KhCoreAlgorithm alg :
+             {KhCoreAlgorithm::kLb, KhCoreAlgorithm::kLbUb}) {
+          ASSERT_EQ(Decompose(*g, h, alg).core, expect)
+              << ToString(alg) << " seed=" << seed << " n=" << n
+              << " h=" << h << (g == &hubs ? " hubs" : " small-world");
+        }
+      }
+    }
+  }
+  EXPECT_GE(graphs, 300);
+}
+
+TEST(KhCoreAuto, RunsLbThroughH3AndLbUbFromH4) {
+  Rng rng(11);
+  const Graph g = gen::BarabasiAlbert(300, 3, &rng);
+  for (int h : {2, 3, 4, 5}) {
+    const KhCoreResult chosen = Decompose(g, h, KhCoreAlgorithm::kAuto);
+    EXPECT_EQ(chosen.core, Decompose(g, h, KhCoreAlgorithm::kBz).core);
+    if (h <= 3) {
+      EXPECT_EQ(chosen.stats.partitions, 0u) << "h=" << h;
+    } else {
+      EXPECT_GT(chosen.stats.partitions, 0u) << "h=" << h;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Stats: the bounds must pay off in traversal volume.
 // ---------------------------------------------------------------------------
 

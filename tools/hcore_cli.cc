@@ -205,10 +205,17 @@ int CmdDecompose(const Flags& flags) {
               g.value().num_vertices(),
               static_cast<unsigned long long>(g.value().num_edges()), opts.h,
               r.degeneracy, r.NumDistinctCores());
-  std::printf("time=%.3fs visits=%llu hdeg_computations=%llu\n",
-              r.stats.seconds,
-              static_cast<unsigned long long>(r.stats.visited_vertices),
-              static_cast<unsigned long long>(r.stats.hdegree_computations));
+  // Under --algo=auto, partitions=0 at h >= 2 means h-LB ran: h-LB+UB
+  // processes at least one partition.
+  std::printf(
+      "time=%.3fs visits=%llu hdeg_computations=%llu pops=%llu "
+      "decrements=%llu partitions=%u\n",
+      r.stats.seconds,
+      static_cast<unsigned long long>(r.stats.visited_vertices),
+      static_cast<unsigned long long>(r.stats.hdegree_computations),
+      static_cast<unsigned long long>(r.stats.pops),
+      static_cast<unsigned long long>(r.stats.decrement_updates),
+      r.stats.partitions);
   std::string out_path = flags.Get("output");
   if (!out_path.empty()) {
     std::ofstream out(out_path);
