@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "datasets/datasets.h"
 
@@ -21,7 +20,6 @@ namespace hcore::bench {
 struct BenchArgs {
   bool full = false;
   double scale_override = 0.0;  // 0 = use per-bench defaults
-  int threads = 0;              // 0 = hardware concurrency
 };
 
 inline BenchArgs ParseArgs(int argc, char** argv) {
@@ -31,17 +29,9 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
       args.full = true;
     } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
       args.scale_override = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      args.threads = std::atoi(argv[i] + 10);
     }
   }
   return args;
-}
-
-inline int EffectiveThreads(const BenchArgs& args) {
-  if (args.threads > 0) return args.threads;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 4 : static_cast<int>(hw);
 }
 
 /// Loads a dataset at `quick` scale normally or `full_scale` under --full

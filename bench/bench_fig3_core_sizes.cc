@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
     for (int h = 1; h <= 5; ++h) {
       KhCoreOptions opts;
       opts.h = h;
-      opts.num_threads = bench::EffectiveThreads(args);
       KhCoreResult r = KhCoreDecomposition(d.graph, opts);
       std::vector<uint32_t> sizes = r.CoreSizes();
       std::printf("%4d", h);

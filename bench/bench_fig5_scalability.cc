@@ -1,4 +1,4 @@
-// Figure 5: scalability of h-LB+UB (multi-threaded) on snowball-sampled
+// Figure 5: scalability of h-LB+UB (single-threaded) on snowball-sampled
 // subgraphs of the lj stand-in, for h = 2 and h = 3. Mirrors the paper's
 // protocol: for each sample size draw several snowball samples from random
 // seeds, decompose, and report mean and standard deviation of the runtime.
@@ -18,11 +18,10 @@
 int main(int argc, char** argv) {
   using namespace hcore;
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  const int threads = bench::EffectiveThreads(args);
   bench::PrintHeader("Figure 5: h-LB+UB runtime vs snowball sample size");
   Dataset d = bench::Load(args, "lj", /*quick=*/0.25);
-  std::printf("base graph: n=%u m=%llu, %d threads\n", d.graph.num_vertices(),
-              static_cast<unsigned long long>(d.graph.num_edges()), threads);
+  std::printf("base graph: n=%u m=%llu\n", d.graph.num_vertices(),
+              static_cast<unsigned long long>(d.graph.num_edges()));
   std::printf("%10s %4s %12s %12s\n", "|V'|", "h", "mean (s)", "stddev (s)");
 
   std::vector<VertexId> sizes = {100, 1000, 5000};
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
         KhCoreOptions opts;
         opts.h = h;
         opts.algorithm = KhCoreAlgorithm::kLbUb;
-        opts.num_threads = threads;
         KhCoreResult r = KhCoreDecomposition(sample, opts);
         runs.push_back(r.stats.seconds);
         if (size >= d.graph.num_vertices()) break;  // deterministic, run once

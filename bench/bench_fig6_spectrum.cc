@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
 
   SpectrumOptions opts;
   opts.max_h = 5;
-  opts.base.num_threads = bench::EffectiveThreads(args);
   const SpectrumResult spectrum = KhCoreSpectrum(d.graph, opts);
 
   // Normalized index core_h(v) / Ĉ_h binned into quartiles.

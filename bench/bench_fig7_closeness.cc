@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   for (int h = 1; h <= 4; ++h) {
     KhCoreOptions opts;
     opts.h = h;
-    opts.num_threads = bench::EffectiveThreads(args);
     KhCoreResult r = KhCoreDecomposition(d.graph, opts);
 
     std::printf("%4d", h);

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives underlying the
-// decomposition: bounded BFS, bucket-queue operations, h-degree batches
-// (sequential vs parallel), classic core decomposition, and generators.
+// decomposition: bounded BFS, bucket-queue operations, the all-vertex
+// h-degree pass, classic core decomposition, and generators.
 //
 // Besides the usual console table, every run writes machine-readable JSON
 // (default BENCH_micro.json, override with --benchmark_out=...) so repeated
@@ -16,7 +16,6 @@
 #include "core/kh_core.h"
 #include "graph/generators.h"
 #include "traversal/bounded_bfs.h"
-#include "traversal/h_degree.h"
 #include "util/bucket_queue.h"
 #include "util/rng.h"
 
@@ -69,20 +68,18 @@ void BM_BucketQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketQueueChurn);
 
-void BM_HDegreeBatch(benchmark::State& state) {
+void BM_HDegreeAllAlive(benchmark::State& state) {
   const Graph& g = SocialGraph();
-  const int threads = static_cast<int>(state.range(0));
-  HDegreeComputer degrees(g.num_vertices(), threads);
-  degrees.coordinator().Assume();  // bench body is the sole driver
+  BoundedBfs bfs(g.num_vertices());
   VertexMask alive(g.num_vertices(), true);
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    degrees.ComputeAllAlive(g, alive, 2, &out);
+    ComputeAllAlive(g, alive, 2, &bfs, &out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           g.num_vertices());
 }
-BENCHMARK(BM_HDegreeBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HDegreeAllAlive)->Unit(benchmark::kMillisecond);
 
 void BM_ClassicCore(benchmark::State& state) {
   const Graph& g = SocialGraph();

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
     for (int h = 1; h <= 5; ++h) {
       KhCoreOptions opts;
       opts.h = h;
-      opts.num_threads = bench::EffectiveThreads(args);
       KhCoreResult r = KhCoreDecomposition(d.graph, opts);
       // The paper counts distinct non-empty cores; core value 0 vertices
       // exist only when isolated, matching |{core(v)}|.

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
         KhCoreOptions opts;
         opts.h = h;
         opts.algorithm = alg;
-        opts.num_threads = 1;  // the paper's Table 3 is single-threaded
         KhCoreResult r = KhCoreDecomposition(d.graph, opts);
         std::printf("  %8.3f  %13llu", r.stats.seconds,
                     static_cast<unsigned long long>(r.stats.visited_vertices));

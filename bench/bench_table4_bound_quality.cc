@@ -60,18 +60,16 @@ int main(int argc, char** argv) {
       // Ground-truth core indexes.
       KhCoreOptions opts;
       opts.h = h;
-      opts.num_threads = bench::EffectiveThreads(args);
       KhCoreResult truth = KhCoreDecomposition(d.graph, opts);
 
-      HDegreeComputer degrees(n, bench::EffectiveThreads(args));
-      degrees.coordinator().Assume();  // bench main thread is the driver
+      BoundedBfs bfs(n);
       VertexMask alive(n, true);
       std::vector<uint32_t> hdeg;
-      degrees.ComputeAllAlive(d.graph, alive, h, &hdeg);
-      std::vector<uint32_t> lb1 = ComputeLB1(d.graph, h, &degrees);
+      ComputeAllAlive(d.graph, alive, h, &bfs, &hdeg);
+      std::vector<uint32_t> lb1 = ComputeLB1(d.graph, h, &bfs);
       std::vector<uint32_t> lb2 = ComputeLB2(d.graph, h, lb1);
       std::vector<uint32_t> ub =
-          ComputePowerGraphUpperBound(d.graph, h, hdeg, &degrees);
+          ComputePowerGraphUpperBound(d.graph, h, hdeg, &bfs);
 
       ErrorStats e1 = Evaluate(lb1, truth.core);
       ErrorStats e2 = Evaluate(lb2, truth.core);

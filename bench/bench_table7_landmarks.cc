@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
     for (const Dataset& d : data) {
       KhCoreOptions opts;
       opts.h = h;
-      opts.num_threads = bench::EffectiveThreads(args);
       KhCoreResult r = KhCoreDecomposition(d.graph, opts);
       std::printf(" %6u/%-5zu", r.degeneracy, r.MaxCoreVertices().size());
     }

@@ -6,7 +6,6 @@
 #include "engine/peeling_engine.h"
 #include "engine/vertex_mask.h"
 #include "traversal/bounded_bfs.h"
-#include "traversal/h_degree.h"
 
 namespace hcore {
 namespace {
@@ -30,8 +29,8 @@ std::vector<VertexId> HPeelOrder(const Graph& g, int h) {
   if (n == 0) return order;
 
   VertexMask alive(n, true);
-  HDegreeComputer degrees(n, /*num_threads=*/1);
-  PeelingEngine engine(g, h, &alive, &degrees, n);
+  BoundedBfs bfs;
+  PeelingEngine engine(g, h, &alive, &bfs, n);
   engine.SeedAliveWithHDegrees();
   HPeelOrderPolicy policy(&order);
   engine.Peel(0, n, policy);
@@ -44,15 +43,14 @@ ColoringResult DistanceHColoring(const Graph& g, int h, ColoringOrder order) {
   out.color.assign(n, 0);
   if (n == 0) return out;
 
+  BoundedBfs bfs(n);
   std::vector<VertexId> peel;
   if (order == ColoringOrder::kUpperBoundPeel) {
-    HDegreeComputer degrees(n, 1);
-    degrees.coordinator().Assume();  // locally owned, single-threaded use
     VertexMask all(n, true);
     std::vector<uint32_t> hdeg;
-    degrees.ComputeAllAlive(g, all, h, &hdeg);
+    ComputeAllAlive(g, all, h, &bfs, &hdeg);
     std::vector<uint32_t> ub =
-        ComputePowerGraphUpperBound(g, h, hdeg, &degrees, &peel);
+        ComputePowerGraphUpperBound(g, h, hdeg, &bfs, &peel);
     uint32_t max_ub = 0;
     for (uint32_t x : ub) max_ub = std::max(max_ub, x);
     out.bound = max_ub + 1;
@@ -68,7 +66,6 @@ ColoringResult DistanceHColoring(const Graph& g, int h, ColoringOrder order) {
 
   constexpr uint32_t kUncolored = 0xFFFFFFFFu;
   std::vector<uint32_t> color(n, kUncolored);
-  BoundedBfs bfs(n);
   VertexMask all_alive(n, true);
   std::vector<uint8_t> used;  // used[c] != 0: color c conflicts
   uint32_t num_colors = 0;

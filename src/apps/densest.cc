@@ -5,7 +5,6 @@
 #include "engine/peeling_engine.h"
 #include "engine/vertex_mask.h"
 #include "traversal/bounded_bfs.h"
-#include "traversal/h_degree.h"
 
 namespace hcore {
 
@@ -98,8 +97,8 @@ DensestResult DensestByGreedyPeeling(const Graph& g, int h) {
   if (n == 0) return best;
 
   VertexMask alive(n, true);
-  HDegreeComputer degrees(n, /*num_threads=*/1);
-  PeelingEngine engine(g, h, &alive, &degrees, n);
+  BoundedBfs bfs;
+  PeelingEngine engine(g, h, &alive, &bfs, n);
   engine.SeedAliveWithHDegrees();
   uint64_t degree_sum = 0;
   for (VertexId v = 0; v < n; ++v) degree_sum += engine.keys()[v];

@@ -6,17 +6,13 @@
 
 namespace hcore {
 
-std::vector<uint32_t> ComputeLB1(const Graph& g, int h,
-                                 HDegreeComputer* degrees) {
+std::vector<uint32_t> ComputeLB1(const Graph& g, int h, BoundedBfs* bfs) {
   HCORE_CHECK(h >= 2);
-  // Bound helpers run on the caller's thread, which drives the borrowed
-  // computer for the duration of the call.
-  degrees->coordinator().Assume();
   const VertexId n = g.num_vertices();
   const int radius = h / 2;  // ⌊h/2⌋ >= 1 for h >= 2.
   VertexMask alive(n, true);
   std::vector<uint32_t> lb1(n, 0);
-  degrees->ComputeAllAlive(g, alive, radius, &lb1);
+  ComputeAllAlive(g, alive, radius, bfs, &lb1);
   return lb1;
 }
 
@@ -65,7 +61,7 @@ struct PowerGraphUbPolicy : PeelPolicyBase {
 
 std::vector<uint32_t> ComputePowerGraphUpperBound(
     const Graph& g, int h, const std::vector<uint32_t>& hdeg,
-    HDegreeComputer* degrees, std::vector<VertexId>* peel_order) {
+    BoundedBfs* bfs, std::vector<VertexId>* peel_order) {
   const VertexId n = g.num_vertices();
   std::vector<uint32_t> ub(n, 0);
   if (peel_order != nullptr) {
@@ -77,7 +73,7 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
   for (uint32_t d : hdeg) max_key = std::max(max_key, d);
 
   VertexMask alive(n, true);
-  PeelingEngine engine(g, h, &alive, degrees, max_key);
+  PeelingEngine engine(g, h, &alive, bfs, max_key);
   for (VertexId v = 0; v < n; ++v) engine.Seed(v, hdeg[v]);
   PowerGraphUbPolicy policy(&ub, peel_order);
   engine.Peel(0, max_key, policy);
@@ -87,10 +83,9 @@ std::vector<uint32_t> ComputePowerGraphUpperBound(
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
                           VertexMask* alive, const std::vector<uint32_t>& lb2,
                           const std::vector<uint8_t>& settled,
-                          uint32_t settled_floor, HDegreeComputer* degrees) {
+                          uint32_t settled_floor, BoundedBfs* bfs) {
   const VertexId n = g.num_vertices();
   HCORE_CHECK(settled.size() == n);
-  degrees->coordinator().Assume();  // caller's thread drives the computer
   ImproveLbResult out;
   out.lb3.assign(n, 0);
 
@@ -106,17 +101,15 @@ ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
     }
   });
   if (open.empty() && !any_settled) return out;
-  std::vector<uint32_t> open_hdeg(open.size());
-  degrees->ComputeBatch(g, *alive, h, open, open_hdeg.data());
   out.computed = open.size();
 
   // Minimum h-degree over the candidate set, before cleaning (Property 3),
   // with settled_floor standing in for every settled candidate.
   std::vector<uint32_t> hdeg(n, 0);
-  uint32_t min_hdeg = any_settled ? settled_floor : open_hdeg[0];
-  for (size_t i = 0; i < open.size(); ++i) {
-    hdeg[open[i]] = open_hdeg[i];
-    min_hdeg = std::min(min_hdeg, open_hdeg[i]);
+  uint32_t min_hdeg = any_settled ? settled_floor : UINT32_MAX;
+  for (const VertexId v : open) {
+    hdeg[v] = bfs->HDegree(g, *alive, v, h);
+    min_hdeg = std::min(min_hdeg, hdeg[v]);
   }
 
   // Cascade-remove vertices whose optimistic h-degree sinks below k_min.
@@ -136,7 +129,7 @@ ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
     VertexId v = stack.back();
     stack.pop_back();
     if (!alive->IsAlive(v)) continue;
-    degrees->CollectNeighborhood(g, *alive, v, h, &nbhd);
+    bfs->CollectNeighborhood(g, *alive, v, h, &nbhd);
     alive->Kill(v);
     ++out.removed;
     for ([[maybe_unused]] const auto& [u, dist] : nbhd) {

@@ -8,10 +8,9 @@
 //            Property 3), together with optimistic cleaning of the set.
 //
 // LB2 needs no BFS: the max over a closed r-ball is r rounds of "max over
-// the closed 1-neighborhood". The other functions run their BFS workloads
-// through an HDegreeComputer so the caller controls threading and visit
-// accounting; the UB peel itself is a unit-decrement policy over the shared
-// PeelingEngine.
+// the closed 1-neighborhood". The other functions run their BFS on the
+// caller's BoundedBfs, so the caller keeps one visit count; the UB peel
+// itself is a unit-decrement policy over the shared PeelingEngine.
 
 #ifndef HCORE_CORE_BOUNDS_H_
 #define HCORE_CORE_BOUNDS_H_
@@ -21,14 +20,13 @@
 
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
-#include "traversal/h_degree.h"
+#include "traversal/bounded_bfs.h"
 
 namespace hcore {
 
 /// LB1(v) = deg^{⌊h/2⌋}(v) over the full graph. Requires h >= 2 (for h = 1
 /// the radius would be 0; callers use the classic fast path instead).
-std::vector<uint32_t> ComputeLB1(const Graph& g, int h,
-                                 HDegreeComputer* degrees);
+std::vector<uint32_t> ComputeLB1(const Graph& g, int h, BoundedBfs* bfs);
 
 /// LB2 from a precomputed LB1: max of LB1 over the closed ⌈h/2⌉-neighborhood,
 /// computed as ⌈h/2⌉ sweeps of max over each closed 1-neighborhood.
@@ -52,7 +50,7 @@ std::vector<uint32_t> ComputeLB2(const Graph& g, int h,
 /// DistanceHColoring as a smallest-last ordering of the implicit G^h).
 std::vector<uint32_t> ComputePowerGraphUpperBound(
     const Graph& g, int h, const std::vector<uint32_t>& hdeg,
-    HDegreeComputer* degrees, std::vector<VertexId>* peel_order = nullptr);
+    BoundedBfs* bfs, std::vector<VertexId>* peel_order = nullptr);
 
 /// Output of ImproveLB (Algorithm 6).
 struct ImproveLbResult {
@@ -81,7 +79,7 @@ struct ImproveLbResult {
 ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
                           VertexMask* alive, const std::vector<uint32_t>& lb2,
                           const std::vector<uint8_t>& settled,
-                          uint32_t settled_floor, HDegreeComputer* degrees);
+                          uint32_t settled_floor, BoundedBfs* bfs);
 
 }  // namespace hcore
 

@@ -2,7 +2,7 @@
 
 #include "engine/peeling_engine.h"
 #include "engine/vertex_mask.h"
-#include "traversal/h_degree.h"
+#include "traversal/bounded_bfs.h"
 
 namespace hcore {
 namespace {
@@ -38,8 +38,8 @@ ClassicCoreResult ClassicCoreDecomposition(const Graph& g) {
   if (n == 0) return out;
 
   VertexMask alive(n, true);
-  HDegreeComputer degrees(n, /*num_threads=*/1);
-  PeelingEngine engine(g, /*h=*/1, &alive, &degrees, g.MaxDegree());
+  BoundedBfs bfs;  // never grown: the h = 1 peel walks adjacency directly
+  PeelingEngine engine(g, /*h=*/1, &alive, &bfs, g.MaxDegree());
   for (VertexId v = 0; v < n; ++v) engine.Seed(v, g.degree(v));
 
   ClassicPolicy policy(&out);

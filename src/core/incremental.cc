@@ -47,9 +47,6 @@ struct LocalizedPolicy : PeelPolicyBase {
 
 }  // namespace
 
-LocalizedUpdater::LocalizedUpdater(int num_threads)
-    : degrees_(0, num_threads) {}
-
 /// Subgraph view for the delete cascade's violation test: the level set
 /// {u : cur(u) >= level} (see the strategy comment in incremental.h).
 struct LevelMask {
@@ -71,11 +68,8 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
   LocalizedUpdateStats local;
   bool ok = false;
   if (options.enable && !effective.empty()) {
-    // The updater processes one batch at a time, driven end-to-end by the
-    // calling thread — it coordinates the computer.
-    degrees_.coordinator().Assume();
     const uint64_t visits_before =
-        bfs_.total_visited() + degrees_.total_visited();
+        bfs_.total_visited() + gate_bfs_.total_visited();
     // Deletions never shrink the vertex set; insertions may grow it, and
     // the newcomers' pre-edit core index is 0 (they did not exist).
     // `base_core_` keeps the pristine resized old cores; `next_core_`
@@ -88,7 +82,7 @@ bool LocalizedUpdater::UpdateLevel(const Graph& g_before, const Graph& g_after,
     ok = inserts ? InsertUpdate(g_after, effective, h, options, &local)
                  : DeleteCascade(g_before, g_after, effective, h, options,
                                  &local);
-    local.visited = bfs_.total_visited() + degrees_.total_visited() -
+    local.visited = bfs_.total_visited() + gate_bfs_.total_visited() -
                     visits_before;
     if (ok) *core = std::move(next_core_);
   }
@@ -115,9 +109,6 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
   }
   bound += 1;
 
-  degrees_.coordinator().Assume();
-  degrees_.EnsureCapacity(n);
-
   // Escalated trials gate admissions on h-degree: the failed trial was
   // exact below its bound, so the only new changes live at levels >= it,
   // and a vertex reaching such a level needs an h-degree that high.
@@ -135,7 +126,7 @@ bool LocalizedUpdater::InsertUpdate(const Graph& g_after,
     mask_.Assign(n, false);
     for (const VertexId v : region_) mask_.Revive(v);
     for (const VertexId v : boundary_) mask_.Revive(v);
-    PeelingEngine engine(g_after, h, &mask_, &degrees_, n);
+    PeelingEngine engine(g_after, h, &mask_, &bfs_, n);
     LocalizedPolicy policy(state_, &next_core_, h);
     engine.PeelRegion(region_, boundary_, next_core_, policy);
     for (const VertexId v : region_) state_[v] = 0;
@@ -164,14 +155,13 @@ bool LocalizedUpdater::FindRegion(const Graph& g,
   mask_.Assign(g.num_vertices(), true);
 
   // The change filter (see the file comment). The h-degree gate costs one
-  // bounded BFS, so it runs last — on the computer's scratch, because the
-  // filter is evaluated from inside the seed/expansion BFS visitors and
-  // bfs_ is mid-run there.
+  // bounded BFS, so it runs last — on gate_bfs_, because the filter is
+  // evaluated from inside the seed/expansion BFS visitors and bfs_ is
+  // mid-run there.
   auto could_change = [&](VertexId x) {
     if (base_core_[x] >= bound) return false;
     if (hdeg_gate == 0 || base_core_[x] < hdeg_gate) return true;
-    degrees_.coordinator().Assume();  // the updater's driving thread
-    return degrees_.Compute(g, mask_, x, h) >= hdeg_gate;
+    return gate_bfs_.HDegree(g, mask_, x, h) >= hdeg_gate;
   };
 
   bool overflow = false;

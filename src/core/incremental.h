@@ -64,7 +64,6 @@
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
 #include "traversal/bounded_bfs.h"
-#include "traversal/h_degree.h"
 
 namespace hcore {
 
@@ -99,11 +98,14 @@ struct LocalizedUpdateStats {
   uint64_t decrement_updates = 0;
 };
 
-/// Localized re-peel machinery with scratch reused across updates (one BFS
-/// buffer, masks, the region). Not thread-safe; callers serialize.
+/// Localized re-peel machinery with scratch reused across updates (BFS
+/// buffers, masks, the region). Not thread-safe; callers serialize.
 class LocalizedUpdater {
  public:
-  explicit LocalizedUpdater(int num_threads = 1);
+  LocalizedUpdater() = default;
+  // Benchmark compat: the frozen perfbench/ constructs LocalizedUpdater(1).
+  // The thread count is ignored; delete with the next change to perfbench/.
+  explicit LocalizedUpdater(int /*num_threads*/) {}
 
   /// Advances `core` — the exact (k,h)-core indexes of `g_before` at
   /// threshold `h` — across a pure batch of edits, in place. `effective`
@@ -136,8 +138,10 @@ class LocalizedUpdater {
                      const LocalizedUpdateOptions& options,
                      LocalizedUpdateStats* local);
 
-  HDegreeComputer degrees_;
-  BoundedBfs bfs_;  // insertion discovery and the delete cascade
+  // Discovery, the region peel and the delete cascade. Discovery's h-degree
+  // gate runs inside a bfs_ visitor, so it has a scratch of its own.
+  BoundedBfs bfs_;
+  BoundedBfs gate_bfs_;
   VertexMask mask_;
   // Per-vertex scratch, zero between calls: kRegion/kPinned during an
   // insertion trial, the in-worklist flag during the delete cascade.

@@ -9,7 +9,6 @@
 #include "engine/vertex_mask.h"
 #include "graph/ordering.h"
 #include "traversal/bounded_bfs.h"
-#include "traversal/h_degree.h"
 #include "util/timer.h"
 
 namespace hcore {
@@ -24,20 +23,16 @@ class Decomposer {
         n_(g.num_vertices()),
         h_(opts.h),
         opts_(opts),
-        degrees_(n_, opts.num_threads),
         alive_(n_, true),
         state_(n_, KeyState::kExact),
         lazy_key_(n_, 0),
         assigned_(n_, 0),
-        engine_(g, opts.h, &alive_, &degrees_, n_ > 0 ? n_ : 1) {
+        engine_(g, opts.h, &alive_, &bfs_, n_ > 0 ? n_ : 1) {
     result_.core.assign(n_, 0);
     result_.h = h_;
   }
 
   KhCoreResult Run(KhCoreAlgorithm algorithm) {
-    // One Decomposer performs one decomposition, driven end-to-end by the
-    // calling thread — it coordinates the computer.
-    degrees_.coordinator().Assume();
     WallTimer timer;
     switch (algorithm) {
       case KhCoreAlgorithm::kBz:
@@ -58,7 +53,7 @@ class Decomposer {
       case KhCoreAlgorithm::kAuto:
         HCORE_CHECK(false);  // resolved by the caller
     }
-    result_.stats.visited_vertices = degrees_.total_visited();
+    result_.stats.visited_vertices = bfs_.total_visited();
     result_.stats.hdegree_computations = engine_.stats().hdegree_computations;
     result_.stats.decrement_updates = engine_.stats().decrement_updates;
     result_.stats.pops = engine_.stats().pops;
@@ -121,11 +116,8 @@ class Decomposer {
     bool OnPop(VertexId v, uint32_t k) {
       if (d->state_[v] != KeyState::kExact) {
         // The bucket held only a lower bound. Compute the true h-degree
-        // w.r.t. the current alive set and re-queue. The policy runs inline
-        // in the engine's single-threaded loop, so the popping thread is
-        // the computer's coordinator.
-        d->degrees_.coordinator().Assume();
-        const uint32_t hd = d->degrees_.Compute(d->g_, d->alive_, v, d->h_);
+        // w.r.t. the current alive set and re-queue.
+        const uint32_t hd = d->bfs_.HDegree(d->g_, d->alive_, v, d->h_);
         ++d->engine_.stats().hdegree_computations;
         d->engine_.Requeue(v, hd, k);
         d->state_[v] = KeyState::kExact;
@@ -198,9 +190,8 @@ class Decomposer {
     if (n_ == 0) return;
     WallTimer bound_timer;
     // Lines 3-5 of Algorithm 4: full h-degrees and lower bounds.
-    degrees_.coordinator().Assume();  // Run()'s driver thread
     std::vector<uint32_t> hdeg(n_, 0);
-    degrees_.ComputeAllAlive(g_, alive_, h_, &hdeg);
+    ComputeAllAlive(g_, alive_, h_, &bfs_, &hdeg);
     engine_.stats().hdegree_computations += n_;
     std::vector<uint32_t> lb = ComputeLowerBound();
     std::vector<uint32_t> ub;
@@ -210,7 +201,7 @@ class Decomposer {
       // The h-degree is always a valid upper bound too; take the tighter.
       for (VertexId v = 0; v < n_; ++v) ub[v] = std::min(ub[v], hdeg[v]);
     } else if (opts_.upper_bound == UpperBoundMode::kPowerGraph) {
-      ub = ComputePowerGraphUpperBound(g_, h_, hdeg, &degrees_);
+      ub = ComputePowerGraphUpperBound(g_, h_, hdeg, &bfs_);
     } else {
       ub = hdeg;
     }
@@ -263,7 +254,7 @@ class Decomposer {
     // >= k_max + 1 (Observation 3), so ImproveLB never cleans them and
     // skips their BFS, counting them at that floor in LB3's minimum.
     ImproveLbResult improved = ImproveLB(g_, h_, k_min, &alive_, lb, assigned_,
-                                         k_max + 1, &degrees_);
+                                         k_max + 1, &bfs_);
     engine_.stats().hdegree_computations += improved.computed;
 
     // Lines 15-17: re-bucket every surviving candidate lazily.
@@ -287,10 +278,10 @@ class Decomposer {
         lb.assign(n_, 0);
         break;
       case LowerBoundMode::kLb1:
-        lb = ComputeLB1(g_, h_, &degrees_);
+        lb = ComputeLB1(g_, h_, &bfs_);
         break;
       case LowerBoundMode::kLb2: {
-        std::vector<uint32_t> lb1 = ComputeLB1(g_, h_, &degrees_);
+        std::vector<uint32_t> lb1 = ComputeLB1(g_, h_, &bfs_);
         lb = ComputeLB2(g_, h_, lb1);
         break;
       }
@@ -307,7 +298,9 @@ class Decomposer {
   const VertexId n_;
   const int h_;
   const KhCoreOptions& opts_;
-  HDegreeComputer degrees_;
+  // Every BFS of the decomposition (bounds, peel, ImproveLB) runs here, so
+  // its visit count is the run's Table-3 "visits".
+  BoundedBfs bfs_;
   VertexMask alive_;
   // What each bucket key means (see LazyLbPolicy).
   enum class KeyState : uint8_t { kExact, kApprox, kLazy };
@@ -381,7 +374,6 @@ std::vector<uint32_t> KhCoreResult::CoreSizes() const {
 KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options) {
   HCORE_CHECK(options.h >= 1);
   HCORE_CHECK(options.partition_size >= 0);
-  HCORE_CHECK(options.num_threads >= 0);
   if (options.h == 1) {
     // Classic core decomposition: the (k,1)-core is the k-core.
     WallTimer timer;

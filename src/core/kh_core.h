@@ -23,9 +23,9 @@
 // And ImproveLB (Algorithm 6) skips the candidates that a higher partition
 // already settled (Observation 3).
 //
-// The peel loop itself is sequential; worker threads (§4.6) run only its
-// h-degree batches: the initial pass, the LB1/UB bounds, ImproveLB and
-// h-BZ's per-removal recomputation batch.
+// Everything runs on the calling thread. The paper's §4.6 parallelizes
+// h-degree batches across worker threads; that scheme is not reproduced
+// (README "Concurrency" has the measurements that retired it).
 
 #ifndef HCORE_CORE_KH_CORE_H_
 #define HCORE_CORE_KH_CORE_H_
@@ -89,9 +89,11 @@ enum class VertexOrdering {
 };
 
 // --- Benchmark compat: delete with the next change to perfbench/ ---------
-// The frozen perfbench/ verifier still sets KhCoreOptions::parallel. The
-// round-synchronous parallel peel it once selected is gone, so the field is
-// accepted and ignored: every decomposition runs the one PeelingEngine loop.
+// The frozen perfbench/ sets KhCoreOptions::parallel and
+// KhCoreOptions::num_threads. The round-synchronous parallel peel and the
+// threaded h-degree batches they once selected are gone, so both fields are
+// accepted and ignored: every decomposition runs the one sequential
+// PeelingEngine loop.
 enum class ParallelPeelMode : uint8_t { kAuto, kOff, kOn };
 // --- end benchmark compat -------------------------------------------------
 
@@ -105,11 +107,8 @@ struct KhCoreOptions {
   /// per partition, paper §4.3). 0 selects an automatic width that targets
   /// roughly 16 partitions; otherwise must be >= 1.
   int partition_size = 0;
-  /// Worker threads for h-degree batches (§4.6). 1 = sequential. The peel
-  /// loop, and HCoreIndex's per-level write loop, stay sequential at any
-  /// value; results and Table-3 counters do not depend on it.
-  int num_threads = 1;
   /// Benchmark compat (see ParallelPeelMode): accepted and ignored.
+  int num_threads = 1;
   ParallelPeelMode parallel = ParallelPeelMode::kAuto;
   LowerBoundMode lower_bound = LowerBoundMode::kLb2;
   UpperBoundMode upper_bound = UpperBoundMode::kPowerGraph;
@@ -191,9 +190,8 @@ struct KhCoreResult {
 ///
 /// All algorithm choices return identical `core` values; pick via
 /// `options.algorithm` for performance experiments. Invalid options
-/// (h < 1, partition_size < 0, num_threads < 0) abort via HCORE_CHECK;
-/// partition_size 0 picks the automatic width, num_threads 0 runs
-/// sequentially.
+/// (h < 1, partition_size < 0) abort via HCORE_CHECK; partition_size 0
+/// picks the automatic width.
 KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options = {});
 
 /// Definition-level reference implementation used by the test suite: for

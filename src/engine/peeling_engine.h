@@ -11,8 +11,8 @@
 //   * the alive mask transition (enumerate the h-neighborhood of the popped
 //     vertex, then kill it),
 //   * lazy-decrement vs batch-recompute bookkeeping for affected neighbors,
-//     with recomputations dispatched through an HDegreeComputer so callers
-//     control threading,
+//     with every BFS run on one BoundedBfs the caller lends, so its visit
+//     counter covers the whole pass,
 //   * the paper's Table-3 cost counters (h-degree recomputations and O(1)
 //     decrement updates).
 //
@@ -33,15 +33,13 @@
 
 #include "engine/vertex_mask.h"
 #include "graph/graph.h"
-#include "traversal/h_degree.h"
+#include "traversal/bounded_bfs.h"
 #include "util/bucket_queue.h"
 #include "util/check.h"
 
 namespace hcore {
 
-/// Cost counters for one peeling run (feeds the paper's Table 3). The loop
-/// is sequential and threads only compute h-degree batches, so every counter
-/// is the same at any thread count.
+/// Cost counters for one peeling run (feeds the paper's Table 3).
 struct PeelingStats {
   /// Full h-degree recomputations (each one h-bounded BFS).
   uint64_t hdegree_computations = 0;
@@ -90,14 +88,14 @@ struct PeelPolicyBase {
 /// the queue and the mask; the caller seeds keys and supplies a policy.
 class PeelingEngine {
  public:
-  /// `alive` and `degrees` are borrowed, not owned; `max_key` bounds every
+  /// `alive` and `bfs` are borrowed, not owned; `max_key` bounds every
   /// key ever inserted (h-degrees are < n, so n is always safe).
-  PeelingEngine(const Graph& g, int h, VertexMask* alive,
-                HDegreeComputer* degrees, uint32_t max_key)
+  PeelingEngine(const Graph& g, int h, VertexMask* alive, BoundedBfs* bfs,
+                uint32_t max_key)
       : g_(g),
         h_(h),
         alive_(alive),
-        degrees_(degrees),
+        bfs_(bfs),
         keys_(g.num_vertices(), 0),
         queue_(g.num_vertices(), max_key) {
     HCORE_CHECK(alive_->size() == g.num_vertices());
@@ -106,7 +104,7 @@ class PeelingEngine {
   const Graph& graph() const { return g_; }
   int h() const { return h_; }
   VertexMask& alive() { return *alive_; }
-  HDegreeComputer& degrees() { return *degrees_; }
+  BoundedBfs& bfs() { return *bfs_; }
   PeelingStats& stats() { return stats_; }
 
   /// Per-vertex keys (true degrees, not bucket-clamped). Policies may read
@@ -141,13 +139,9 @@ class PeelingEngine {
     }
   }
 
-  /// Computes h-degrees of all alive vertices (parallel when the computer
-  /// has threads) and seeds the queue with them.
+  /// Computes h-degrees of all alive vertices and seeds the queue with them.
   void SeedAliveWithHDegrees() {
-    // The engine is a single-threaded driver (class contract), so the
-    // calling thread coordinates the borrowed computer.
-    degrees_->coordinator().Assume();
-    degrees_->ComputeAllAlive(g_, *alive_, h_, &keys_);
+    ComputeAllAlive(g_, *alive_, h_, bfs_, &keys_);
     stats_.hdegree_computations += alive_->num_alive();
     alive_->ForEachAlive([this](VertexId v) { queue_.Insert(v, keys_[v]); });
   }
@@ -164,21 +158,18 @@ class PeelingEngine {
   /// vertices enter at the fixed key `pinned_keys[v]` — their scheduled
   /// removal replays the surrounding true peel, so the policy must kSkip
   /// them as neighbors and never reassign them on pop. `region` vertices
-  /// enter at their h-degree over the current alive mask (batched, parallel
-  /// when the computer has threads). The mask must hold exactly
-  /// region ∪ pinned alive; the sweep then runs over every bucket.
+  /// enter at their h-degree over the current alive mask. The mask must
+  /// hold exactly region ∪ pinned alive; the sweep then runs over every
+  /// bucket.
   template <typename Policy>
   void PeelRegion(std::span<const VertexId> region,
                   std::span<const VertexId> pinned,
                   const std::vector<uint32_t>& pinned_keys, Policy&& policy) {
     for (const VertexId b : pinned) Seed(b, pinned_keys[b]);
-    degrees_->coordinator().Assume();  // single-threaded driver
-    batch_keys_.resize(region.size());
-    degrees_->ComputeBatch(g_, *alive_, h_, region, batch_keys_.data());
-    stats_.hdegree_computations += region.size();
-    for (size_t i = 0; i < region.size(); ++i) {
-      Seed(region[i], batch_keys_[i]);
+    for (const VertexId v : region) {
+      Seed(v, bfs_->HDegree(g_, *alive_, v, h_));
     }
+    stats_.hdegree_computations += region.size();
     Peel(0, queue_.max_key(), policy);
   }
 
@@ -188,7 +179,6 @@ class PeelingEngine {
   /// this window to re-peel resurrected vertices without re-assigning).
   template <typename Policy>
   void Peel(uint32_t k_min, uint32_t k_max, Policy&& policy) {
-    degrees_->coordinator().Assume();  // single-threaded driver
     const uint32_t k_start = (k_min == 0) ? 0 : k_min - 1;
     const uint32_t k_stop = std::min(k_max, queue_.max_key());
     for (uint32_t k = k_start; k <= k_stop; ++k) {
@@ -205,7 +195,7 @@ class PeelingEngine {
             if (alive_->IsAlive(u)) nbhd_.emplace_back(u, 1);
           }
         } else {
-          degrees_->CollectNeighborhood(g_, *alive_, v, h_, &nbhd_);
+          bfs_->CollectNeighborhood(g_, *alive_, v, h_, &nbhd_);
         }
         alive_->Kill(v);
         batch_.clear();
@@ -238,18 +228,14 @@ class PeelingEngine {
   }
 
  private:
-  /// Recomputes h-degrees for the collected batch (in parallel if enabled)
-  /// and re-buckets each vertex at max(h-degree, k).
+  /// Recomputes h-degrees for the collected batch, after every neighbor
+  /// has been classified, and re-buckets each vertex at max(h-degree, k).
   template <typename Policy>
   void RecomputeBatch(uint32_t k, Policy& policy) {
-    degrees_->coordinator().Assume();  // single-threaded driver
-    batch_keys_.resize(batch_.size());
-    degrees_->ComputeBatch(g_, *alive_, h_, batch_, batch_keys_.data());
     stats_.hdegree_computations += batch_.size();
-    for (size_t i = 0; i < batch_.size(); ++i) {
-      const VertexId u = batch_[i];
+    for (const VertexId u : batch_) {
       const uint32_t old_key = keys_[u];
-      keys_[u] = batch_keys_[i];
+      keys_[u] = bfs_->HDegree(g_, *alive_, u, h_);
       policy.OnKeyUpdate(u, old_key, keys_[u]);
       queue_.Move(u, std::max(keys_[u], k));
     }
@@ -258,14 +244,13 @@ class PeelingEngine {
   const Graph& g_;
   const int h_;
   VertexMask* alive_;
-  HDegreeComputer* degrees_;
+  BoundedBfs* bfs_;
   std::vector<uint32_t> keys_;
   BucketQueue queue_;
   PeelingStats stats_;
   // Scratch buffers reused across pops.
   std::vector<std::pair<VertexId, int>> nbhd_;
   std::vector<VertexId> batch_;
-  std::vector<uint32_t> batch_keys_;
 };
 
 }  // namespace hcore

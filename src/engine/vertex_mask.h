@@ -15,8 +15,8 @@
 //     stop copying whole masks),
 //   * an exact alive count maintained incrementally.
 //
-// Not thread-safe for concurrent mutation; concurrent readers (e.g. the
-// parallel h-degree batches) are fine while no mutation is in flight.
+// Not thread-safe for concurrent mutation; concurrent readers are fine
+// while no mutation is in flight.
 
 #ifndef HCORE_ENGINE_VERTEX_MASK_H_
 #define HCORE_ENGINE_VERTEX_MASK_H_

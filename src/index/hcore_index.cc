@@ -122,7 +122,7 @@ std::vector<HCoreSnapshot::LevelDensity> HCoreSnapshot::TopDensestLevels(
 // ---------------------------------------------------------------------------
 
 HCoreIndex::HCoreIndex(Graph g, const HCoreIndexOptions& options)
-    : options_(options), updater_(options.base.num_threads) {
+    : options_(options) {
   HCORE_CHECK(options_.max_h >= 1);
   // Bound pointers are managed per level by the index; caller-supplied ones
   // would dangle across epochs.

@@ -30,9 +30,9 @@
 // concatenated batch (arrival order preserved, so last-edit-wins holds
 // across writers) as ONE epoch, and wakes every coalesced writer with its
 // own attributed effective-edit count. A lone writer gets exactly one
-// epoch per effective batch. The leader repairs the levels serially;
-// KhCoreOptions::num_threads only parallelizes the h-degree batches inside
-// each repair (paper §4.6), so results and counters do not depend on it.
+// epoch per effective batch. The leader repairs the levels serially on its
+// own thread: the index starts no threads, so the only concurrency is the
+// callers' readers and writers.
 //
 // Dirty flags: after a batch, levels whose core vector came out identical
 // to the previous epoch share the old vector (pointer equality, see
@@ -289,8 +289,7 @@ class HCoreIndex {
   mutable Mutex mu_;       // guards snap_ swap and stats_
   std::shared_ptr<const HCoreSnapshot> snap_ GUARDED_BY(mu_);
   HCoreIndexStats stats_ GUARDED_BY(mu_);
-  // Writer-only scratch: every localized attempt runs on it, and its
-  // h-degree batches use base.num_threads.
+  // Writer-only scratch: every localized attempt runs on it.
   LocalizedUpdater updater_ GUARDED_BY(writer_);
 };
 

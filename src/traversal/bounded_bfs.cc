@@ -1,6 +1,21 @@
 #include "traversal/bounded_bfs.h"
 
-// BoundedBfs is header-only (template hot path); this translation unit
-// exists so the build presents one object file per module.
+#include <atomic>
 
-namespace hcore {}  // namespace hcore
+namespace hcore {
+
+namespace {
+std::atomic<uint64_t> g_scratch_allocations{0};
+}  // namespace
+
+void BoundedBfs::Grow(VertexId n) {
+  mark_.resize(n, 0);
+  dist_.resize(n, 0);
+  g_scratch_allocations.fetch_add(1, std::memory_order_relaxed);
+}
+
+uint64_t BoundedBfs::total_scratch_allocations() {
+  return g_scratch_allocations.load(std::memory_order_relaxed);
+}
+
+}  // namespace hcore

@@ -10,10 +10,15 @@
 // The instance also accumulates the paper's Table-3 cost metric: the total
 // number of (possibly repeated) vertices visited across all traversals
 // ("computed point-to-point distances").
+//
+// Every h-degree in the library runs sequentially on one of these: the
+// engine borrows its caller's instance, so one decomposition's bounds, peel
+// and ImproveLB passes all count visits in one place.
 
 #ifndef HCORE_TRAVERSAL_BOUNDED_BFS_H_
 #define HCORE_TRAVERSAL_BOUNDED_BFS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -28,15 +33,19 @@ namespace hcore {
 /// Not thread-safe; use one instance per thread.
 class BoundedBfs {
  public:
+  /// `n` presizes the scratch. BoundedBfs(0) allocates nothing and Run()
+  /// grows it on first use, so holders that never traverse — the h = 1
+  /// engine fast path walks adjacency directly — pay nothing.
   explicit BoundedBfs(VertexId n = 0) { EnsureCapacity(n); }
 
   /// Grows internal buffers to accommodate `n` vertices.
   void EnsureCapacity(VertexId n) {
-    if (mark_.size() < n) {
-      mark_.resize(n, 0);
-      dist_.resize(n, 0);
-    }
+    if (mark_.size() < n) Grow(n);
   }
+
+  /// Process-wide count of scratch growths (every EnsureCapacity that had
+  /// to allocate), for tests asserting that h = 1 fast paths never allocate.
+  static uint64_t total_scratch_allocations();
 
   /// BFS from `src` through alive vertices, truncated at depth `h`. Calls
   /// `visit(u, dist)` for every reached vertex u != src (1 <= dist <= h) in
@@ -83,7 +92,7 @@ class BoundedBfs {
   }
 
   /// Collects the h-neighborhood of `src` with distances into `out`
-  /// (cleared first). Returns out->size().
+  /// (cleared first), in BFS order. Returns out->size().
   uint32_t CollectNeighborhood(const Graph& g, const VertexMask& alive,
                                VertexId src, int h,
                                std::vector<std::pair<VertexId, int>>* out) {
@@ -101,6 +110,8 @@ class BoundedBfs {
   void set_stamp_for_testing(uint32_t stamp) { stamp_ = stamp; }
 
  private:
+  void Grow(VertexId n);
+
   void NextStamp() {
     if (++stamp_ == 0) {
       // Stamp wraparound: stale marks could collide with re-used stamp
@@ -119,6 +130,15 @@ class BoundedBfs {
   uint32_t stamp_ = 0;
   uint64_t total_visited_ = 0;
 };
+
+/// h-degrees of all alive vertices into `out`, resized to n (dead entries
+/// keep their value), one sequential BFS each on `bfs`.
+inline void ComputeAllAlive(const Graph& g, const VertexMask& alive, int h,
+                            BoundedBfs* bfs, std::vector<uint32_t>* out) {
+  out->resize(g.num_vertices());
+  alive.ForEachAlive(
+      [&](VertexId v) { (*out)[v] = bfs->HDegree(g, alive, v, h); });
+}
 
 }  // namespace hcore
 

@@ -15,8 +15,8 @@
 //     be analyzed as a separate unannotated function and could not read
 //     GUARDED_BY members without a false positive.
 //   * ThreadRole names a capability with no runtime lock behind it — it
-//     encodes single-owner contracts like "only the coordinator thread may
-//     call ComputeBatch between rounds". Callers claim the role with
+//     encodes single-owner contracts like "only the elected writer may
+//     touch the index's repair scratch". Callers claim the role with
 //     role.Assume() where the surrounding protocol (e.g. the group-commit
 //     leader election in HCoreIndex) guarantees exclusivity.
 

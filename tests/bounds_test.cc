@@ -28,8 +28,8 @@ TEST(BoundsPaperExample, Example3Lb1Lb2Values) {
   // Example 3 (h = 2): LB1(v1) = LB1(v2) = 2, LB1(v4) = 5, and
   // LB2(v2) = max(LB1(v2), LB1(v4)) = 5 = core(v2).
   Graph g = gen::PaperFigure1();
-  HDegreeComputer degrees(g.num_vertices(), 1);
-  std::vector<uint32_t> lb1 = ComputeLB1(g, 2, &degrees);
+  BoundedBfs bfs(g.num_vertices());
+  std::vector<uint32_t> lb1 = ComputeLB1(g, 2, &bfs);
   EXPECT_EQ(lb1[0], 2u);  // v1
   EXPECT_EQ(lb1[1], 2u);  // v2
   EXPECT_EQ(lb1[3], 5u);  // v4
@@ -43,12 +43,11 @@ TEST(BoundsPaperExample, Example3Lb1Lb2Values) {
 TEST(BoundsPaperExample, Example5UpperBoundValues) {
   // Example 5 (h = 2): UB(v1) = 4 and UB(vi) = 6 for i >= 2.
   Graph g = gen::PaperFigure1();
-  HDegreeComputer degrees(g.num_vertices(), 1);
-  degrees.coordinator().Assume();  // test body is the sole driver
+  BoundedBfs bfs(g.num_vertices());
   VertexMask alive(g.num_vertices(), true);
   std::vector<uint32_t> hdeg;
-  degrees.ComputeAllAlive(g, alive, 2, &hdeg);
-  std::vector<uint32_t> ub = ComputePowerGraphUpperBound(g, 2, hdeg, &degrees);
+  ComputeAllAlive(g, alive, 2, &bfs, &hdeg);
+  std::vector<uint32_t> ub = ComputePowerGraphUpperBound(g, 2, hdeg, &bfs);
   EXPECT_EQ(ub[0], 4u);
   for (VertexId v = 1; v < 13; ++v) EXPECT_EQ(ub[v], 6u) << "v" << v + 1;
 }
@@ -57,12 +56,12 @@ TEST(BoundsPaperExample, ImproveLbCleansV6Partition) {
   // Example 5: running ImproveLB on the k_min = 6 partition (vertices
   // v2..v13) removes v2 and v3 because their 2-degree in that subgraph is 5.
   Graph g = gen::PaperFigure1();
-  HDegreeComputer degrees(g.num_vertices(), 1);
+  BoundedBfs bfs(g.num_vertices());
   VertexMask alive(g.num_vertices(), true);
   alive.Kill(0);  // v1 has UB 4 < 6
   std::vector<uint32_t> lb2(g.num_vertices(), 5);
   const std::vector<uint8_t> none(g.num_vertices(), 0);
-  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, lb2, none, 7, &degrees);
+  ImproveLbResult r = ImproveLB(g, 2, 6, &alive, lb2, none, 7, &bfs);
   EXPECT_EQ(r.computed, 12u);
   EXPECT_EQ(r.removed, 2u);
   EXPECT_FALSE(alive.IsAlive(1));  // v2 cleaned
@@ -77,12 +76,12 @@ TEST(BoundsImproveLb, SettledCandidatesEnterLb3AtTheFloor) {
   // 0 settled at floor 3, only vertex 0 is measured, nothing is cleaned, and
   // LB3 is min(5, 3) = 3, not the h-degree 5 of the one measured vertex.
   Graph g = gen::Complete(6);
-  HDegreeComputer degrees(g.num_vertices(), 1);
+  BoundedBfs bfs(g.num_vertices());
   VertexMask alive(g.num_vertices(), true);
   std::vector<uint8_t> settled(g.num_vertices(), 1);
   settled[0] = 0;
   const std::vector<uint32_t> zeros(g.num_vertices(), 0);
-  ImproveLbResult r = ImproveLB(g, 2, 1, &alive, zeros, settled, 3, &degrees);
+  ImproveLbResult r = ImproveLB(g, 2, 1, &alive, zeros, settled, 3, &bfs);
   EXPECT_EQ(r.computed, 1u);
   EXPECT_EQ(r.removed, 0u);
   for (VertexId v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(r.lb3[v], 3u);
@@ -95,14 +94,13 @@ TEST_P(BoundsProperty, SandwichLb1Lb2CoreUbHdeg) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
   const VertexId n = g.num_vertices();
-  HDegreeComputer degrees(n, 1);
-  degrees.coordinator().Assume();  // test body is the sole driver
+  BoundedBfs bfs(n);
   VertexMask alive(n, true);
   std::vector<uint32_t> hdeg;
-  degrees.ComputeAllAlive(g, alive, h, &hdeg);
-  std::vector<uint32_t> lb1 = ComputeLB1(g, h, &degrees);
+  ComputeAllAlive(g, alive, h, &bfs, &hdeg);
+  std::vector<uint32_t> lb1 = ComputeLB1(g, h, &bfs);
   std::vector<uint32_t> lb2 = ComputeLB2(g, h, lb1);
-  std::vector<uint32_t> ub = ComputePowerGraphUpperBound(g, h, hdeg, &degrees);
+  std::vector<uint32_t> ub = ComputePowerGraphUpperBound(g, h, hdeg, &bfs);
   std::vector<uint32_t> core = BruteForceKhCore(g, h);
   for (VertexId v = 0; v < n; ++v) {
     EXPECT_LE(lb1[v], lb2[v]) << "v=" << v;
@@ -124,14 +122,13 @@ TEST_P(BoundsProperty, UpperBoundPeelOrderDominatesFullDistanceConflicts) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
   const VertexId n = g.num_vertices();
-  HDegreeComputer degrees(n, 1);
-  degrees.coordinator().Assume();  // test body is the sole driver
+  BoundedBfs bfs(n);
   VertexMask alive(n, true);
   std::vector<uint32_t> hdeg;
-  degrees.ComputeAllAlive(g, alive, h, &hdeg);
+  ComputeAllAlive(g, alive, h, &bfs, &hdeg);
   std::vector<VertexId> peel;
   std::vector<uint32_t> ub =
-      ComputePowerGraphUpperBound(g, h, hdeg, &degrees, &peel);
+      ComputePowerGraphUpperBound(g, h, hdeg, &bfs, &peel);
   ASSERT_EQ(peel.size(), n);
   uint32_t max_ub = 0;
   for (uint32_t x : ub) max_ub = std::max(max_ub, x);
@@ -155,13 +152,13 @@ TEST_P(BoundsProperty, ImproveLbNeverRemovesTrueCoreMembers) {
   std::vector<uint32_t> core = BruteForceKhCore(g, h);
   uint32_t degeneracy = 0;
   for (uint32_t c : core) degeneracy = std::max(degeneracy, c);
-  HDegreeComputer degrees(n, 1);
+  BoundedBfs bfs(n);
   std::vector<uint32_t> zeros(n, 0);
   const std::vector<uint8_t> none(n, 0);
   for (uint32_t k : {degeneracy, degeneracy / 2}) {
     if (k == 0) continue;
     VertexMask alive(n, true);
-    ImproveLbResult r = ImproveLB(g, h, k, &alive, zeros, none, k, &degrees);
+    ImproveLbResult r = ImproveLB(g, h, k, &alive, zeros, none, k, &bfs);
     for (VertexId v = 0; v < n; ++v) {
       if (core[v] >= k) {
         EXPECT_TRUE(alive.IsAlive(v))
@@ -189,15 +186,14 @@ TEST_P(BoundsProperty, ImproveLbSkipsSettledVerticesWithoutChangingCleaning) {
   std::vector<uint32_t> core = BruteForceKhCore(g, h);
   uint32_t degeneracy = 0;
   for (uint32_t c : core) degeneracy = std::max(degeneracy, c);
-  HDegreeComputer degrees(n, 1);
-  degrees.coordinator().Assume();  // test body is the sole driver
+  BoundedBfs bfs(n);
   VertexMask all(n, true);
   std::vector<uint32_t> hdeg;
-  degrees.ComputeAllAlive(g, all, h, &hdeg);
+  ComputeAllAlive(g, all, h, &bfs, &hdeg);
   const std::vector<uint32_t> ub =
-      ComputePowerGraphUpperBound(g, h, hdeg, &degrees);
+      ComputePowerGraphUpperBound(g, h, hdeg, &bfs);
   const std::vector<uint32_t> lb2 =
-      ComputeLB2(g, h, ComputeLB1(g, h, &degrees));
+      ComputeLB2(g, h, ComputeLB1(g, h, &bfs));
   const std::vector<uint8_t> none(n, 0);
   for (uint32_t k_max : {degeneracy / 2, degeneracy > 0 ? degeneracy - 1 : 0}) {
     std::vector<uint8_t> settled(n, 0);
@@ -212,15 +208,15 @@ TEST_P(BoundsProperty, ImproveLbSkipsSettledVerticesWithoutChangingCleaning) {
         unsettled += !settled[v];
       }
       VertexMask plain_alive = candidates;
-      degrees.ResetStats();
+      bfs.ResetStats();
       ImproveLbResult plain =
-          ImproveLB(g, h, k_min, &plain_alive, lb2, none, k_max + 1, &degrees);
-      const uint64_t plain_visits = degrees.total_visited();
+          ImproveLB(g, h, k_min, &plain_alive, lb2, none, k_max + 1, &bfs);
+      const uint64_t plain_visits = bfs.total_visited();
       VertexMask masked_alive = candidates;
-      degrees.ResetStats();
+      bfs.ResetStats();
       ImproveLbResult masked = ImproveLB(g, h, k_min, &masked_alive, lb2,
-                                         settled, k_max + 1, &degrees);
-      const uint64_t masked_visits = degrees.total_visited();
+                                         settled, k_max + 1, &bfs);
+      const uint64_t masked_visits = bfs.total_visited();
       const std::string at =
           " k_min=" + std::to_string(k_min) + " k_max=" + std::to_string(k_max);
       EXPECT_EQ(masked.removed, plain.removed) << at;
@@ -259,9 +255,9 @@ TEST(BoundsLb2, SweepsEqualPlainBfsBallMaximum) {
   for (const RandomGraphSpec& spec : Corpus(60, 2)) {
     Graph g = MakeRandomGraph(spec);
     const VertexId n = g.num_vertices();
-    HDegreeComputer degrees(n, 1);
+    BoundedBfs bfs(n);
     for (int h = 2; h <= 5; ++h) {
-      std::vector<uint32_t> lb1 = ComputeLB1(g, h, &degrees);
+      std::vector<uint32_t> lb1 = ComputeLB1(g, h, &bfs);
       std::vector<uint32_t> lb2 = ComputeLB2(g, h, lb1);
       const int radius = (h + 1) / 2;
       for (VertexId v = 0; v < n; ++v) {
@@ -290,8 +286,8 @@ TEST(BoundsLb2, SweepsEqualPlainBfsBallMaximum) {
 TEST(BoundsQuality, Lb2TighterThanLb1OnSocialGraph) {
   Rng rng(11);
   Graph g = gen::BarabasiAlbert(300, 4, &rng);
-  HDegreeComputer degrees(g.num_vertices(), 1);
-  std::vector<uint32_t> lb1 = ComputeLB1(g, 2, &degrees);
+  BoundedBfs bfs(g.num_vertices());
+  std::vector<uint32_t> lb1 = ComputeLB1(g, 2, &bfs);
   std::vector<uint32_t> lb2 = ComputeLB2(g, 2, lb1);
   uint64_t sum1 = 0, sum2 = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {

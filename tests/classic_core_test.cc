@@ -10,7 +10,7 @@
 #include "engine/vertex_mask.h"
 #include "graph/generators.h"
 #include "test_util.h"
-#include "traversal/h_degree.h"
+#include "traversal/bounded_bfs.h"
 
 namespace hcore {
 namespace {
@@ -69,24 +69,23 @@ TEST(ClassicCore, TriangleWithPendant) {
 }
 
 TEST(ClassicCore, H1FastPathAllocatesNoBfsScratch) {
-  // The h = 1 peel walks adjacency directly; the HDegreeComputer it carries
-  // must not materialize its O(n) BoundedBfs scratch (lazy allocation —
-  // the ROADMAP "Lazy BFS scratch" item).
+  // The h = 1 peel walks adjacency directly; the BoundedBfs it carries must
+  // never grow its O(n) scratch (lazy allocation — the ROADMAP "Lazy BFS
+  // scratch" item).
   Rng rng(7);
   Graph g = gen::BarabasiAlbert(2000, 3, &rng);
-  const uint64_t before = HDegreeComputer::total_scratch_allocations();
+  const uint64_t before = BoundedBfs::total_scratch_allocations();
   ClassicCoreResult r = ClassicCoreDecomposition(g);
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before);
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before);
   EXPECT_GT(r.degeneracy, 0u);
 
   // Sanity check the counter is live at all: one h = 2 traversal must
-  // materialize exactly one scratch instance.
-  HDegreeComputer computer(g.num_vertices(), 1);
-  computer.coordinator().Assume();  // test body is the sole driver
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before);
+  // grow exactly one scratch instance.
+  BoundedBfs bfs;
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before);
   VertexMask alive(g.num_vertices(), true);
-  (void)computer.Compute(g, alive, 0, 2);
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before + 1);
+  (void)bfs.HDegree(g, alive, 0, 2);
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before + 1);
 }
 
 TEST(ClassicCore, PeelOrderIsAPermutationEndingInTheDeepestCore) {

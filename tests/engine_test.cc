@@ -142,8 +142,8 @@ TEST(PeelingEngine, DecrementPolicyReproducesClassicCores) {
 
     const VertexId n = g.num_vertices();
     VertexMask alive(n, true);
-    HDegreeComputer degrees(n, 1);
-    PeelingEngine engine(g, 1, &alive, &degrees, g.MaxDegree());
+    BoundedBfs bfs(n);
+    PeelingEngine engine(g, 1, &alive, &bfs, g.MaxDegree());
     for (VertexId v = 0; v < n; ++v) engine.Seed(v, g.degree(v));
     Policy policy;
     policy.core.assign(n, 0);
@@ -160,8 +160,8 @@ TEST(PeelingEngine, LazyRequeuePopsVertexTwice) {
   // ends at core 2.
   Graph g = gen::Complete(3);
   VertexMask alive(3, true);
-  HDegreeComputer degrees(3, 1);
-  PeelingEngine engine(g, 1, &alive, &degrees, 3);
+  BoundedBfs bfs(3);
+  PeelingEngine engine(g, 1, &alive, &bfs, 3);
 
   struct Policy : PeelPolicyBase {
     explicit Policy(PeelingEngine* e) : e(e), lazy(e->graph().num_vertices(), 1) {}
@@ -169,8 +169,7 @@ TEST(PeelingEngine, LazyRequeuePopsVertexTwice) {
       if (lazy[v]) {
         lazy[v] = 0;
         // Policies run inline in the single-threaded engine loop.
-        e->degrees().coordinator().Assume();
-        e->Requeue(v, e->degrees().Compute(e->graph(), e->alive(), v, 1), k);
+        e->Requeue(v, e->bfs().HDegree(e->graph(), e->alive(), v, 1), k);
         return false;
       }
       core[v] = k;
@@ -213,8 +212,8 @@ TEST(PeelingEngine, KeyUpdateHookSeesEveryChangeWhenPinnedSkipOff) {
   // hub's key walking all the way down.
   Graph g = gen::Star(5);  // hub 0, leaves 1..4
   VertexMask alive(5, true);
-  HDegreeComputer degrees(5, 1);
-  PeelingEngine engine(g, 1, &alive, &degrees, 5);
+  BoundedBfs bfs(5);
+  PeelingEngine engine(g, 1, &alive, &bfs, 5);
 
   engine.Seed(0, g.degree(0));
   for (VertexId v = 1; v < 5; ++v) engine.Seed(v, 1);
@@ -251,8 +250,8 @@ std::vector<std::vector<uint32_t>> BallSizesInOrder(
     const Graph& g, int h, const std::vector<VertexId>& order) {
   const VertexId n = g.num_vertices();
   VertexMask alive(n, true);
-  HDegreeComputer degrees(n, 1);
-  PeelingEngine engine(g, h, &alive, &degrees, n);
+  BoundedBfs bfs(n);
+  PeelingEngine engine(g, h, &alive, &bfs, n);
   for (VertexId i = 0; i < n; ++i) engine.Seed(order[i], i);
   BallPolicy policy(&engine, n);
   engine.Peel(0, n, policy);
@@ -355,8 +354,7 @@ TEST(PeelingEngine, PeelRegionWithPinnedBoundaryMatchesFullRun) {
       }
       for (VertexId b : boundary) mask.Revive(b);
 
-      HDegreeComputer degrees(n, 1);
-      PeelingEngine engine(g, h, &mask, &degrees, n > 0 ? n : 1);
+      PeelingEngine engine(g, h, &mask, &bfs, n > 0 ? n : 1);
       std::vector<uint32_t> out(n, 0xDEADu);
       RegionTestPolicy policy(pinned, &out, h);
       engine.PeelRegion(region, boundary, truth, policy);

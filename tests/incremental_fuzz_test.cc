@@ -11,7 +11,6 @@
 #include "core/incremental.h"
 
 #include <atomic>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/kh_core.h"
 #include "graph/generators.h"
 #include "index/hcore_index.h"
 #include "test_util.h"
@@ -43,10 +41,8 @@ enum class EditMode { kInsertOnly, kDeleteOnly, kMixed };
 /// return: gtest ASSERTs live here).
 void RunDynamicSequence(const RandomGraphSpec& spec, int h, EditMode mode,
                         const LocalizedUpdateOptions& localized, int steps,
-                        uint64_t* applied_out = nullptr,
-                        const KhCoreOptions& base_opts = {}) {
+                        uint64_t* applied_out = nullptr) {
   HCoreIndexOptions iopts = IndexOptions(h);
-  iopts.base = base_opts;
   iopts.localized = localized;
   HCoreIndex index(MakeRandomGraph(spec), iopts);
   Rng rng(spec.seed * 9176 + static_cast<uint64_t>(h) * 131 +
@@ -105,21 +101,17 @@ TEST(DynamicFuzz, LocalizedPathMatchesFreshRunsAcrossEditModes) {
   EXPECT_GT(applied, 500u);
 }
 
-TEST(DynamicFuzz, ParallelPeelMatchesFreshAcrossEditModes) {
-  // Mixed edit sequences on a 4-thread index: the tiny region cap pushes
-  // most updates onto the warm whole-graph fallback, whose h-degree batches
-  // then run threaded (the levels themselves are repaired one after
-  // another). Every step must match a fresh 1-thread decomposition. The
-  // TSan CI leg runs this suite.
-  KhCoreOptions par;
-  par.num_threads = 4;
+TEST(DynamicFuzz, FallbackHeavyMixedSequencesApplyAndMatchFresh) {
+  // Mixed edit sequences under a tiny region cap: most updates take the
+  // warm whole-graph fallback. Every step must match a fresh decomposition,
+  // and enough edits must apply for the sequences to mean something.
   LocalizedUpdateOptions tiny;
   tiny.max_region_fraction = 0.0;
   tiny.min_region_cap = 4;
   uint64_t applied = 0;
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     for (int h : {1, 2, 3}) {
-      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 6, &applied, par);
+      RunDynamicSequence(spec, h, EditMode::kMixed, tiny, 6, &applied);
       if (HasFatalFailure()) return;
     }
   }
@@ -306,65 +298,39 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
   }
 }
 
-/// Every HCoreIndexStats counter except the wall-clock `seconds` and
-/// `bound_seconds`, so two indexes' stats can be compared in one assertion.
-std::vector<uint64_t> CountersWithoutTime(const HCoreIndexStats& s) {
-  const KhCoreStats& d = s.decomposition;
-  return {s.csr_rebuilds,         s.batches_applied,    s.edits_applied,
-          s.edits_rejected,       s.pages_shared,       s.pages_copied,
-          s.level_decompositions, s.levels_unchanged,   s.localized_updates,
-          s.fallback_repeels,     d.visited_vertices,   d.hdegree_computations,
-          d.decrement_updates,    d.pops,               d.partitions};
-}
-
-TEST(IndexFuzz, ThreadCountsMatchFreshAndAgreeOnCounters) {
-  // The write path is one serial loop over levels; num_threads only
-  // parallelizes the h-degree batches inside each repair. Replaying the
-  // same batches on indexes with 1, 2 and 4 threads must give fresh-exact
-  // cores and the same counters, so the thread count changes only speed.
+TEST(IndexFuzz, SmallBatchCapReplayMatchesFresh) {
+  // Insert, delete and mixed batches of up to 6 edits against a batch cap
+  // of 4 and a region cap of 0.3 * n: both the localized path and the warm
+  // fallback serve levels, every applied batch accounts for all kMaxH
+  // levels, and every level matches a fresh decomposition after each batch.
   constexpr int kMaxH = 3;
-  constexpr int kThreads[] = {1, 2, 4};
   uint64_t total_localized = 0;
   uint64_t total_fallback = 0;
   for (const RandomGraphSpec& spec : Corpus(40, 3)) {
-    std::vector<std::unique_ptr<HCoreIndex>> indexes;
-    for (int threads : kThreads) {
-      HCoreIndexOptions iopts = IndexOptions(kMaxH);
-      iopts.base.num_threads = threads;
-      iopts.localized.max_region_fraction = 0.3;
-      iopts.localized.min_region_cap = 8;
-      iopts.localized.max_batch = 4;
-      indexes.push_back(
-          std::make_unique<HCoreIndex>(MakeRandomGraph(spec), iopts));
-    }
+    HCoreIndexOptions iopts = IndexOptions(kMaxH);
+    iopts.localized.max_region_fraction = 0.3;
+    iopts.localized.min_region_cap = 8;
+    iopts.localized.max_batch = 4;
+    HCoreIndex index(MakeRandomGraph(spec), iopts);
     Rng rng(spec.seed * 1171 + 29);
     for (int round = 0; round < 6; ++round) {
       const int size = 1 + static_cast<int>(rng.NextIndex(6));
       const int kind = round % 3;
-      const HCoreIndexStats before = indexes[0]->stats();
-      auto batch = RandomBatch(indexes[0]->snapshot()->graph(), &rng,
+      const HCoreIndexStats before = index.stats();
+      auto batch = RandomBatch(index.snapshot()->graph(), &rng,
                                kind == 1 ? 0 : size, kind == 0 ? 0 : size);
-      std::vector<size_t> applied;
-      for (auto& index : indexes) applied.push_back(index->ApplyBatch(batch));
-      const HCoreIndexStats after = indexes[0]->stats();
+      const size_t applied = index.ApplyBatch(batch);
+      const HCoreIndexStats after = index.stats();
       const uint64_t loc = after.localized_updates - before.localized_updates;
       const uint64_t fb = after.fallback_repeels - before.fallback_repeels;
-      ASSERT_EQ(loc + fb, applied[0] > 0 ? static_cast<uint64_t>(kMaxH) : 0u)
+      ASSERT_EQ(loc + fb, applied > 0 ? static_cast<uint64_t>(kMaxH) : 0u)
           << spec.Name() << " round=" << round;
       total_localized += loc;
       total_fallback += fb;
-      for (size_t i = 0; i < indexes.size(); ++i) {
-        ASSERT_EQ(applied[i], applied[0])
-            << spec.Name() << " round=" << round << " threads=" << kThreads[i];
-        ASSERT_EQ(CountersWithoutTime(indexes[i]->stats()),
-                  CountersWithoutTime(after))
-            << spec.Name() << " round=" << round << " threads=" << kThreads[i];
-        auto snap = indexes[i]->snapshot();
-        for (int h = 1; h <= kMaxH; ++h) {
-          ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
-              << spec.Name() << " round=" << round << " h=" << h
-              << " threads=" << kThreads[i];
-        }
+      auto snap = index.snapshot();
+      for (int h = 1; h <= kMaxH; ++h) {
+        ASSERT_EQ(snap->Cores(h), FreshCores(snap->graph(), h))
+            << spec.Name() << " round=" << round << " h=" << h;
       }
     }
   }

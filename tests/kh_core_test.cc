@@ -25,11 +25,10 @@ using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
 KhCoreResult Decompose(const Graph& g, int h, KhCoreAlgorithm alg,
-                       int threads = 1, int partition = 0) {
+                       int partition = 0) {
   KhCoreOptions opts;
   opts.h = h;
   opts.algorithm = alg;
-  opts.num_threads = threads;
   opts.partition_size = partition;
   return KhCoreDecomposition(g, opts);
 }
@@ -108,6 +107,27 @@ TEST(KhCoreToyGraphs, SingletonAndIsolatedVertices) {
                               KhCoreAlgorithm::kLbUb}) {
     KhCoreResult r = Decompose(g, 3, alg);
     EXPECT_EQ(r.core, (std::vector<uint32_t>{0, 0, 0})) << ToString(alg);
+  }
+}
+
+TEST(KhCoreToyGraphs, EmptyOneVertexAndTriangleMatchBruteForce) {
+  // The triangle comes with two isolated vertices.
+  GraphBuilder triangle(5);
+  triangle.AddEdge(0, 1);
+  triangle.AddEdge(1, 2);
+  triangle.AddEdge(0, 2);
+  const std::vector<Graph> graphs = {Graph(), GraphBuilder(1).Build(),
+                                     triangle.Build()};
+  for (const Graph& g : graphs) {
+    for (int h : {1, 2, 3}) {
+      const std::vector<uint32_t> expected = BruteForceKhCore(g, h);
+      for (KhCoreAlgorithm alg : {KhCoreAlgorithm::kBz, KhCoreAlgorithm::kLb,
+                                  KhCoreAlgorithm::kLbUb}) {
+        EXPECT_EQ(Decompose(g, h, alg).core, expected)
+            << "n=" << g.num_vertices() << " h=" << h
+            << " algo=" << ToString(alg);
+      }
+    }
   }
 }
 
@@ -256,28 +276,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Option handling: threads, partition sizes, ablated bounds — all must
-// produce identical decompositions.
+// Option handling: partition sizes, ablated bounds — all must produce
+// identical decompositions.
 // ---------------------------------------------------------------------------
 
 class KhCoreOptionsProperty : public ::testing::TestWithParam<RandomGraphSpec> {
 };
-
-TEST_P(KhCoreOptionsProperty, ThreadCountDoesNotChangeResult) {
-  // Parallel determinism: for each algorithm, 4 worker threads must produce
-  // core indexes identical to the sequential run (the HDegreeComputer batch
-  // paths only parallelize pure h-degree reads).
-  Graph g = MakeRandomGraph(GetParam());
-  for (int h : {2, 3}) {
-    for (KhCoreAlgorithm alg : {KhCoreAlgorithm::kBz, KhCoreAlgorithm::kLb,
-                                KhCoreAlgorithm::kLbUb}) {
-      KhCoreResult seq = Decompose(g, h, alg, 1);
-      KhCoreResult par = Decompose(g, h, alg, 4);
-      EXPECT_EQ(seq.core, par.core) << ToString(alg) << " h=" << h;
-      EXPECT_EQ(seq.degeneracy, par.degeneracy) << ToString(alg) << " h=" << h;
-    }
-  }
-}
 
 TEST_P(KhCoreOptionsProperty, PartitionSizeDoesNotChangeResult) {
   // h-LB demotes neighbors closer than h back to their lazy seed key, and
@@ -289,7 +293,7 @@ TEST_P(KhCoreOptionsProperty, PartitionSizeDoesNotChangeResult) {
     EXPECT_EQ(Decompose(g, h, KhCoreAlgorithm::kLb).core, expect)
         << "h-LB h=" << h;
     for (int s : {0, 1, 2, 3, 5, 1000}) {
-      EXPECT_EQ(Decompose(g, h, KhCoreAlgorithm::kLbUb, 1, s).core, expect)
+      EXPECT_EQ(Decompose(g, h, KhCoreAlgorithm::kLbUb, s).core, expect)
           << "h-LB+UB h=" << h << " S=" << s;
     }
   }

@@ -1,5 +1,5 @@
-// Tests for bounded BFS, h-degree computation (sequential vs parallel),
-// distance helpers, and the h-club / h-clique predicates.
+// Tests for bounded BFS, h-degree computation, distance helpers, and the
+// h-club / h-clique predicates.
 
 #include <algorithm>
 
@@ -11,7 +11,6 @@
 #include "test_util.h"
 #include "traversal/bounded_bfs.h"
 #include "traversal/distances.h"
-#include "traversal/h_degree.h"
 
 namespace hcore {
 namespace {
@@ -20,22 +19,21 @@ using ::hcore::testing::Corpus;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
-TEST(HDegreeComputer, ScratchMaterializesLazilyAndIsReused) {
+TEST(BoundedBfs, ScratchMaterializesLazilyAndIsReused) {
   Graph g = gen::Cycle(8);
   VertexMask alive(8, true);
-  const uint64_t before = HDegreeComputer::total_scratch_allocations();
-  HDegreeComputer computer(8, 1);
-  computer.coordinator().Assume();  // test body is the sole driver
-  // Construction allocates nothing (the h = 1 fast paths rely on this).
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before);
-  EXPECT_EQ(computer.Compute(g, alive, 0, 2), 4u);
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before + 1);
-  // Subsequent traversals reuse the materialized scratch.
-  EXPECT_EQ(computer.Compute(g, alive, 1, 2), 4u);
+  const uint64_t before = BoundedBfs::total_scratch_allocations();
+  BoundedBfs bfs;
+  // BoundedBfs(0) allocates nothing (the h = 1 fast paths rely on this).
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before);
+  EXPECT_EQ(bfs.HDegree(g, alive, 0, 2), 4u);
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before + 1);
+  // Subsequent traversals reuse the grown scratch.
+  EXPECT_EQ(bfs.HDegree(g, alive, 1, 2), 4u);
   std::vector<std::pair<VertexId, int>> nbhd;
-  EXPECT_EQ(computer.CollectNeighborhood(g, alive, 2, 1, &nbhd), 2u);
-  EXPECT_EQ(HDegreeComputer::total_scratch_allocations(), before + 1);
-  EXPECT_GT(computer.total_visited(), 0u);
+  EXPECT_EQ(bfs.CollectNeighborhood(g, alive, 2, 1, &nbhd), 2u);
+  EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before + 1);
+  EXPECT_GT(bfs.total_visited(), 0u);
 }
 
 TEST(BoundedBfs, PathDepthTruncation) {
@@ -130,26 +128,24 @@ TEST_P(HDegreeProperty, MatchesPowerGraphDegree) {
   }
 }
 
-TEST_P(HDegreeProperty, ParallelMatchesSequential) {
+TEST_P(HDegreeProperty, ComputeAllAliveSkipsDeadVertices) {
   const auto& [spec, h] = GetParam();
   Graph g = MakeRandomGraph(spec);
   const VertexId n = g.num_vertices();
   VertexMask alive(n, true);
   // Kill a third of the vertices to exercise masked traversal.
   for (VertexId v = 0; v < n; v += 3) alive.Kill(v);
-  HDegreeComputer seq(n, 1);
-  HDegreeComputer par(n, 4);
-  seq.coordinator().Assume();  // test body is the sole driver of both
-  par.coordinator().Assume();
-  std::vector<uint32_t> a(n, 0), b(n, 0);
-  seq.ComputeAllAlive(g, alive, h, &a);
-  par.ComputeAllAlive(g, alive, h, &b);
+  constexpr uint32_t kUntouched = 0xDEADu;
+  std::vector<uint32_t> all(n, kUntouched);
+  BoundedBfs bfs;
+  ComputeAllAlive(g, alive, h, &bfs, &all);
+  BoundedBfs single;
   for (VertexId v = 0; v < n; ++v) {
-    if (alive.IsAlive(v)) {
-      EXPECT_EQ(a[v], b[v]) << "v=" << v;
-    }
+    const uint32_t want =
+        alive.IsAlive(v) ? single.HDegree(g, alive, v, h) : kUntouched;
+    EXPECT_EQ(all[v], want) << "v=" << v;
   }
-  EXPECT_EQ(seq.total_visited(), par.total_visited());
+  EXPECT_EQ(bfs.total_visited(), single.total_visited());
 }
 
 TEST_P(HDegreeProperty, MonotoneInH) {

@@ -1,7 +1,6 @@
-// Tests for the util substrate: bucket queue, RNG, thread pool, Status.
+// Tests for the util substrate: bucket queue, RNG, Status.
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "util/bucket_queue.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hcore {
@@ -155,14 +153,6 @@ TEST(RngTest, ShuffleIsAPermutation) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   for (int i = 0; i < 50; ++i) EXPECT_EQ(sorted[i], i);
-}
-
-TEST(ThreadPoolTest, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) pool.Submit([&done] { done.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 32);
 }
 
 TEST(StatusTest, OkAndErrors) {

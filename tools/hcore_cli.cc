@@ -1,8 +1,7 @@
 // hcore command-line tool.
 //
 //   hcore_cli decompose  --input=G.txt --h=2 [--algo=auto|bz|lb|lbub]
-//                        [--threads=N] [--partition=S]
-//                        [--ordering=none|auto|degree|bfs]
+//                        [--partition=S] [--ordering=none|auto|degree|bfs]
 //                        [--output=cores.txt]
 //   hcore_cli hierarchy  --input=G.txt --h=2 [--limit=60] [--dot=G.dot]
 //   hcore_cli stats      --input=G.txt
@@ -14,7 +13,7 @@
 //   hcore_cli densest    --input=G.txt --h=2
 //   hcore_cli generate   --model=ba|gnp|ws|road|cliques --n=1000 [--seed=S]
 //                        --output=G.txt
-//   hcore_cli serve      --input=G.txt [--h-max=4] [--threads=N] [--algo=..]
+//   hcore_cli serve      --input=G.txt [--h-max=4] [--algo=..]
 //
 // Every command rejects a flag it does not read (`error: unknown flag --X`),
 // a value an enumerated flag does not list, an integer flag whose value is
@@ -48,8 +47,8 @@
 // `apply` (and the initial build) moves them. The REPL output is locked by
 // tests/golden/serve_shards1.golden.
 //
-// The core-decomposition flags (--h, --algo/--algorithm, --threads,
-// --partition, --ordering) map 1:1 onto KhCoreOptions and apply to every
+// The core-decomposition flags (--h, --algo/--algorithm, --partition,
+// --ordering) map 1:1 onto KhCoreOptions and apply to every
 // command that runs a decomposition (decompose, hierarchy, spectrum,
 // hclub, community, densest, serve). `spectrum` and `serve` read the sweep
 // depth from --h-max (alias: --max-h).
@@ -152,7 +151,6 @@ Result<Graph> LoadInput(const Flags& flags) {
 KhCoreOptions CoreOptions(const Flags& flags) {
   KhCoreOptions opts;
   opts.h = flags.GetInt("h", 2);
-  opts.num_threads = flags.GetInt("threads", 1);
   opts.partition_size = flags.GetInt("partition", 0);
   // --algo is the short alias for --algorithm; the explicit form wins.
   std::string alg = flags.Get("algorithm", flags.Get("algo", "auto"));
@@ -448,10 +446,10 @@ int CmdServe(const Flags& flags) {
   opts.max_h = HMax(flags);
   opts.base = CoreOptions(flags);
 
-  std::printf("building index: n=%u m=%llu h_max=%d threads=%d ...\n",
+  std::printf("building index: n=%u m=%llu h_max=%d ...\n",
               g.value().num_vertices(),
               static_cast<unsigned long long>(g.value().num_edges()),
-              opts.max_h, opts.base.num_threads);
+              opts.max_h);
   HCoreIndex index(std::move(g.value()), opts);
   std::printf("ready (%.3fs); try 'help'\n",
               index.stats().decomposition.seconds);
@@ -627,7 +625,7 @@ struct Command {
 
   bool Accepts(const std::string& flag) const {
     static const std::vector<std::string> kCoreFlags = {
-        "h", "algo", "algorithm", "threads", "partition", "ordering"};
+        "h", "algo", "algorithm", "partition", "ordering"};
     auto listed = [&flag](const std::vector<std::string>& list) {
       return std::find(list.begin(), list.end(), flag) != list.end();
     };
@@ -672,10 +670,10 @@ const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
 /// any --seed.
 const std::map<std::string, int>& IntFlagMinimums() {
   static const std::map<std::string, int> kMinimums = {
-      {"h", 1},         {"h-max", 1},       {"max-h", 1},
-      {"threads", 0},   {"partition", 0},   {"limit", 0},
-      {"max-nodes", 0}, {"print-limit", 0}, {"n", 0},
-      {"attach", 1},    {"k", 0},           {"seed", INT_MIN},
+      {"h", 1},           {"h-max", 1},     {"max-h", 1},
+      {"partition", 0},   {"limit", 0},     {"max-nodes", 0},
+      {"print-limit", 0}, {"n", 0},         {"attach", 1},
+      {"k", 0},           {"seed", INT_MIN},
   };
   return kMinimums;
 }

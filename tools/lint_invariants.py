@@ -16,14 +16,6 @@ enforces repo conventions that keep the annotated world airtight:
                    carries GUARDED_BY(...) or is a std::atomic (or the Mutex
                    that guards the others).
 
-  task-capture     Lambdas handed to ThreadPool::Submit must enumerate
-                   their captures explicitly (no default capture, bare
-                   [&]/[=] or leading as in [&, x]/[=, x] — it can smuggle a
-                   guarded member or a dying local into a pool worker), and
-                   must not init-capture `.get()` raw pointers off a
-                   snapshot shared_ptr (the task then outlives nothing that
-                   keeps the snapshot alive).
-
   stats-add        Every numeric counter in a *Stats struct that has a
                    field-wise `void Add(const X&)` must be referenced in the
                    Add body — a counter missing from Add silently vanishes
@@ -340,37 +332,6 @@ def check_page_buffer(path, text, class_names=PAGE_BUFFER_CLASSES):
 
 
 # ---------------------------------------------------------------------------
-# Rule: task-capture
-# ---------------------------------------------------------------------------
-
-def check_task_capture(path, text):
-    violations = []
-    code = _strip_comments(text)
-    for m in re.finditer(r"\bSubmit\(\s*\[", code):
-        open_br = code.index("[", m.start())
-        close_br = _matching(code, open_br, "[", "]")
-        if close_br < 0:
-            continue
-        captures = code[open_br + 1:close_br - 1].strip()
-        line = _line_of(code, m.start())
-        line_text = text.splitlines()[line - 1]
-        if captures.split(",")[0].strip() in ("&", "="):
-            if not _allowed("task-capture", line_text):
-                violations.append(Violation(
-                    path, line, "task-capture",
-                    f"default capture [{captures}] in a ThreadPool::Submit "
-                    "task — enumerate captures explicitly so guarded members "
-                    "cannot leak into pool workers"))
-        if ".get()" in captures:
-            if not _allowed("task-capture", line_text):
-                violations.append(Violation(
-                    path, line, "task-capture",
-                    "raw pointer off a shared_ptr (.get()) captured into a "
-                    "ThreadPool::Submit task — capture the shared_ptr itself"))
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # Rule: stats-add
 # ---------------------------------------------------------------------------
 
@@ -463,7 +424,6 @@ def lint_tree(root):
     for path, text in texts.items():
         rel = os.path.relpath(path, root)
         violations += check_naked_mutex(rel, text)
-        violations += check_task_capture(rel, text)
         if path.endswith(".h"):
             violations += check_published_type(rel, text)
             violations += check_page_buffer(rel, text)
@@ -521,27 +481,6 @@ class HCoreSnapshot {
            "published-type: missed unguarded mutable field")
     expect(not check_published_type("x.h", ok_cls),
            "published-type: false positive on compliant class")
-
-    # task-capture fires on default captures, bare or leading, and on
-    # .get() init-captures; explicit lists (a leading &x included) pass.
-    bad_ref = "pool.Submit([&] { work(); });\n"
-    bad_copy = "pool_->Submit([=] { work(); });\n"
-    bad_lead_ref = "pool_->Submit([&, bfs, cursor] { work(bfs); });\n"
-    bad_lead_copy = "pool.Submit([=, &out] { work(&out); });\n"
-    bad_get = "pool.Submit([p = snap.get()] { use(p); });\n"
-    ok_submit = "pool_->Submit([&g, this, s, &out] { work(g, s, &out); });\n"
-    expect(check_task_capture("x.cc", bad_ref),
-           "task-capture: missed default [&] capture")
-    expect(check_task_capture("x.cc", bad_copy),
-           "task-capture: missed default [=] capture")
-    expect(check_task_capture("x.cc", bad_lead_ref),
-           "task-capture: missed leading default [&, ...] capture")
-    expect(check_task_capture("x.cc", bad_lead_copy),
-           "task-capture: missed leading default [=, ...] capture")
-    expect(check_task_capture("x.cc", bad_get),
-           "task-capture: missed .get() capture")
-    expect(not check_task_capture("x.cc", ok_submit),
-           "task-capture: false positive on explicit captures")
 
     # page-buffer fires on a public mutating method of a page buffer type
     # (struct default access counts as public); quiet on the read-only twin
