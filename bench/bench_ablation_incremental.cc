@@ -22,7 +22,6 @@
 // (BENCH_incremental.json in CI).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -185,11 +184,7 @@ void WriteJson(const char* path, const std::vector<StreamResult>& rows) {
 
 int main(int argc, char** argv) {
   using namespace hcore;
-  bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
+  bench::BenchArgs args = bench::ParseArgs(argc, argv, /*takes_json=*/true);
   bench::PrintHeader(
       "Ablation: localized vs warm vs scratch dynamic maintenance");
   std::printf("%-7s %-4s %-9s %5s %12s %14s %9s\n", "data", "h", "mode",
@@ -264,6 +259,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json_path != nullptr) WriteJson(json_path, rows);
+  if (!args.json_path.empty()) WriteJson(args.json_path.c_str(), rows);
   return 0;
 }

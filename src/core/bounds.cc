@@ -124,7 +124,7 @@ ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
       queued[v] = 1;
     }
   }
-  std::vector<std::pair<VertexId, int>> nbhd;
+  Neighborhood nbhd;
   while (!stack.empty()) {
     VertexId v = stack.back();
     stack.pop_back();
@@ -132,14 +132,14 @@ ImproveLbResult ImproveLB(const Graph& g, int h, uint32_t k_min,
     bfs->CollectNeighborhood(g, *alive, v, h, &nbhd);
     alive->Kill(v);
     ++out.removed;
-    for ([[maybe_unused]] const auto& [u, dist] : nbhd) {
-      if (!alive->IsAlive(u) || settled[u]) continue;
+    nbhd.ForEach([&](VertexId u, int) {
+      if (!alive->IsAlive(u) || settled[u]) return;
       if (hdeg[u] > 0) --hdeg[u];
       if (hdeg[u] < k_min && !queued[u]) {
         stack.push_back(u);
         queued[u] = 1;
       }
-    }
+    });
   }
 
   alive->ForEachAlive(

@@ -99,13 +99,15 @@ class Decomposer {
   //   * kLazy:   a lower bound on the core index (lazy_key_ keeps the seed),
   //              which no removal can invalidate.
   // A popped kApprox or kLazy vertex materializes its h-degree (one BFS)
-  // and is re-queued. Neighbors at full distance h take an exact unit
-  // decrement. A closer neighbor u of the removed w (distance d < h) loses
-  // from N_h(u) only vertices whose <= h path from u ran through w, so they
-  // lie in the ball B(w, h - d), whose size the engine reads off w's
-  // neighborhood: u's key drops by |B(w, h - d)| and stays a valid lower
-  // bound (kApprox). Only when that would reach max(lazy_key_[u], k) is u
-  // demoted back to its lazy key, where one BFS at its next pop covers
+  // and is re-queued, or peeled at once with that BFS's neighborhood when
+  // the degree is at most the current bucket. Neighbors at full distance h
+  // take an exact unit decrement. A closer neighbor u of the removed w
+  // (distance d < h) loses from N_h(u) only vertices whose <= h path from
+  // u ran through w, so they lie in the ball B(w, h - d), whose size the
+  // engine reads off w's neighborhood: u's key drops by |B(w, h - d)|, less
+  // one when u itself lies in that ball (d <= h - d), and stays a valid
+  // lower bound (kApprox). Only when that would reach max(lazy_key_[u], k)
+  // is u demoted back to its lazy key, where one BFS at its next pop covers
   // every later removal near it. No neighbor is recomputed at once (the
   // paper's line 19): the cores are the paper's, the Table-3 counts are
   // not (fewer BFS runs, more pops).
@@ -116,12 +118,16 @@ class Decomposer {
     bool OnPop(VertexId v, uint32_t k) {
       if (d->state_[v] != KeyState::kExact) {
         // The bucket held only a lower bound. Compute the true h-degree
-        // w.r.t. the current alive set and re-queue.
-        const uint32_t hd = d->bfs_.HDegree(d->g_, d->alive_, v, d->h_);
-        ++d->engine_.stats().hdegree_computations;
-        d->engine_.Requeue(v, hd, k);
-        d->state_[v] = KeyState::kExact;
-        return false;
+        // w.r.t. the current alive set. Above k, re-queue. At most k, a
+        // re-queue would put v at the front of bucket k, exact and pinned,
+        // to be popped next over the same alive set: peel it now, and let
+        // the removal read the neighborhood this BFS collected.
+        const uint32_t hd = d->engine_.Materialize(v);
+        if (hd > k) {
+          d->engine_.Requeue(v, hd, k);
+          d->state_[v] = KeyState::kExact;
+          return false;
+        }
       }
       if (k >= k_min && !d->assigned_[v]) {
         d->result_.core[v] = k;
@@ -143,7 +149,10 @@ class Decomposer {
       // reports u while its bucket is above k, so its key is unclamped.
       // lazy_key_[u] <= core(u) as when it was seeded, and u alive in bucket
       // k has core(u) >= k, so max(lazy_key_[u], k) is a lower bound too.
-      const uint32_t loss = d->engine_.BallSize(d->h_ - dist);
+      // When dist <= h - dist the ball holds u itself, which is never in
+      // N_h(u), so the loss is one smaller.
+      const uint32_t loss = d->engine_.BallSize(d->h_ - dist) -
+                            (2 * dist <= d->h_ ? 1 : 0);
       const uint32_t floor_key = std::max(d->lazy_key_[u], k);
       const uint32_t key = d->engine_.keys()[u];
       if (key > floor_key + loss) {

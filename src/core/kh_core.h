@@ -134,16 +134,21 @@ struct KhCoreOptions {
 /// Cost counters for one decomposition run.
 struct KhCoreStats {
   /// Total vertices visited over all h-bounded BFS traversals — the paper's
-  /// "number of computed point-to-point distances" (Table 3).
+  /// "number of computed point-to-point distances" (Table 3). A removal
+  /// that follows its own pop-time materialization in h-LB and h-LB+UB
+  /// reuses that BFS and adds no visits.
   uint64_t visited_vertices = 0;
-  /// Number of full h-degree recomputations (BFS runs).
+  /// Number of full h-degree computations (BFS runs), pop-time
+  /// materializations included; the BFS that collects a removed vertex's
+  /// neighborhood is not counted here.
   uint64_t hdegree_computations = 0;
   /// Number of O(1) decrement updates taken instead of a BFS: unit
   /// decrements, plus h-LB's decrements by a ball size.
   uint64_t decrement_updates = 0;
   /// Vertices popped by the peel, lazy re-queues included (h-BZ pops each
-  /// vertex exactly once). 0 for h = 1 (the classic path reports no engine
-  /// counters).
+  /// vertex exactly once; h-LB pops a vertex once per materialization that
+  /// re-queues it, plus once for its removal). 0 for h = 1 (the classic
+  /// path reports no engine counters).
   uint64_t pops = 0;
   /// Partitions processed (h-LB+UB only).
   uint32_t partitions = 0;

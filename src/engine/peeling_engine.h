@@ -9,7 +9,8 @@
 //   * the BucketQueue with the monotone clamp discipline
 //     (key(u) = max(deg(u), current bucket)),
 //   * the alive mask transition (enumerate the h-neighborhood of the popped
-//     vertex, then kill it),
+//     vertex, then kill it) — one BFS per removal, which a lazy policy's
+//     pop-time Materialize() already ran when it peels the vertex at once,
 //   * lazy-decrement vs batch-recompute bookkeeping for affected neighbors,
 //     with every BFS run on one BoundedBfs the caller lends, so its visit
 //     counter covers the whole pass,
@@ -67,7 +68,9 @@ struct PeelPolicyBase {
 
   /// Called for every popped vertex. Return true to peel `v` now; return
   /// false to skip the removal (the policy has re-queued `v`, e.g. after
-  /// lazily replacing a lower bound with the true h-degree).
+  /// lazily replacing a lower bound with the true h-degree). A policy that
+  /// measures v's h-degree here through PeelingEngine::Materialize and
+  /// returns true peels v with that BFS's neighborhood.
   bool OnPop(VertexId /*v*/, uint32_t /*k*/) { return true; }
 
   /// Classifies the update for alive, still-queued neighbor `u` at BFS
@@ -113,14 +116,21 @@ class PeelingEngine {
 
   /// |B(w, r)|: the closed ball of radius `r` (0 <= r <= h) around the
   /// vertex `w` being removed, `w` included, over the alive set just before
-  /// its removal. Valid only inside OnNeighbor. The h-neighborhood is
-  /// collected in BFS order, so the ball is a prefix of it and this is one
-  /// binary search: policies that never ask pay nothing.
-  uint32_t BallSize(int r) const {
-    const auto end = std::partition_point(
-        nbhd_.begin(), nbhd_.end(),
-        [r](const std::pair<VertexId, int>& e) { return e.second <= r; });
-    return 1 + static_cast<uint32_t>(end - nbhd_.begin());
+  /// its removal. Valid only inside OnNeighbor. O(1): the BFS that
+  /// collected w's neighborhood recorded its level boundaries.
+  uint32_t BallSize(int r) const { return nbhd_.BallSize(r); }
+
+  /// Lazy policies call this from OnPop(v, k) for the popped `v`: collects
+  /// v's h-neighborhood over the current alive set (one BFS, counted as an
+  /// h-degree computation) and returns |N(v, h)|. If OnPop then returns
+  /// true, the removal reads this neighborhood instead of running a second
+  /// BFS over the same alive set.
+  uint32_t Materialize(VertexId v) {
+    HCORE_DCHECK(v == popped_);
+    Collect(v);
+    materialized_ = true;
+    ++stats_.hdegree_computations;
+    return nbhd_.size();
   }
 
   /// Inserts `v` with key `key` (and records it as v's degree).
@@ -185,25 +195,19 @@ class PeelingEngine {
       while (!queue_.BucketEmpty(k)) {
         const VertexId v = queue_.PopFront(k);
         ++stats_.pops;
-        if (!policy.OnPop(v, k)) continue;
-        if (h_ == 1) {
-          // h = 1 fast path: the h-neighborhood is the direct adjacency
-          // list; skip the stamped-BFS scratch so the classic decomposition
-          // keeps its linear-time constant factor.
-          nbhd_.clear();
-          for (VertexId u : g_.neighbors(v)) {
-            if (alive_->IsAlive(u)) nbhd_.emplace_back(u, 1);
-          }
-        } else {
-          bfs_->CollectNeighborhood(g_, *alive_, v, h_, &nbhd_);
-        }
+        popped_ = v;
+        materialized_ = false;
+        const bool remove = policy.OnPop(v, k);
+        popped_ = kNoVertex;
+        if (!remove) continue;
+        if (!materialized_) Collect(v);
         alive_->Kill(v);
         batch_.clear();
-        for (const auto& [u, d] : nbhd_) {
-          if (!alive_->IsAlive(u) || !queue_.Contains(u)) continue;
+        nbhd_.ForEach([&](VertexId u, int d) {
+          if (!alive_->IsAlive(u) || !queue_.Contains(u)) return;
           if (std::remove_reference_t<Policy>::kSkipPinned &&
               queue_.KeyOf(u) == k) {
-            continue;  // pinned at the current bucket; no observable effect
+            return;  // pinned at the current bucket; no observable effect
           }
           switch (policy.OnNeighbor(u, d, k)) {
             case PeelAction::kSkip:
@@ -220,7 +224,7 @@ class PeelingEngine {
               batch_.push_back(u);
               break;
           }
-        }
+        });
         if (!batch_.empty()) RecomputeBatch(k, policy);
         policy.OnPeeled(v, k);
       }
@@ -228,6 +232,25 @@ class PeelingEngine {
   }
 
  private:
+  static constexpr VertexId kNoVertex = ~VertexId{0};
+
+  /// Collects v's h-neighborhood over the current alive set into nbhd_.
+  void Collect(VertexId v) {
+    if (h_ == 1) {
+      // h = 1 fast path: the h-neighborhood is the direct adjacency list;
+      // skip the stamped-BFS scratch so the classic decomposition keeps its
+      // linear-time constant factor.
+      nbhd_.order.assign(1, v);
+      for (VertexId u : g_.neighbors(v)) {
+        if (alive_->IsAlive(u)) nbhd_.order.push_back(u);
+      }
+      nbhd_.ball_end.assign(
+          {1, static_cast<uint32_t>(nbhd_.order.size())});
+    } else {
+      bfs_->CollectNeighborhood(g_, *alive_, v, h_, &nbhd_);
+    }
+  }
+
   /// Recomputes h-degrees for the collected batch, after every neighbor
   /// has been classified, and re-buckets each vertex at max(h-degree, k).
   template <typename Policy>
@@ -248,8 +271,11 @@ class PeelingEngine {
   std::vector<uint32_t> keys_;
   BucketQueue queue_;
   PeelingStats stats_;
+  // The vertex whose OnPop is running, and whether it materialized nbhd_.
+  VertexId popped_ = kNoVertex;
+  bool materialized_ = false;
   // Scratch buffers reused across pops.
-  std::vector<std::pair<VertexId, int>> nbhd_;
+  Neighborhood nbhd_;
   std::vector<VertexId> batch_;
 };
 

@@ -10,7 +10,6 @@ std::atomic<uint64_t> g_scratch_allocations{0};
 
 void BoundedBfs::Grow(VertexId n) {
   mark_.resize(n, 0);
-  dist_.resize(n, 0);
   g_scratch_allocations.fetch_add(1, std::memory_order_relaxed);
 }
 

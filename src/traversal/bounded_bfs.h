@@ -3,13 +3,19 @@
 // This is the inner loop of every (k,h)-core algorithm: computing the
 // h-degree of a vertex inside the currently-alive induced subgraph means one
 // BFS truncated at depth h that ignores dead vertices. The alive set is a
-// VertexMask (see engine/vertex_mask.h), the shared subgraph-view type. The
-// scratch state (visited marks, distances, queue) is reused across calls via
-// epoch stamping, so a Run() does no O(n) clearing.
+// VertexMask (see engine/vertex_mask.h), the shared subgraph-view type.
+//
+// The kernel is level-synchronous: the queue holds one level after the
+// other, so the depth is the loop counter and no per-vertex distance array
+// exists. Vertices at depth h are only marked and counted (HDegree) or
+// recorded (CollectNeighborhood), never enqueued for expansion. The visited
+// marks are reused across calls via epoch stamping, so a run does no O(n)
+// clearing.
 //
 // The instance also accumulates the paper's Table-3 cost metric: the total
 // number of (possibly repeated) vertices visited across all traversals
-// ("computed point-to-point distances").
+// ("computed point-to-point distances"). Every run counts |N(src, h)|,
+// whether it only measured the h-degree or collected the neighborhood.
 //
 // Every h-degree in the library runs sequentially on one of these: the
 // engine borrows its caller's instance, so one decomposition's bounds, peel
@@ -20,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "engine/vertex_mask.h"
@@ -28,6 +33,31 @@
 #include "util/check.h"
 
 namespace hcore {
+
+/// The h-neighborhood of a source vertex over an alive set, as one BFS
+/// collected it. `order` is the source followed by every reached vertex in
+/// BFS order; `ball_end[r]` is |B(src, r)|, the closed ball of radius r
+/// (0 <= r <= h), so order[ball_end[d - 1], ball_end[d]) is the level at
+/// distance d.
+struct Neighborhood {
+  std::vector<VertexId> order;
+  std::vector<uint32_t> ball_end;
+
+  int h() const { return static_cast<int>(ball_end.size()) - 1; }
+  /// |N(src, h)|: the reached vertices, the source excluded.
+  uint32_t size() const { return static_cast<uint32_t>(order.size()) - 1; }
+  /// |B(src, r)|, the source included. O(1).
+  uint32_t BallSize(int r) const { return ball_end[r]; }
+
+  /// Calls `fn(u, d)` for every reached vertex u, in BFS order, with its
+  /// distance d from the source.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (int d = 1; d <= h(); ++d) {
+      for (uint32_t i = ball_end[d - 1]; i < ball_end[d]; ++i) fn(order[i], d);
+    }
+  }
+};
 
 /// Scratch object for depth-bounded BFS over an alive-masked subgraph.
 /// Not thread-safe; use one instance per thread.
@@ -59,30 +89,8 @@ class BoundedBfs {
   template <typename Mask, typename Visitor>
   uint32_t Run(const Graph& g, const Mask& alive, VertexId src, int h,
                Visitor&& visit) {
-    HCORE_DCHECK(src < g.num_vertices());
-    HCORE_DCHECK(alive.size() == g.num_vertices());
-    EnsureCapacity(g.num_vertices());
-    NextStamp();
-    mark_[src] = stamp_;
-    dist_[src] = 0;
-    queue_.clear();
-    queue_.push_back(src);
-    uint32_t count = 0;
-    for (size_t head = 0; head < queue_.size(); ++head) {
-      const VertexId v = queue_[head];
-      const int d = dist_[v];
-      if (d >= h) break;  // BFS order: all later entries are at depth >= d.
-      for (VertexId u : g.neighbors(v)) {
-        if (mark_[u] == stamp_ || !alive.IsAlive(u)) continue;
-        mark_[u] = stamp_;
-        dist_[u] = d + 1;
-        queue_.push_back(u);
-        visit(u, d + 1);
-        ++count;
-      }
-    }
-    total_visited_ += count;
-    return count;
+    return Sweep</*kKeepLast=*/false>(g, alive, src, h, &queue_, nullptr,
+                                      visit);
   }
 
   /// h-degree of `src` in the alive-induced subgraph: |N(src, h)|.
@@ -91,14 +99,14 @@ class BoundedBfs {
     return Run(g, alive, src, h, [](VertexId, int) {});
   }
 
-  /// Collects the h-neighborhood of `src` with distances into `out`
-  /// (cleared first), in BFS order. Returns out->size().
-  uint32_t CollectNeighborhood(const Graph& g, const VertexMask& alive,
-                               VertexId src, int h,
-                               std::vector<std::pair<VertexId, int>>* out) {
-    out->clear();
-    return Run(g, alive, src, h,
-               [out](VertexId u, int d) { out->emplace_back(u, d); });
+  /// Collects the h-neighborhood of `src` and its ball boundaries into
+  /// `out` (overwritten). Returns |N(src, h)|.
+  template <typename Mask>
+  uint32_t CollectNeighborhood(const Graph& g, const Mask& alive,
+                               VertexId src, int h, Neighborhood* out) {
+    auto ignore = [](VertexId, int) {};
+    return Sweep</*kKeepLast=*/true>(g, alive, src, h, &out->order,
+                                     &out->ball_end, ignore);
   }
 
   /// Total vertices visited across all Run() calls since ResetStats().
@@ -110,22 +118,76 @@ class BoundedBfs {
   void set_stamp_for_testing(uint32_t stamp) { stamp_ = stamp; }
 
  private:
+  /// The kernel. `order` receives the source and levels 1 .. h - 1 (and
+  /// level h when kKeepLast); `ball_end`, when kKeepLast, the h + 1 ball
+  /// sizes. Levels below h are expanded by one loop; the last level has its
+  /// own loop that only marks and counts or records (a per-edge "last
+  /// level" test inside one loop measured slower at h = 3).
+  template <bool kKeepLast, typename Mask, typename Visitor>
+  uint32_t Sweep(const Graph& g, const Mask& alive, VertexId src, int h,
+                 std::vector<VertexId>* order,
+                 std::vector<uint32_t>* ball_end, Visitor& visit) {
+    HCORE_DCHECK(src < g.num_vertices());
+    HCORE_DCHECK(alive.size() == g.num_vertices());
+    EnsureCapacity(g.num_vertices());
+    NextStamp();
+    mark_[src] = stamp_;
+    std::vector<VertexId>& q = *order;
+    q.clear();
+    q.push_back(src);
+    if constexpr (kKeepLast) ball_end->assign(1, 1);
+    size_t begin = 0;
+    for (int d = 1; d < h; ++d) {
+      const size_t end = q.size();
+      for (size_t i = begin; i < end; ++i) {
+        for (VertexId u : g.neighbors(q[i])) {
+          if (mark_[u] == stamp_ || !alive.IsAlive(u)) continue;
+          mark_[u] = stamp_;
+          q.push_back(u);
+          visit(u, d);
+        }
+      }
+      if constexpr (kKeepLast) {
+        ball_end->push_back(static_cast<uint32_t>(q.size()));
+      }
+      begin = end;
+    }
+    uint32_t last = 0;  // depth-h vertices not kept in `q`
+    if (h >= 1) {
+      const size_t end = q.size();
+      for (size_t i = begin; i < end; ++i) {
+        for (VertexId u : g.neighbors(q[i])) {
+          if (mark_[u] == stamp_ || !alive.IsAlive(u)) continue;
+          mark_[u] = stamp_;
+          if constexpr (kKeepLast) {
+            q.push_back(u);
+          } else {
+            ++last;
+          }
+          visit(u, h);
+        }
+      }
+      if constexpr (kKeepLast) {
+        ball_end->push_back(static_cast<uint32_t>(q.size()));
+      }
+    }
+    const uint32_t count = static_cast<uint32_t>(q.size() - 1) + last;
+    total_visited_ += count;
+    return count;
+  }
+
   void Grow(VertexId n);
 
   void NextStamp() {
     if (++stamp_ == 0) {
       // Stamp wraparound: stale marks could collide with re-used stamp
-      // values. Clear both scratch arrays — refilling only mark_ would keep
-      // stale dist_ entries alive next to freshly zeroed marks, a trap for
-      // any future reader that consults dist_ without checking mark_ first.
+      // values, so pay one O(n) refill and restart.
       std::fill(mark_.begin(), mark_.end(), 0);
-      std::fill(dist_.begin(), dist_.end(), 0);
       stamp_ = 1;
     }
   }
 
   std::vector<uint32_t> mark_;  // mark_[v] == stamp_ <=> visited this run.
-  std::vector<int> dist_;
   std::vector<VertexId> queue_;
   uint32_t stamp_ = 0;
   uint64_t total_visited_ = 0;

@@ -1,4 +1,4 @@
-// Tests for the engine layer: the epoch-stamped VertexMask (resets,
+// Tests for the engine layer: the bitset VertexMask (resets, tail bits,
 // checkpoint/restore, counts), the generic PeelingEngine (policy hooks,
 // decrement vs recompute bookkeeping), and the cache-locality pass
 // (orderings, Graph::Relabeled, and ordering-invariance of the
@@ -119,6 +119,63 @@ TEST(VertexMask, RepeatedTogglesOfOneVertexRestoreCleanly) {
   m.RestoreTo(cp);
   EXPECT_TRUE(m.IsAlive(1));
   EXPECT_EQ(m.num_alive(), 3u);
+}
+
+TEST(VertexMask, TailBitsStayClearWhenSizeIsNotAWordMultiple) {
+  // 130 = 2 * 64 + 2: the last word holds two vertices. A whole-set reset
+  // must not report the 62 padding bits, before or after a resize.
+  VertexMask m(130, false);
+  m.ResetAllAlive();
+  EXPECT_EQ(m.num_alive(), 130u);
+  std::vector<VertexId> all(130);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(m.AliveVertices(), all);
+
+  m.Assign(70, true);  // shrink: the tail of word 1 must be cleared
+  EXPECT_EQ(m.num_alive(), 70u);
+  ASSERT_EQ(m.AliveVertices().size(), 70u);
+  EXPECT_EQ(m.AliveVertices().back(), 69u);
+
+  m.Assign(200, true);  // grow past the old tail
+  EXPECT_EQ(m.AliveVertices().size(), 200u);
+  m.Kill(199);
+  m.Kill(64);
+  EXPECT_EQ(m.num_alive(), 198u);
+  m.ResetAllDead();
+  EXPECT_TRUE(m.AliveVertices().empty());
+  m.Revive(129);
+  EXPECT_EQ(m.AliveVertices(), (std::vector<VertexId>{129}));
+}
+
+TEST(VertexMask, RestoreToAcrossWordBoundaries) {
+  VertexMask m(200, true);
+  m.Kill(63);
+  const size_t cp = m.Checkpoint();
+  for (VertexId v : {0u, 64u, 127u, 128u, 199u}) m.Kill(v);
+  m.Revive(63);
+  m.Kill(64);  // already dead: not logged again
+  EXPECT_EQ(m.num_alive(), 195u);
+  m.RestoreTo(cp);
+  EXPECT_EQ(m.num_alive(), 199u);
+  EXPECT_FALSE(m.IsAlive(63));
+  for (VertexId v : {0u, 64u, 127u, 128u, 199u}) EXPECT_TRUE(m.IsAlive(v));
+  std::vector<VertexId> expect(200);
+  std::iota(expect.begin(), expect.end(), 0);
+  expect.erase(expect.begin() + 63);
+  EXPECT_EQ(m.AliveVertices(), expect);
+}
+
+TEST(VertexMask, ForEachAliveSeesTogglesMadeByTheCallback) {
+  // Killing the next vertex while visiting one skips it, as a plain
+  // IsAlive scan would, within a word and across the word boundary.
+  VertexMask m(130, true);
+  std::vector<VertexId> seen;
+  m.ForEachAlive([&](VertexId v) {
+    seen.push_back(v);
+    if (v + 1 < m.size()) m.Kill(v + 1);
+  });
+  ASSERT_EQ(seen.size(), 65u);
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 2 * i);
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +341,104 @@ TEST(PeelingEngine, BallSizeOnStarReachesLeavesThroughTheHub) {
 
   balls = BallSizesInOrder(g, 2, {0, 1, 2, 3, 4, 5});
   EXPECT_EQ(balls[0], (std::vector<uint32_t>{1, 6, 6}));
+}
+
+/// Lazy policy in the shape of h-LB's: every vertex starts lazy, and its
+/// first pop materializes the h-degree. Above the bucket it is re-queued;
+/// at most the bucket it is peeled at once with the materializing BFS.
+struct FusedPopPolicy : PeelPolicyBase {
+  explicit FusedPopPolicy(PeelingEngine* e)
+      : e(e),
+        lazy(e->graph().num_vertices(), 1),
+        core(e->graph().num_vertices(), 0) {}
+  bool OnPop(VertexId v, uint32_t k) {
+    if (lazy[v]) {
+      lazy[v] = 0;
+      const uint32_t hd = e->Materialize(v);
+      if (hd > k) {
+        e->Requeue(v, hd, k);
+        return false;
+      }
+    }
+    core[v] = k;
+    return true;
+  }
+  PeelAction OnNeighbor(VertexId, int, uint32_t) { return PeelAction::kSkip; }
+  PeelingEngine* e;
+  std::vector<uint8_t> lazy;
+  std::vector<uint32_t> core;
+};
+
+TEST(PeelingEngine, MaterializedVertexAtOrBelowBucketIsPeeledByThatBfs) {
+  // Star, hub 0 and leaves 1..4, at h = 2: every h-degree is 4, and so is
+  // every core. Seeded lazily at 4, each pop materializes a degree <= 4
+  // and peels the vertex with that one BFS over the vertices still alive:
+  // 5 pops and 4 + 3 + 2 + 1 + 0 visits (a re-queue and a second BFS
+  // would make it 10 pops and 20 visits).
+  const Graph g = gen::Star(5);
+  VertexMask alive(5, true);
+  BoundedBfs bfs(5);
+  PeelingEngine engine(g, 2, &alive, &bfs, 5);
+  for (VertexId v = 0; v < 5; ++v) engine.Seed(v, 4);
+  FusedPopPolicy policy(&engine);
+  engine.Peel(0, 5, policy);
+  EXPECT_EQ(policy.core, (std::vector<uint32_t>{4, 4, 4, 4, 4}));
+  EXPECT_EQ(engine.stats().pops, 5u);
+  EXPECT_EQ(engine.stats().hdegree_computations, 5u);
+  EXPECT_EQ(bfs.total_visited(), 10u);
+  EXPECT_EQ(alive.num_alive(), 0u);
+}
+
+TEST(PeelingEngine, RequeuedVertexCollectsAfreshWhenPeeled) {
+  // The same star seeded at 0: every materialization (4 visits each) finds
+  // 4 > 0 and re-queues. The removals at bucket 4 must each run their own
+  // BFS over the shrunken alive set — the hub, popped first, sees the 4
+  // leaves; each leaf after it sees nobody — not reuse a stale ball.
+  const Graph g = gen::Star(5);
+  VertexMask alive(5, true);
+  BoundedBfs bfs(5);
+  PeelingEngine engine(g, 2, &alive, &bfs, 5);
+  for (VertexId v = 0; v < 5; ++v) engine.Seed(v, 0);
+  FusedPopPolicy policy(&engine);
+  engine.Peel(0, 5, policy);
+  EXPECT_EQ(policy.core, (std::vector<uint32_t>{4, 4, 4, 4, 4}));
+  EXPECT_EQ(engine.stats().pops, 10u);
+  EXPECT_EQ(engine.stats().hdegree_computations, 5u);
+  EXPECT_EQ(bfs.total_visited(), 5u * 4u + 4u);
+}
+
+TEST(PeelingEngine, LbLossExcludesTheNeighborItself) {
+  // Tail 0-1 hanging off the triangle {2, 3, 4} at vertex 2, h = 2. Cores
+  // are 2 for vertex 0 and 3 for the rest. Seeds: vertex 1 at 0, vertex 0
+  // at 2, the triangle at 3.
+  //   bucket 0: 1 materializes h-degree 4 and is re-queued at 4 (exact);
+  //   bucket 2: 0 materializes 2 and is peeled. Its neighbor 1 is at
+  //             distance 1 = h - 1, so 1 lies in B(0, 1) = {0, 1} and loses
+  //             at most |B(0, 1)| - 1 = 1: its key drops to 3, still above
+  //             the floor 2 + 1, so 1 stays a valid bound (kApprox). A loss
+  //             of 2 would demote 1 to its seed and cost a pop and a BFS;
+  //   bucket 3: 1 (3 visits), then the triangle (2 + 1 + 0), each peeled
+  //             by its materializing BFS.
+  GraphBuilder b(5);
+  for (const auto& [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {1, 2}, {2, 3}, {2, 4}, {3, 4}}) {
+    b.AddEdge(u, v);
+  }
+  const Graph g = b.Build();
+  const std::vector<uint32_t> seeds{2, 0, 3, 3, 3};
+  KhCoreOptions opts;
+  opts.h = 2;
+  opts.algorithm = KhCoreAlgorithm::kLb;
+  opts.lower_bound = LowerBoundMode::kNone;
+  opts.extra_lower_bound = &seeds;
+  opts.ordering = VertexOrdering::kNone;
+  const KhCoreResult r = KhCoreDecomposition(g, opts);
+  EXPECT_EQ(r.core, (std::vector<uint32_t>{2, 3, 3, 3, 3}));
+  EXPECT_EQ(r.core, BruteForceKhCore(g, 2));
+  EXPECT_EQ(r.stats.pops, 6u);
+  EXPECT_EQ(r.stats.hdegree_computations, 6u);
+  EXPECT_EQ(r.stats.visited_vertices, 4u + 2u + 3u + 2u + 1u + 0u);
+  EXPECT_EQ(r.stats.decrement_updates, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // h-club / h-clique predicates.
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,7 +33,7 @@ TEST(BoundedBfs, ScratchMaterializesLazilyAndIsReused) {
   EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before + 1);
   // Subsequent traversals reuse the grown scratch.
   EXPECT_EQ(bfs.HDegree(g, alive, 1, 2), 4u);
-  std::vector<std::pair<VertexId, int>> nbhd;
+  Neighborhood nbhd;
   EXPECT_EQ(bfs.CollectNeighborhood(g, alive, 2, 1, &nbhd), 2u);
   EXPECT_EQ(BoundedBfs::total_scratch_allocations(), before + 1);
   EXPECT_GT(bfs.total_visited(), 0u);
@@ -42,12 +45,12 @@ TEST(BoundedBfs, PathDepthTruncation) {
   VertexMask alive(10, true);
   // From vertex 0, depth h reaches exactly vertices 1..h.
   for (int h = 1; h <= 5; ++h) {
-    std::vector<std::pair<VertexId, int>> nbhd;
+    Neighborhood nbhd;
     bfs.CollectNeighborhood(g, alive, 0, h, &nbhd);
-    ASSERT_EQ(nbhd.size(), static_cast<size_t>(h));
-    for (int i = 0; i < h; ++i) {
-      EXPECT_EQ(nbhd[i].first, static_cast<VertexId>(i + 1));
-      EXPECT_EQ(nbhd[i].second, i + 1);
+    ASSERT_EQ(nbhd.size(), static_cast<uint32_t>(h));
+    for (int i = 0; i <= h; ++i) {
+      EXPECT_EQ(nbhd.order[i], static_cast<VertexId>(i));
+      EXPECT_EQ(nbhd.BallSize(i), static_cast<uint32_t>(i + 1));
     }
   }
 }
@@ -89,6 +92,11 @@ TEST(BoundedBfs, HZeroVisitsNothing) {
   BoundedBfs bfs(4);
   VertexMask alive(4, true);
   EXPECT_EQ(bfs.HDegree(g, alive, 0, 0), 0u);
+  Neighborhood nbhd;
+  EXPECT_EQ(bfs.CollectNeighborhood(g, alive, 0, 0, &nbhd), 0u);
+  EXPECT_EQ(nbhd.order, (std::vector<VertexId>{0}));
+  EXPECT_EQ(nbhd.BallSize(0), 1u);
+  EXPECT_EQ(bfs.total_visited(), 0u);
 }
 
 TEST(BoundedBfs, StampWraparoundKeepsResultsCorrect) {
@@ -162,6 +170,90 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, HDegreeProperty,
     ::testing::Combine(::testing::ValuesIn(Corpus(50, 1)),
                        ::testing::Values(1, 2, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<RandomGraphSpec, int>>& info) {
+      return std::get<0>(info.param).Name() + "_h" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+/// Reference order for the level-synchronous kernel: a plain FIFO BFS with
+/// a distance array, truncated at depth h, source first.
+std::vector<VertexId> FifoBfsOrder(const Graph& g, const VertexMask& alive,
+                                   VertexId src, int h) {
+  std::vector<int> dist(g.num_vertices(), -1);
+  std::vector<VertexId> order{src};
+  dist[src] = 0;
+  for (size_t head = 0; head < order.size(); ++head) {
+    const VertexId v = order[head];
+    if (dist[v] == h) continue;
+    for (VertexId u : g.neighbors(v)) {
+      if (dist[u] >= 0 || !alive.IsAlive(u)) continue;
+      dist[u] = dist[v] + 1;
+      order.push_back(u);
+    }
+  }
+  return order;
+}
+
+class KernelVsDistances
+    : public ::testing::TestWithParam<std::tuple<RandomGraphSpec, int>> {};
+
+TEST_P(KernelVsDistances, BallDistancesOrderAndLevelsMatchBfsDistances) {
+  const auto& [spec, h] = GetParam();
+  const Graph g = MakeRandomGraph(spec);
+  const VertexId n = g.num_vertices();
+  Rng rng(spec.seed * 17 + static_cast<uint64_t>(h));
+  BoundedBfs bfs;
+  Neighborhood nbhd;
+  for (int trial = 0; trial < 3; ++trial) {
+    // Trial 0 keeps every vertex; later trials kill about a third.
+    VertexMask alive(n, true);
+    if (trial > 0) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (rng.NextBool(0.3)) alive.Kill(v);
+      }
+    }
+    for (VertexId src = 0; src < n; ++src) {
+      if (!alive.IsAlive(src)) continue;
+      const std::vector<uint32_t> dist = BfsDistances(g, alive, src);
+      std::vector<VertexId> ball;
+      std::vector<uint32_t> ball_size(h + 1, 1);
+      for (VertexId v = 0; v < n; ++v) {
+        if (v == src || dist[v] == kUnreachable) continue;
+        for (int r = static_cast<int>(dist[v]); r <= h; ++r) ++ball_size[r];
+        if (dist[v] <= static_cast<uint32_t>(h)) ball.push_back(v);
+      }
+      const uint32_t size = static_cast<uint32_t>(ball.size());
+      ASSERT_EQ(bfs.HDegree(g, alive, src, h), size) << "src=" << src;
+      ASSERT_EQ(bfs.CollectNeighborhood(g, alive, src, h, &nbhd), size);
+      ASSERT_EQ(nbhd.h(), h);
+      ASSERT_EQ(nbhd.size(), size);
+      // The ball as a set.
+      std::vector<VertexId> got(nbhd.order.begin() + 1, nbhd.order.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, ball) << "src=" << src;
+      // Each distance, and the level boundaries.
+      nbhd.ForEach([&](VertexId u, int d) {
+        EXPECT_EQ(static_cast<uint32_t>(d), dist[u]) << "u=" << u;
+      });
+      for (int r = 0; r <= h; ++r) {
+        EXPECT_EQ(nbhd.BallSize(r), ball_size[r]) << "r=" << r;
+      }
+      // BFS order, and the visitor of Run() sees the same sequence.
+      EXPECT_EQ(nbhd.order, FifoBfsOrder(g, alive, src, h)) << "src=" << src;
+      std::vector<std::pair<VertexId, int>> visited;
+      bfs.Run(g, alive, src, h,
+              [&](VertexId u, int d) { visited.emplace_back(u, d); });
+      std::vector<std::pair<VertexId, int>> collected;
+      nbhd.ForEach([&](VertexId u, int d) { collected.emplace_back(u, d); });
+      EXPECT_EQ(visited, collected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, KernelVsDistances,
+    ::testing::Combine(::testing::ValuesIn(Corpus(50, 1)),
+                       ::testing::Values(0, 1, 2, 3, 4)),
     [](const ::testing::TestParamInfo<std::tuple<RandomGraphSpec, int>>& info) {
       return std::get<0>(info.param).Name() + "_h" +
              std::to_string(std::get<1>(info.param));
