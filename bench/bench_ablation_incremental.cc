@@ -5,8 +5,9 @@
 //               per-level candidate-region re-peel with pinned boundary
 //               (core/incremental.h), warm fallback past the region cap;
 //   warm      : the same index with localized maintenance off — every
-//               level re-decomposed whole-graph, warm-started from the
-//               spectrum chain (plus the old cores after an insert);
+//               level re-decomposed whole-graph, warm-started by the old
+//               cores after an insert and from its own bounds after a
+//               delete;
 //   scratch   : KhCoreSpectrum to depth h from scratch after every edit.
 //
 // All three are exact, so the comparison is pure cost: BFS visits and wall

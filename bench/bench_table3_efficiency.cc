@@ -11,8 +11,11 @@
 // ran 1.4-2.5x faster than h-LB+UB on every dataset stand-in that takes
 // over 1 ms (ten of twelve at scale 0.1, 1 thread, 4-thread x86 box),
 // social and collaboration sets included, with fewer visits on all twelve.
-// At h = 4 it was faster on all but lj, where the two tie (6.6 s each).
-// kAuto follows this: h-LB through h = 3, h-LB+UB from h = 4.
+// At h = 4 it was faster on all but lj, where the two tie (6.6 s each) at
+// scale 0.1; at scale 0.3 h-LB won h = 4 on sytb, hyves and lj (2.22 vs
+// 5.98 s, 6.39 vs 9.79 s, 42.1 vs 80.2 s) and h = 5 too (13.9 vs 20.5 s,
+// 15.7 vs 19.8 s, 19.1 vs 46.9 s).
+// kAuto follows this and runs h-LB at every h.
 // Absolute values differ (synthetic stand-ins, reduced scale).
 
 #include <cstdio>

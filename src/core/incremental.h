@@ -47,10 +47,10 @@
 // The updater returns false when the region (or the cascade's work)
 // exceeds LocalizedUpdateOptions::MaxRegion — edits that restructure a
 // large part of the graph. HCoreIndex (index/hcore_index.h), the one write
-// front door, then re-decomposes that level of the whole graph
-// warm-started; it sends mixed batches there directly, since each strategy
-// is exact only for a pure batch. Both paths return exactly the
-// decomposition a fresh run would produce; the fuzz suite
+// front door, then re-decomposes that level of the whole graph (seeded by
+// the old cores after inserts); it sends mixed batches there directly,
+// since each strategy is exact only for a pure batch. Both paths return
+// exactly the decomposition a fresh run would produce; the fuzz suite
 // (tests/incremental_fuzz_test.cc) checks that at every step.
 
 #ifndef HCORE_CORE_INCREMENTAL_H_
@@ -72,9 +72,9 @@ struct LocalizedUpdateOptions {
   /// Master switch; off forces every update onto the warm fallback.
   bool enable = true;
   /// Fallback threshold: discovery aborts (and the caller re-peels the
-  /// whole graph warm-started) once the candidate region exceeds
+  /// whole graph) once the candidate region exceeds
   /// max(min_region_cap, max_region_fraction * n) vertices — past that the
-  /// localized peel stops being cheaper than the warm start it replaces.
+  /// localized peel stops being cheaper than the re-peel it replaces.
   double max_region_fraction = 0.25;
   size_t min_region_cap = 64;
   /// Batch cap (HCoreIndex): batches with more effective edits than this

@@ -203,17 +203,10 @@ class Decomposer {
     ComputeAllAlive(g_, alive_, h_, &bfs_, &hdeg);
     engine_.stats().hdegree_computations += n_;
     std::vector<uint32_t> lb = ComputeLowerBound();
-    std::vector<uint32_t> ub;
-    if (opts_.extra_upper_bound != nullptr) {
-      HCORE_CHECK(opts_.extra_upper_bound->size() == n_);
-      ub = *opts_.extra_upper_bound;
-      // The h-degree is always a valid upper bound too; take the tighter.
-      for (VertexId v = 0; v < n_; ++v) ub[v] = std::min(ub[v], hdeg[v]);
-    } else if (opts_.upper_bound == UpperBoundMode::kPowerGraph) {
-      ub = ComputePowerGraphUpperBound(g_, h_, hdeg, &bfs_);
-    } else {
-      ub = hdeg;
-    }
+    std::vector<uint32_t> ub =
+        opts_.upper_bound == UpperBoundMode::kPowerGraph
+            ? ComputePowerGraphUpperBound(g_, h_, hdeg, &bfs_)
+            : std::move(hdeg);
     result_.stats.bound_seconds += bound_timer.ElapsedSeconds();
 
     // Ordered codomain of UB, descending (line 8-10).
@@ -323,12 +316,11 @@ class Decomposer {
 };
 
 KhCoreAlgorithm ResolveAlgorithm(const KhCoreOptions& opts) {
-  if (opts.algorithm != KhCoreAlgorithm::kAuto) return opts.algorithm;
   // §6.2 has h-LB+UB winning from h = 3 on social graphs. With the
-  // ball-bounded demotion of LazyLbPolicy, h-LB measured faster at h <= 3
-  // on every input tried; h >= 4 keeps the paper's choice (measurements in
-  // KhCoreAlgorithm::kAuto).
-  return opts.h <= 3 ? KhCoreAlgorithm::kLb : KhCoreAlgorithm::kLbUb;
+  // ball-bounded demotion of LazyLbPolicy, h-LB measured faster at every h
+  // tried (measurements in KhCoreAlgorithm::kAuto).
+  return opts.algorithm == KhCoreAlgorithm::kAuto ? KhCoreAlgorithm::kLb
+                                                  : opts.algorithm;
 }
 
 }  // namespace
@@ -408,17 +400,12 @@ KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options) {
 
   const Graph relabeled = g.Relabeled(order);
   KhCoreOptions relabeled_opts = options;
-  // Caller-provided per-vertex bounds are in old ids; permute copies.
-  std::vector<uint32_t> lb_perm, ub_perm;
+  // A caller-provided lower bound is in old ids; permute a copy.
+  std::vector<uint32_t> lb_perm;
   if (options.extra_lower_bound != nullptr) {
     HCORE_CHECK(options.extra_lower_bound->size() == g.num_vertices());
     lb_perm = GatherByPermutation(*options.extra_lower_bound, order);
     relabeled_opts.extra_lower_bound = &lb_perm;
-  }
-  if (options.extra_upper_bound != nullptr) {
-    HCORE_CHECK(options.extra_upper_bound->size() == g.num_vertices());
-    ub_perm = GatherByPermutation(*options.extra_upper_bound, order);
-    relabeled_opts.extra_upper_bound = &ub_perm;
   }
 
   Decomposer decomposer(relabeled, relabeled_opts);

@@ -40,13 +40,13 @@ namespace hcore {
 
 /// Which decomposition algorithm to run.
 enum class KhCoreAlgorithm {
-  /// h-LB for h <= 3, h-LB+UB for h >= 4; no density test is involved.
-  /// The paper's §6.2 has h-LB+UB winning from h = 3. Here h-LB's
-  /// ball-bounded demotion makes it 1.4-2.5x faster than h-LB+UB at h = 3
-  /// on every dataset stand-in that takes over 1 ms (scale 0.1, 1 thread)
-  /// and on perfbench's clustered h = 3 shape. h >= 4 keeps the paper's
-  /// choice until larger inputs are measured: h-LB won most h = 4 inputs
-  /// tried too, but tied on the largest stand-in (lj).
+  /// h-LB at every h; no density test is involved. The paper's §6.2 has
+  /// h-LB+UB winning from h = 3. Here h-LB's ball-bounded demotion makes it
+  /// faster at every h measured: 1.4-2.5x at h = 3 on every dataset
+  /// stand-in that takes over 1 ms (scale 0.1); at scale 0.3 on sytb, hyves
+  /// and lj, 1.5-2.7x at h = 4 and 1.3-2.5x at h = 5.
+  /// h-LB+UB (kLbUb) now serves explicit reproduction only (`--algo=lbub`,
+  /// Tables 3-5, Fig. 5).
   kAuto,
   kBz,    ///< Algorithm 1 (baseline).
   kLb,    ///< Algorithms 2+3.
@@ -89,11 +89,13 @@ enum class VertexOrdering {
 };
 
 // --- Benchmark compat: delete with the next change to perfbench/ ---------
-// The frozen perfbench/ sets KhCoreOptions::parallel and
-// KhCoreOptions::num_threads. The round-synchronous parallel peel and the
-// threaded h-degree batches they once selected are gone, so both fields are
-// accepted and ignored: every decomposition runs the one sequential
-// PeelingEngine loop.
+// The frozen perfbench/ sets KhCoreOptions::parallel,
+// KhCoreOptions::num_threads and KhCoreOptions::extra_upper_bound. The
+// round-synchronous parallel peel and the threaded h-degree batches the
+// first two once selected are gone, and no library path supplies an upper
+// bound any more, so all three fields are accepted and ignored: every
+// decomposition runs the one sequential PeelingEngine loop, and h-LB+UB
+// always computes its own upper bound (Algorithm 5 or the h-degree).
 enum class ParallelPeelMode : uint8_t { kAuto, kOff, kOn };
 // --- end benchmark compat -------------------------------------------------
 
@@ -110,25 +112,18 @@ struct KhCoreOptions {
   /// Benchmark compat (see ParallelPeelMode): accepted and ignored.
   int num_threads = 1;
   ParallelPeelMode parallel = ParallelPeelMode::kAuto;
+  const std::vector<uint32_t>* extra_upper_bound = nullptr;
   LowerBoundMode lower_bound = LowerBoundMode::kLb2;
   UpperBoundMode upper_bound = UpperBoundMode::kPowerGraph;
   /// Cache-locality relabeling (see VertexOrdering). Does not change the
   /// result, only the memory-access order of the peel.
   VertexOrdering ordering = VertexOrdering::kAuto;
   /// Optional externally-known per-vertex lower bound on the core index
-  /// (e.g. the core index at a smaller h — see core/spectrum.h). Must have
-  /// one entry per vertex and satisfy extra[v] <= core_h(v); combined with
-  /// the configured LowerBoundMode by taking the maximum. Not owned.
+  /// (HCoreIndex passes the previous epoch's cores after a pure-insert
+  /// batch: distances only shrink). Must have one entry per vertex and
+  /// satisfy extra[v] <= core_h(v); combined with the configured
+  /// LowerBoundMode by taking the maximum. Not owned.
   const std::vector<uint32_t>* extra_lower_bound = nullptr;
-  /// Optional externally-known per-vertex upper bound on the core index
-  /// (e.g. the pre-deletion core index). Must satisfy extra[v] >=
-  /// core_h(v). When set, h-LB+UB uses it instead of running Algorithm 5;
-  /// other algorithms ignore it. Not owned. HCoreIndex does not pass the
-  /// pre-deletion cores here: forcing h-LB+UB with them measured 3-4x
-  /// slower at h = 2 (4-10x the BFS visits) than h-LB seeded by the
-  /// spectrum chain alone, since h-LB+UB's full h-degree pass and
-  /// per-partition ImproveLB cost more than the bound saves.
-  const std::vector<uint32_t>* extra_upper_bound = nullptr;
 };
 
 /// Cost counters for one decomposition run.

@@ -53,26 +53,18 @@ double SpectrumResult::LevelCorrelation(int h_a, int h_b) const {
 
 SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options) {
   HCORE_CHECK(options.max_h >= 1);
-  // The sweep sets the lower bound per level itself. An upper bound holds
-  // only at the h it was computed for: core_h grows with h, so it cannot
-  // bound the larger levels.
+  // A caller's bound holds only at the h it was computed for.
   HCORE_CHECK(options.base.extra_lower_bound == nullptr);
-  HCORE_CHECK(options.base.extra_upper_bound == nullptr);
   SpectrumResult out;
   out.core.reserve(options.max_h);
   out.degeneracy.reserve(options.max_h);
-  const std::vector<uint32_t>* previous = nullptr;
   for (int h = 1; h <= options.max_h; ++h) {
     KhCoreOptions opts = options.base;
     opts.h = h;
-    // core_h is monotone non-decreasing in h, so the previous level is a
-    // valid lower bound for this one.
-    opts.extra_lower_bound = previous;
     KhCoreResult level = KhCoreDecomposition(g, opts);
     out.stats.Add(level.stats);
     out.degeneracy.push_back(level.degeneracy);
     out.core.push_back(std::move(level.core));
-    previous = &out.core.back();
   }
   return out;
 }

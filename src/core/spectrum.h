@@ -3,12 +3,12 @@
 // The paper's conclusions propose computing the (k,h)-core decompositions
 // for several values of h at once, treating the vector
 //   spectrum(v) = (core_1(v), core_2(v), ..., core_H(v))
-// as a structural fingerprint of v. This module implements that
-// computation as a chain of per-level decompositions that shares work
-// across h: each level's decomposition is seeded with the previous level's
-// core index as an extra lower bound, which is valid because core indexes
-// are monotone in h: core_h(v) <= core_{h+1}(v) (the h-neighborhood only
-// grows with h, in every induced subgraph).
+// as a structural fingerprint of v. This module runs one independent
+// decomposition per level. Core indexes are monotone in h (core_h(v) <=
+// core_{h+1}(v): the h-neighborhood only grows with h, in every induced
+// subgraph), but seeding level h with core_{h-1} as a lower bound saves
+// nothing: at h = 2 LB1 = deg >= core_1 already, and at h = 3 and 4 it
+// saved at most 0.4% of the BFS runs on the inputs measured.
 
 #ifndef HCORE_CORE_SPECTRUM_H_
 #define HCORE_CORE_SPECTRUM_H_
@@ -53,10 +53,8 @@ struct SpectrumOptions {
 
 /// Computes the (k,h)-core decomposition for every h in [1, max_h].
 ///
-/// Each level h >= 2 runs KhCoreDecomposition with `base`'s algorithm and
-/// ordering and the previous level's core index injected as an additional
-/// lower bound (sound by monotonicity in h), which saves a large fraction
-/// of the h-degree recomputations compared to independent runs.
+/// Each level h runs KhCoreDecomposition with `base`'s options, which must
+/// carry no extra lower bound.
 SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options = {});
 
 /// Convenience: true iff core indexes are monotone non-decreasing in h for

@@ -7,16 +7,15 @@
 // layer is the serving side of that idea. It unifies three previously
 // separate consumers' machinery:
 //
-//   * the multi-h warm-start sweep of core/spectrum.* (level h seeds level
-//     h+1 as a lower bound) builds the initial per-level core vectors;
+//   * the multi-h sweep of core/spectrum.* (one decomposition per level)
+//     builds the initial per-level core vectors;
 //   * the core-component dendrogram of core/hierarchy.* is built lazily,
 //     per level, on first query — never eagerly at update time;
 //   * the localized level repair of core/incremental.* drives ApplyBatch,
 //     which merges a whole batch of edits into ONE copy-on-write CSR
 //     splice plus one repair per h level, run level by level in a single
 //     loop — localized for a pure (all-insert or all-delete) batch whose
-//     candidate region stays small, else a warm-started whole-graph
-//     re-decomposition. This is the one write front door: every edge
+//     candidate region stays small, else a whole-graph re-decomposition. This is the one write front door: every edge
 //     update, single or batched, goes through it.
 //
 // Concurrency model: readers call snapshot() and query the returned
@@ -211,7 +210,7 @@ class HCoreSnapshot {
 class HCoreIndex {
  public:
   /// Decomposes `g` for every h in [1, options.max_h] with KhCoreSpectrum
-  /// (the warm-start sweep) and publishes epoch 0.
+  /// and publishes epoch 0.
   explicit HCoreIndex(Graph g, const HCoreIndexOptions& options = {});
 
   int max_h() const { return options_.max_h; }
@@ -225,17 +224,15 @@ class HCoreIndex {
   /// max_h on the writer's thread, either a LOCALIZED repair (pure batches
   /// of up to options.localized.max_batch effective edits whose candidate
   /// region fits the cap — see core/incremental.h; a batch with both
-  /// effective inserts and deletes never localizes) or a warm-started
-  /// whole-graph re-decomposition — every level h > 1 takes this epoch's
-  /// core_{h-1} as a lower bound (the spectrum chain), and pure-insert
-  /// batches add the old cores as lower bounds. Deletes get no upper bound:
-  /// h-LB+UB consuming one measured slower than the chain alone (see
-  /// KhCoreOptions::extra_upper_bound). The localized_updates /
-  /// fallback_repeels stats record which path served each level. Publishes
-  /// a new epoch unless every edit was a no-op. Returns the number of edits
-  /// from THIS call's batch that had an effect; the call may block while a
-  /// leader applies a coalesced epoch containing it (see the group commit
-  /// note above). Thread-safe; concurrent readers are never blocked.
+  /// effective inserts and deletes never localizes) or a whole-graph
+  /// re-decomposition, which after a pure-insert batch takes the old cores
+  /// as its lower bound and otherwise peels from its own bounds. The
+  /// localized_updates / fallback_repeels stats record which path served
+  /// each level. Publishes a new epoch unless every edit was a no-op.
+  /// Returns the number of edits from THIS call's batch that had an effect;
+  /// the call may block while a leader applies a coalesced epoch containing
+  /// it (see the group commit note above). Thread-safe; concurrent readers
+  /// are never blocked.
   size_t ApplyBatch(std::span<const EdgeEdit> edits)
       EXCLUDES(commit_mu_, mu_);
 

@@ -27,6 +27,15 @@ std::vector<uint32_t> BfsImpl(const Graph& g, VertexId src,
   return dist;
 }
 
+// Max finite BFS distance from `v` (its eccentricity within its component).
+uint32_t Eccentricity(const Graph& g, VertexId v) {
+  uint32_t ecc = 0;
+  for (uint32_t d : BfsImpl(g, v, nullptr)) {
+    if (d != kUnreachable) ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
 }  // namespace
 
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId src) {
@@ -61,15 +70,6 @@ uint32_t Distance(const Graph& g, VertexId u, VertexId v) {
     }
   }
   return kUnreachable;
-}
-
-uint32_t Eccentricity(const Graph& g, VertexId v) {
-  std::vector<uint32_t> dist = BfsDistances(g, v);
-  uint32_t ecc = 0;
-  for (uint32_t d : dist) {
-    if (d != kUnreachable) ecc = std::max(ecc, d);
-  }
-  return ecc;
 }
 
 uint32_t ExactDiameter(const Graph& g) {
@@ -108,19 +108,6 @@ bool IsHClub(const Graph& g, const std::vector<VertexId>& vertices, int h) {
   for (VertexId v = 0; v < n; ++v) {
     std::vector<uint32_t> dist = BfsDistances(sub, v);
     for (VertexId u = 0; u < n; ++u) {
-      if (dist[u] == kUnreachable || dist[u] > static_cast<uint32_t>(h)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool IsHClique(const Graph& g, const std::vector<VertexId>& vertices, int h) {
-  if (vertices.size() <= 1) return true;
-  for (VertexId v : vertices) {
-    std::vector<uint32_t> dist = BfsDistances(g, v);
-    for (VertexId u : vertices) {
       if (dist[u] == kUnreachable || dist[u] > static_cast<uint32_t>(h)) {
         return false;
       }

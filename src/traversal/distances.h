@@ -36,17 +36,10 @@ uint32_t ExactDiameter(const Graph& g);
 /// from random sources. Cheap and usually tight on real-world graphs.
 uint32_t EstimateDiameter(const Graph& g, int sweeps, Rng* rng);
 
-/// Eccentricity of `v` within its component (max finite BFS distance).
-uint32_t Eccentricity(const Graph& g, VertexId v);
-
 /// True if the subgraph induced by `vertices` has diameter <= h, i.e. is an
 /// h-club (paper Def. 5). Distances are measured inside the induced
 /// subgraph. The empty set and singletons are h-clubs.
 bool IsHClub(const Graph& g, const std::vector<VertexId>& vertices, int h);
-
-/// True if all pairs of `vertices` are within distance h in the FULL graph,
-/// i.e. the set is an h-clique (paper Def. 4).
-bool IsHClique(const Graph& g, const std::vector<VertexId>& vertices, int h);
 
 }  // namespace hcore
 

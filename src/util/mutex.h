@@ -39,7 +39,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// Tells the analysis the calling thread holds this mutex. No runtime
   /// effect; use where the holder is established out-of-band.
@@ -77,7 +76,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

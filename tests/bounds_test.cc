@@ -110,6 +110,21 @@ TEST_P(BoundsProperty, SandwichLb1Lb2CoreUbHdeg) {
   }
 }
 
+TEST_P(BoundsProperty, Lb1DominatesClassicCore) {
+  // LB1(v) = deg^{⌊h/2⌋}(v) >= deg(v) >= core_1(v) for every h >= 2. At
+  // h = 2 this makes core_{h-1} a useless extra lower bound: max(LB2,
+  // core_1) is LB2 itself, which is why the multi-h sweep runs each level
+  // from its own bounds.
+  const auto& [spec, h] = GetParam();
+  Graph g = MakeRandomGraph(spec);
+  BoundedBfs bfs(g.num_vertices());
+  const std::vector<uint32_t> lb1 = ComputeLB1(g, h, &bfs);
+  const std::vector<uint32_t> core1 = ClassicCoreDecomposition(g).core;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_GE(lb1[v], core1[v]) << "v=" << v;
+  }
+}
+
 TEST_P(BoundsProperty, UpperBoundPeelOrderDominatesFullDistanceConflicts) {
   // Algorithm 5 peels with *induced* h-neighborhood enumeration, so it can
   // be slightly looser than the classic core index of a materialized G^h —

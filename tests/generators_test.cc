@@ -15,6 +15,22 @@
 namespace hcore {
 namespace {
 
+// Transitivity: 3 * triangles / wedges (0 without a wedge). Each triangle
+// is seen once per corner, from the corner's pair of neighbors.
+double GlobalClustering(const Graph& g) {
+  uint64_t closed = 0, wedges = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    wedges += static_cast<uint64_t>(nbrs.size()) * (nbrs.size() - 1) / 2;
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      for (size_t j = i + 1; j < nbrs.size(); ++j) {
+        if (g.HasEdge(nbrs[i], nbrs[j])) ++closed;
+      }
+    }
+  }
+  return wedges == 0 ? 0.0 : static_cast<double>(closed) / wedges;
+}
+
 TEST(Generators, PathCycleStarCompleteShapes) {
   EXPECT_EQ(gen::Path(5).num_edges(), 4u);
   EXPECT_EQ(gen::Cycle(5).num_edges(), 5u);
@@ -131,6 +147,21 @@ TEST(Generators, StarHeavySocialHasSpikes) {
   Graph g = gen::StarHeavySocial(2000, 5000, 3, 0.05, &rng);
   // Hubs connect to ~5% of the graph: max degree near 100.
   EXPECT_GT(g.MaxDegree(), 60u);
+}
+
+TEST(Generators, CliqueOverlayIsMoreClusteredThanGnp) {
+  Rng rng1(81), rng2(82);
+  Graph cliquey = gen::CliqueOverlay(400, 200, 3, 12, 2.0, &rng1);
+  Graph gnp = gen::ErdosRenyiGnp(400, cliquey.AverageDegree() / 399.0, &rng2);
+  // The helper itself: a triangle with a pendant has 1 triangle and
+  // 1 + 1 + 3 = 5 wedges.
+  GraphBuilder b(4);
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 2);
+  b.AddEdge(0, 2);
+  b.AddEdge(2, 3);
+  EXPECT_DOUBLE_EQ(GlobalClustering(b.Build()), 3.0 / 5.0);
+  EXPECT_GT(GlobalClustering(cliquey), 3 * GlobalClustering(gnp) + 0.01);
 }
 
 TEST(Generators, RandomTreeIsAcyclicAndConnected) {

@@ -19,6 +19,7 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::IsHClique;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 

@@ -134,8 +134,9 @@ TEST(DynamicFuzz, TinyRegionCapForcesFallbackMixture) {
 }
 
 TEST(DynamicFuzz, DisabledLocalizedPathStillExactAndCounted) {
-  // 12 sequences with the localized path off: pure warm fallback, with
-  // the pure-delete levels up to h = 3 seeded by the spectrum chain alone.
+  // 12 sequences with the localized path off: every level of every batch
+  // re-peels the whole graph, pure-insert levels seeded by the old cores
+  // and every other level from its own bounds, up to h = 3.
   for (const RandomGraphSpec& spec : Corpus(36, 2)) {
     LocalizedUpdateOptions off;
     off.enable = false;

@@ -1,8 +1,8 @@
 // Shared helpers for the hcore test suites: a small corpus of random graphs
 // spanning the structural classes the algorithms care about, the fresh
 // decomposition every maintained core vector is checked against, the
-// connected core components the hierarchy is checked against, and
-// deterministic random edit batches.
+// connected core components the hierarchy is checked against,
+// deterministic random edit batches, and the h-clique predicate.
 
 #ifndef HCORE_TESTS_TEST_UTIL_H_
 #define HCORE_TESTS_TEST_UTIL_H_
@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "index/hcore_index.h"
+#include "traversal/distances.h"
 #include "util/rng.h"
 
 namespace hcore::testing {
@@ -139,6 +140,20 @@ inline std::vector<EdgeEdit> MixedBatch(const Graph& g, Rng* rng, int size) {
     }
   }
   return batch;
+}
+
+/// True if all pairs of `vertices` are within distance h in the FULL graph,
+/// i.e. the set is an h-clique (paper Def. 4). One unbounded BFS per member,
+/// independent of the h-clique solver's power-graph search.
+inline bool IsHClique(const Graph& g, const std::vector<VertexId>& vertices,
+                      int h) {
+  for (VertexId v : vertices) {
+    const std::vector<uint32_t> dist = BfsDistances(g, v);
+    for (VertexId u : vertices) {
+      if (dist[u] > static_cast<uint32_t>(h)) return false;  // kUnreachable too
+    }
+  }
+  return true;
 }
 
 }  // namespace hcore::testing

@@ -19,6 +19,7 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::IsHClique;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
 
@@ -285,12 +286,6 @@ TEST(Distances, DiameterOfPathAndCycle) {
   // The double-sweep estimate is exact on paths and never overestimates.
   EXPECT_EQ(EstimateDiameter(gen::Path(10), 3, &rng), 9u);
   EXPECT_LE(EstimateDiameter(gen::Cycle(10), 3, &rng), 5u);
-}
-
-TEST(Distances, EccentricityOfStarHub) {
-  Graph g = gen::Star(7);
-  EXPECT_EQ(Eccentricity(g, 0), 1u);
-  EXPECT_EQ(Eccentricity(g, 1), 2u);
 }
 
 TEST(HClubPredicate, StarIsTwoClubButNotOneClub) {
