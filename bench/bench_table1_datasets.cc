@@ -1,8 +1,8 @@
 // Table 1: characteristics of the datasets (|V|, |E|, avg deg, max deg,
 // diameter). The paper reports these for 13 public graphs; here the rows
-// describe the synthetic stand-ins (DESIGN.md §4), so |V|/|E| match the
-// paper only for the small biological/collaboration graphs and are reduced
-// for the large ones.
+// describe the synthetic stand-ins (LoadDataset in datasets/datasets.cc),
+// so |V|/|E| match the paper only for the small biological/collaboration
+// graphs and are reduced for the large ones.
 
 #include <cstdio>
 

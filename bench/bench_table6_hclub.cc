@@ -3,7 +3,7 @@
 //
 // Columns mirror the paper: the size of the maximum h-club, the plain
 // solvers ("DBC"/"ITDBC" — here combinatorial B&B substitutes, see
-// DESIGN.md §4), and the same solvers wrapped by Algorithm 7. A solver that
+// apps/hclub.h), and the same solvers wrapped by Algorithm 7. A solver that
 // exhausts its node budget prints "NT" (the paper's not-terminated marker).
 //
 // Paper shape to reproduce: the wrapped solvers beat the plain ones by a

@@ -65,8 +65,8 @@ int main() {
   const hcore::HCoreIndexStats stats = index.stats();
   std::printf("\napplied %zu edits in ONE batch -> epoch %llu\n", applied,
               static_cast<unsigned long long>(fresh->epoch()));
-  std::printf("  csr_rebuilds = %llu (one per batch, not one per edge)\n",
-              static_cast<unsigned long long>(stats.csr_rebuilds));
+  std::printf("  graph splices = %llu (one per batch, not one per edge)\n",
+              static_cast<unsigned long long>(stats.batches_applied));
   std::printf("  warm level re-decompositions = %llu, unchanged levels = %llu\n",
               static_cast<unsigned long long>(stats.level_decompositions),
               static_cast<unsigned long long>(stats.levels_unchanged));

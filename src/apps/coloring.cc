@@ -87,20 +87,4 @@ ColoringResult DistanceHColoring(const Graph& g, int h, ColoringOrder order) {
   return out;
 }
 
-bool IsValidDistanceHColoring(const Graph& g, int h,
-                              const std::vector<uint32_t>& color) {
-  const VertexId n = g.num_vertices();
-  HCORE_CHECK(color.size() == n);
-  BoundedBfs bfs(n);
-  VertexMask alive(n, true);
-  for (VertexId v = 0; v < n; ++v) {
-    bool ok = true;
-    bfs.Run(g, alive, v, h, [&](VertexId u, int) {
-      if (color[u] == color[v]) ok = false;
-    });
-    if (!ok) return false;
-  }
-  return true;
-}
-
 }  // namespace hcore

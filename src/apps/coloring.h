@@ -11,7 +11,8 @@
 // *induced-subgraph* h-neighbors at removal time, but coloring conflicts are
 // measured with *full-graph* distances, which can exceed that count — on
 // small sparse random graphs the literal greedy occasionally needs
-// 1 + Ĉ_h(G) + 1 colors (see EXPERIMENTS.md). The default order
+// 1 + Ĉ_h(G) + 1 colors (coloring_test allows kHCorePeel that one extra
+// color over its corpus). The default order
 // (kUpperBoundPeel) therefore colors in the reverse removal order of
 // Algorithm 5's implicit power-graph peeling, whose optimistic degrees
 // *provably* dominate the full-distance conflict count, giving the
@@ -58,11 +59,6 @@ ColoringResult DistanceHColoring(const Graph& g, int h,
 /// reverse is the distance-generalized degeneracy ordering used by
 /// ColoringOrder::kHCorePeel.
 std::vector<VertexId> HPeelOrder(const Graph& g, int h);
-
-/// Verifies that `color` is a valid distance-h coloring: every pair of
-/// vertices at distance <= h in G has distinct colors.
-bool IsValidDistanceHColoring(const Graph& g, int h,
-                              const std::vector<uint32_t>& color);
 
 }  // namespace hcore
 

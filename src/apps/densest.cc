@@ -118,22 +118,4 @@ DensestResult DensestByGreedyPeeling(const Graph& g, int h) {
   return best;
 }
 
-DensestResult DensestByBruteForce(const Graph& g, int h) {
-  const VertexId n = g.num_vertices();
-  HCORE_CHECK(n <= 20);
-  DensestResult best;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    std::vector<VertexId> s;
-    for (VertexId v = 0; v < n; ++v) {
-      if (mask & (1u << v)) s.push_back(v);
-    }
-    double density = AverageHDegree(g, s, h);
-    if (density > best.density || best.vertices.empty()) {
-      best.density = density;
-      best.vertices = std::move(s);
-    }
-  }
-  return best;
-}
-
 }  // namespace hcore

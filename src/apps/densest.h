@@ -37,9 +37,6 @@ DensestResult DensestByCoreDecomposition(const Graph& g, int h,
 /// direct distance generalization of Charikar's 1/2-approximation.
 DensestResult DensestByGreedyPeeling(const Graph& g, int h);
 
-/// Exact maximum by subset enumeration; requires num_vertices <= 20.
-DensestResult DensestByBruteForce(const Graph& g, int h);
-
 }  // namespace hcore
 
 #endif  // HCORE_APPS_DENSEST_H_

@@ -182,13 +182,6 @@ HCliqueResult SolveOnGraph(const Graph& g, uint64_t max_nodes) {
 
 }  // namespace
 
-HCliqueResult MaxClique(const Graph& g, uint64_t max_nodes) {
-  WallTimer timer;
-  HCliqueResult out = SolveOnGraph(g, max_nodes);
-  out.seconds = timer.ElapsedSeconds();
-  return out;
-}
-
 HCliqueResult MaxHClique(const Graph& g, const HCliqueOptions& options) {
   HCORE_CHECK(options.h >= 1);
   WallTimer timer;

@@ -43,11 +43,8 @@ struct HCliqueOptions {
 
 /// Exact maximum h-clique of `g`. Materializes G^h: memory is
 /// Θ(Σ_v deg^h(v)); intended for small/medium graphs or after shrinking.
+/// At h = 1 it searches `g` itself: the classic maximum clique.
 HCliqueResult MaxHClique(const Graph& g, const HCliqueOptions& options);
-
-/// Exact maximum clique of `g` itself (h = 1 specialization, exposed
-/// because it is independently useful and heavily tested).
-HCliqueResult MaxClique(const Graph& g, uint64_t max_nodes = 0);
 
 }  // namespace hcore
 

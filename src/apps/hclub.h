@@ -15,7 +15,7 @@
 //     h-club through v lies in G[N_h[v]]; solve each small instance with
 //     the B&B, pruning by the incumbent (stands in for ITDBC).
 // Both are exact, so Algorithm 7's correctness and speed-up mechanism are
-// preserved (see DESIGN.md §4).
+// preserved: the wrapper only shrinks the instance any exact solver sees.
 
 #ifndef HCORE_APPS_HCLUB_H_
 #define HCORE_APPS_HCLUB_H_

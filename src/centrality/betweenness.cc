@@ -52,18 +52,4 @@ std::vector<double> BetweennessCentrality(const Graph& g) {
   return score;
 }
 
-std::vector<double> ApproxBetweennessCentrality(const Graph& g,
-                                                uint32_t samples, Rng* rng) {
-  const VertexId n = g.num_vertices();
-  std::vector<double> score(n, 0.0);
-  if (n == 0 || samples == 0) return score;
-  samples = std::min(samples, n);
-  for (VertexId src : rng->SampleWithoutReplacement(n, samples)) {
-    BrandesFromSource(g, src, &score);
-  }
-  const double scale = static_cast<double>(n) / (2.0 * samples);
-  for (auto& s : score) s *= scale;
-  return score;
-}
-
 }  // namespace hcore

@@ -1,5 +1,5 @@
-// Betweenness centrality via Brandes' algorithm (exact) plus a sampled
-// approximation for larger graphs. Baseline landmark selector in §6.6.
+// Betweenness centrality via Brandes' algorithm (exact). Baseline landmark
+// selector in §6.6.
 
 #ifndef HCORE_CENTRALITY_BETWEENNESS_H_
 #define HCORE_CENTRALITY_BETWEENNESS_H_
@@ -7,18 +7,12 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace hcore {
 
 /// Exact Brandes betweenness, O(n·m). Scores are unnormalized pair counts
 /// (each unordered pair contributes once).
 std::vector<double> BetweennessCentrality(const Graph& g);
-
-/// Brandes betweenness estimated from `samples` random source pivots,
-/// scaled by n/samples so values are comparable with the exact variant.
-std::vector<double> ApproxBetweennessCentrality(const Graph& g, uint32_t samples,
-                                                Rng* rng);
 
 }  // namespace hcore
 

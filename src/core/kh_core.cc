@@ -338,10 +338,6 @@ std::vector<VertexId> ResolveVertexOrdering(const Graph& g,
       // scrambled ids ~1/3. Relabel only when scrambled.
       return MeanNeighborGapFraction(g) > 0.15 ? BfsOrder(g)
                                                : std::vector<VertexId>{};
-    case VertexOrdering::kDegreeDescending:
-      return DegreeDescendingOrder(g);
-    case VertexOrdering::kBfs:
-      return BfsOrder(g);
   }
   return {};
 }
@@ -413,32 +409,6 @@ KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options) {
   result.core = ScatterByPermutation(result.core, order);
   result.stats.seconds = timer.ElapsedSeconds();  // include ordering cost
   return result;
-}
-
-std::vector<uint32_t> BruteForceKhCore(const Graph& g, int h) {
-  HCORE_CHECK(h >= 1);
-  const VertexId n = g.num_vertices();
-  std::vector<uint32_t> core(n, 0);
-  VertexMask alive(n, true);
-  BoundedBfs bfs(n);
-  for (uint32_t k = 1; alive.num_alive() > 0; ++k) {
-    // Shrink to the (k,h)-core: repeatedly delete every vertex whose
-    // h-degree (recomputed from scratch) is < k.
-    bool changed = true;
-    while (changed && alive.num_alive() > 0) {
-      changed = false;
-      std::vector<VertexId> to_remove;
-      alive.ForEachAlive([&](VertexId v) {
-        if (bfs.HDegree(g, alive, v, h) < k) to_remove.push_back(v);
-      });
-      for (VertexId v : to_remove) {
-        alive.Kill(v);
-        changed = true;
-      }
-    }
-    alive.ForEachAlive([&](VertexId v) { core[v] = k; });
-  }
-  return core;
 }
 
 std::string ToString(KhCoreAlgorithm algorithm) {

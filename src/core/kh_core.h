@@ -72,9 +72,10 @@ enum class UpperBoundMode {
 /// near-sequential memory, and core indexes are mapped back to the caller's
 /// ids by KhCoreDecomposition — results are identical for every mode.
 enum class VertexOrdering {
-  kNone,              ///< Peel the graph as given.
-  /// Locality heuristic: relabel by kBfs iff the mean |v - neighbor| id gap
-  /// over ~1k sampled vertices exceeds 0.15 * n. Measured at h = 2 on
+  kNone,  ///< Peel the graph as given.
+  /// Locality heuristic: relabel in BFS order (BfsOrder, graph/ordering.h)
+  /// iff the mean |v - neighbor| id gap over ~1k sampled vertices exceeds
+  /// 0.15 * n. BFS order makes neighborhoods index-local. Measured at h = 2 on
   /// 300k-500k vertex graphs: locality-preserving inputs score a gap
   /// fraction <= 0.034 and BFS relabeling there costs 24-53% (road 1.24x,
   /// Watts-Strogatz 1.53x slower) — kAuto keeps them unrelabeled; scrambled
@@ -83,9 +84,6 @@ enum class VertexOrdering {
   /// one high-gap case that does not benefit (BA generator order, hubs
   /// first) loses only ~1%.
   kAuto,
-  kDegreeDescending,  ///< Hubs first: the inner cores become id-contiguous.
-  kBfs,               ///< BFS order: neighborhoods become index-local.
-                      ///< ~30% faster peels when input ids are scrambled.
 };
 
 // --- Benchmark compat: delete with the next change to perfbench/ ---------
@@ -193,12 +191,6 @@ struct KhCoreResult {
 /// (h < 1, partition_size < 0) abort via HCORE_CHECK; partition_size 0
 /// picks the automatic width.
 KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options = {});
-
-/// Definition-level reference implementation used by the test suite: for
-/// each k, repeatedly deletes vertices with h-degree < k (recomputing every
-/// h-degree from scratch each pass) until a fixpoint. Exponentially slower
-/// than the real algorithms; small graphs only.
-std::vector<uint32_t> BruteForceKhCore(const Graph& g, int h);
 
 /// Resolves a VertexOrdering for `g` to a concrete permutation
 /// (new-id -> old-id), or empty for "peel the graph as given". kAuto applies

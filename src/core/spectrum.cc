@@ -15,18 +15,6 @@ std::vector<uint32_t> SpectrumResult::VertexSpectrum(VertexId v) const {
   return out;
 }
 
-std::vector<double> SpectrumResult::NormalizedVertexSpectrum(VertexId v) const {
-  std::vector<double> out;
-  out.reserve(core.size());
-  for (size_t i = 0; i < core.size(); ++i) {
-    HCORE_CHECK(v < core[i].size());
-    out.push_back(degeneracy[i] > 0
-                      ? static_cast<double>(core[i][v]) / degeneracy[i]
-                      : 0.0);
-  }
-  return out;
-}
-
 double SpectrumResult::LevelCorrelation(int h_a, int h_b) const {
   HCORE_CHECK(h_a >= 1 && h_a <= max_h());
   HCORE_CHECK(h_b >= 1 && h_b <= max_h());
@@ -67,15 +55,6 @@ SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options) {
     out.core.push_back(std::move(level.core));
   }
   return out;
-}
-
-bool SpectrumIsMonotone(const SpectrumResult& spectrum) {
-  for (size_t i = 1; i < spectrum.core.size(); ++i) {
-    for (size_t v = 0; v < spectrum.core[i].size(); ++v) {
-      if (spectrum.core[i][v] < spectrum.core[i - 1][v]) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace hcore

@@ -35,10 +35,6 @@ struct SpectrumResult {
   /// The spectrum of one vertex: (core_1(v), ..., core_H(v)).
   std::vector<uint32_t> VertexSpectrum(VertexId v) const;
 
-  /// Normalized spectrum: core_h(v) / Ĉ_h(G) per level (0 when the level
-  /// degeneracy is 0).
-  std::vector<double> NormalizedVertexSpectrum(VertexId v) const;
-
   /// Pearson correlation between levels h_a and h_b (1-based), as used by
   /// the paper's Figure 6 discussion. Returns 0 for degenerate inputs.
   double LevelCorrelation(int h_a, int h_b) const;
@@ -56,10 +52,6 @@ struct SpectrumOptions {
 /// Each level h runs KhCoreDecomposition with `base`'s options, which must
 /// carry no extra lower bound.
 SpectrumResult KhCoreSpectrum(const Graph& g, const SpectrumOptions& options = {});
-
-/// Convenience: true iff core indexes are monotone non-decreasing in h for
-/// every vertex (a structural invariant; exposed for tests/diagnostics).
-bool SpectrumIsMonotone(const SpectrumResult& spectrum);
 
 }  // namespace hcore
 

@@ -25,11 +25,6 @@ std::vector<std::string> DatasetNames() {
           "amzn", "rnPA", "rnTX", "sytb", "hyves", "lj"};
 }
 
-bool IsKnownDataset(const std::string& name) {
-  auto names = DatasetNames();
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 Dataset LoadDataset(const std::string& name, double scale) {
   // Validate once at the entry point, with a message a bench/CLI user can
   // act on (the per-family Scaled() helpers trust it from here). Both ends

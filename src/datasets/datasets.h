@@ -3,10 +3,13 @@
 // The originals are public SNAP/KONECT/networkrepository downloads that are
 // unavailable in this offline environment, so every benchmark loads a
 // deterministic synthetic graph from the same structural class (degree skew,
-// clustering, diameter) — see DESIGN.md §4 for the per-dataset mapping and
-// the argument for why relative algorithmic behaviour is preserved. Small
-// graphs are generated at the paper's scale; large ones are scaled down to
-// laptop-friendly sizes (their stand-in |V| is listed below).
+// clustering, diameter). LoadDataset (datasets.cc) holds the per-dataset
+// mapping: each branch names the original graph, its size and the class it
+// stands in for. Relative algorithmic behaviour is what carries over: the
+// algorithms' costs follow h-neighborhood sizes and core structure, which
+// depend on that class, not on the exact graph. Small graphs are generated
+// at the paper's scale; large ones are scaled down to laptop-friendly sizes
+// (their stand-in |V| is listed below).
 
 #ifndef HCORE_DATASETS_DATASETS_H_
 #define HCORE_DATASETS_DATASETS_H_
@@ -35,9 +38,6 @@ std::vector<std::string> DatasetNames();
 /// deterministic: the same name and scale always produce the same graph.
 /// Aborts on unknown names.
 Dataset LoadDataset(const std::string& name, double scale = 1.0);
-
-/// True if `name` is a known dataset.
-bool IsKnownDataset(const std::string& name);
 
 }  // namespace hcore
 

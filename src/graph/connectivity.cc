@@ -59,15 +59,4 @@ std::vector<VertexId> LargestComponent(const Graph& g) {
   return out;
 }
 
-bool InSameComponent(const Graph& g, const VertexMask& alive,
-                     const std::vector<VertexId>& vertices) {
-  if (vertices.empty()) return true;
-  ConnectedComponents cc = ComputeConnectedComponents(g, alive);
-  uint32_t c = cc.component[vertices.front()];
-  if (c == kInvalidComponent) return false;
-  return std::all_of(vertices.begin(), vertices.end(), [&](VertexId v) {
-    return cc.component[v] == c;
-  });
-}
-
 }  // namespace hcore

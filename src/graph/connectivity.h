@@ -35,11 +35,6 @@ ConnectedComponents ComputeConnectedComponents(const Graph& g,
 /// Vertices of the largest connected component.
 std::vector<VertexId> LargestComponent(const Graph& g);
 
-/// True if all of `vertices` lie in one component of the subgraph induced by
-/// the alive vertices (every listed vertex must itself be alive).
-bool InSameComponent(const Graph& g, const VertexMask& alive,
-                     const std::vector<VertexId>& vertices);
-
 }  // namespace hcore
 
 #endif  // HCORE_GRAPH_CONNECTIVITY_H_

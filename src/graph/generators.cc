@@ -8,19 +8,6 @@
 
 namespace hcore::gen {
 
-Graph Path(VertexId n) {
-  GraphBuilder b(n);
-  for (VertexId v = 0; v + 1 < n; ++v) b.AddEdge(v, v + 1);
-  return b.Build();
-}
-
-Graph Cycle(VertexId n) {
-  HCORE_CHECK(n >= 3);
-  GraphBuilder b(n);
-  for (VertexId v = 0; v < n; ++v) b.AddEdge(v, (v + 1) % n);
-  return b.Build();
-}
-
 Graph Star(VertexId n) {
   GraphBuilder b(n);
   for (VertexId v = 1; v < n; ++v) b.AddEdge(0, v);
@@ -32,20 +19,6 @@ Graph Complete(VertexId n) {
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = u + 1; v < n; ++v) b.AddEdge(u, v);
   }
-  return b.Build();
-}
-
-Graph CompleteBipartite(VertexId a, VertexId b_count) {
-  GraphBuilder b(a + b_count);
-  for (VertexId u = 0; u < a; ++u) {
-    for (VertexId v = 0; v < b_count; ++v) b.AddEdge(u, a + v);
-  }
-  return b.Build();
-}
-
-Graph BinaryTree(VertexId n) {
-  GraphBuilder b(n);
-  for (VertexId v = 1; v < n; ++v) b.AddEdge(v, (v - 1) / 2);
   return b.Build();
 }
 
@@ -78,36 +51,6 @@ Graph PaperFigure1() {
       {4, 9}, {5, 10}, {6, 11}, {7, 12}, // cross pairs v5-v10 .. v8-v13
   };
   for (const auto& [u, v] : kEdges) b.AddEdge(u, v);
-  return b.Build();
-}
-
-Graph ErdosRenyiGnm(VertexId n, uint64_t m, Rng* rng) {
-  const uint64_t max_edges =
-      static_cast<uint64_t>(n) * (n > 0 ? n - 1 : 0) / 2;
-  m = std::min(m, max_edges);
-  GraphBuilder b(n);
-  if (n < 2) return b.Build();
-  // Rejection sampling: draw random pairs until m distinct edges are
-  // collected (dedup happens in batches whenever the buffer reaches m).
-  std::vector<uint64_t> keys;
-  keys.reserve(m * 2);
-  auto encode = [n](VertexId u, VertexId v) {
-    return static_cast<uint64_t>(u) * n + v;
-  };
-  while (keys.size() < m) {
-    VertexId u = rng->NextIndex(n);
-    VertexId v = rng->NextIndex(n);
-    if (u == v) continue;
-    if (u > v) std::swap(u, v);
-    keys.push_back(encode(u, v));
-    if (keys.size() == m) {
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    }
-  }
-  for (uint64_t key : keys) {
-    b.AddEdge(static_cast<VertexId>(key / n), static_cast<VertexId>(key % n));
-  }
   return b.Build();
 }
 
@@ -350,12 +293,6 @@ Graph CliqueOverlay(VertexId n, uint32_t num_cliques, uint32_t min_size,
     }
   }
   return Connectify(b.Build(), rng);
-}
-
-Graph RandomTree(VertexId n, Rng* rng) {
-  GraphBuilder b(n);
-  for (VertexId v = 1; v < n; ++v) b.AddEdge(v, rng->NextIndex(v));
-  return b.Build();
 }
 
 Graph Connectify(const Graph& g, Rng* rng) {

@@ -3,7 +3,8 @@
 // These are the workload substrate for the benchmark harness: the paper
 // evaluates on public SNAP/KONECT graphs which are unavailable offline, so
 // each benchmark dataset is a deterministic synthetic stand-in drawn from the
-// same structural class (see DESIGN.md §4). The generators are also used
+// same structural class (LoadDataset in datasets/datasets.cc maps each
+// dataset to its generator and parameters). The generators are also used
 // heavily by the property-based test suites.
 
 #ifndef HCORE_GRAPH_GENERATORS_H_
@@ -21,24 +22,11 @@ namespace hcore::gen {
 // Deterministic toy graphs (used by unit tests and the paper's examples).
 // ---------------------------------------------------------------------------
 
-/// Path on n vertices: 0-1-2-...-(n-1).
-Graph Path(VertexId n);
-
-/// Cycle on n vertices (n >= 3).
-Graph Cycle(VertexId n);
-
 /// Star with one hub (vertex 0) and n-1 leaves.
 Graph Star(VertexId n);
 
 /// Complete graph K_n.
 Graph Complete(VertexId n);
-
-/// Complete bipartite graph K_{a,b} (side A = [0,a), side B = [a,a+b)).
-Graph CompleteBipartite(VertexId a, VertexId b);
-
-/// Full binary tree with n vertices (vertex 0 is the root; i's children are
-/// 2i+1 and 2i+2).
-Graph BinaryTree(VertexId n);
 
 /// rows x cols grid; vertex (r, c) has id r*cols + c.
 Graph Grid(VertexId rows, VertexId cols);
@@ -52,10 +40,6 @@ Graph PaperFigure1();
 // ---------------------------------------------------------------------------
 // Random graph models. All are deterministic given the Rng seed.
 // ---------------------------------------------------------------------------
-
-/// Erdős–Rényi G(n, m): exactly m distinct edges chosen uniformly.
-/// m is clamped to n*(n-1)/2.
-Graph ErdosRenyiGnm(VertexId n, uint64_t m, Rng* rng);
 
 /// Erdős–Rényi G(n, p): each of the n(n-1)/2 edges appears with probability
 /// p, sampled with geometric skipping so the cost is O(n + m).
@@ -101,10 +85,6 @@ Graph StarHeavySocial(VertexId n, uint64_t target_edges, uint32_t hubs,
 /// (e.g. ca-HepPh's 238-core comes from one ~239-author collaboration).
 Graph CliqueOverlay(VertexId n, uint32_t num_cliques, uint32_t min_size,
                     uint32_t max_size, double tail, Rng* rng);
-
-/// Uniformly random spanning tree on n vertices (random attachment order),
-/// useful for sparse/acyclic edge cases in tests.
-Graph RandomTree(VertexId n, Rng* rng);
 
 /// Union of `g` and enough random edges to make the graph connected (joins
 /// components with random cross edges). Preserves determinism via rng.

@@ -314,23 +314,6 @@ std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {
   return out;
 }
 
-std::vector<EdgeIndex> Graph::FlattenedOffsets() const {
-  std::vector<EdgeIndex> out(static_cast<size_t>(num_vertices_) + 1, 0);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    out[v + 1] = out[v] + degree(v);
-  }
-  return out;
-}
-
-std::vector<VertexId> Graph::FlattenedNeighbors() const {
-  std::vector<VertexId> out;
-  out.reserve(num_targets_);
-  for (const auto& page : pages_) {
-    out.insert(out.end(), page->targets.begin(), page->targets.end());
-  }
-  return out;
-}
-
 void GraphBuilder::AddEdge(VertexId u, VertexId v) {
   if (u == v) return;  // No self-loops in a simple graph.
   if (u > v) std::swap(u, v);

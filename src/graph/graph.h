@@ -177,11 +177,6 @@ class Graph {
   /// All edges as (u, v) pairs with u < v.
   std::vector<std::pair<VertexId, VertexId>> Edges() const;
 
-  /// Materialized monolithic CSR arrays (for differential tests and
-  /// serialization — O(n + m), not a view).
-  std::vector<EdgeIndex> FlattenedOffsets() const;
-  std::vector<VertexId> FlattenedNeighbors() const;
-
   /// Number of storage pages (== ceil(num_vertices / kPageVertices)).
   size_t num_pages() const { return pages_.size(); }
 

@@ -37,9 +37,14 @@ bool ParseUint(const std::string& text, size_t* pos, uint64_t* out) {
 Result<Graph> ParseEdgeList(const std::string& text) {
   GraphBuilder builder;
   std::unordered_map<uint64_t, VertexId> relabel;
-  auto intern = [&](uint64_t raw) {
-    return relabel.try_emplace(raw, static_cast<VertexId>(relabel.size()))
-        .first->second;
+  // Dense ids in first-appearance order. False once the ids run out: a new
+  // raw id would get kInvalidVertex, the (2^32)-th distinct id.
+  auto intern = [&](uint64_t raw, VertexId* id) {
+    const auto [it, inserted] =
+        relabel.try_emplace(raw, static_cast<VertexId>(relabel.size()));
+    if (inserted && it->second == kInvalidVertex) return false;
+    *id = it->second;
+    return true;
   };
 
   size_t pos = 0;
@@ -61,7 +66,15 @@ Result<Graph> ParseEdgeList(const std::string& text) {
         return Status::InvalidArgument("edge list: bad target id at line " +
                                        std::to_string(line_no));
       }
-      builder.AddEdge(intern(u), intern(v));
+      // `||` interns the source before the target; as two arguments of one
+      // call their order would be unspecified.
+      VertexId a = 0, b = 0;
+      if (!intern(u, &a) || !intern(v, &b)) {
+        return Status::InvalidArgument(
+            "edge list: more than 2^32 - 1 distinct vertex ids at line " +
+            std::to_string(line_no));
+      }
+      builder.AddEdge(a, b);
     }
     pos = eol + 1;
   }

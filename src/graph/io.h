@@ -3,8 +3,9 @@
 // Input files contain one `u v` pair per line; lines starting with '#' or
 // '%' are comments. Columns after the pair (e.g. a weight) are ignored, but
 // each id must be a whole token: `1 2x` or `1 2.5` is a parse error. Vertex
-// ids are arbitrary non-negative integers and are relabeled to a dense range
-// in first-appearance order (stable across runs).
+// ids are arbitrary integers in [0, 2^64) and are relabeled to a dense range
+// in first-appearance order, source before target within a line (stable
+// across runs); more than 2^32 - 1 distinct ids is an error.
 
 #ifndef HCORE_GRAPH_IO_H_
 #define HCORE_GRAPH_IO_H_

@@ -7,7 +7,9 @@
 #include "util/check.h"
 
 namespace hcore {
+namespace {
 
+// Vertices by descending degree, ties by ascending id: BfsOrder's seeds.
 std::vector<VertexId> DegreeDescendingOrder(const Graph& g) {
   const VertexId n = g.num_vertices();
   std::vector<VertexId> order(n);
@@ -17,6 +19,8 @@ std::vector<VertexId> DegreeDescendingOrder(const Graph& g) {
   });
   return order;
 }
+
+}  // namespace
 
 std::vector<VertexId> BfsOrder(const Graph& g) {
   const VertexId n = g.num_vertices();

@@ -1,15 +1,13 @@
-// Vertex orderings for cache-locality relabeling.
+// Vertex ordering for cache-locality relabeling.
 //
 // Peeling spends most of its time in h-bounded BFS over the CSR arrays; how
 // well that walk uses the cache depends almost entirely on how vertex ids
-// map to memory. These helpers produce permutations (new-id -> old-id) that
-// KhCoreDecomposition applies via Graph::Relabeled() before peeling:
-//
-//   * DegreeDescendingOrder — hubs first. The dense inner cores, which the
-//     peel visits over and over, become a contiguous id prefix.
-//   * BfsOrder — breadth-first discovery order from the highest-degree
-//     vertex of each component. Neighborhoods become index-local, so a BFS
-//     frontier touches few cache lines.
+// map to memory. BfsOrder produces the permutation (new-id -> old-id) that
+// KhCoreDecomposition applies via Graph::Relabeled() before peeling when
+// VertexOrdering::kAuto finds the ids scrambled (MeanNeighborGapFraction):
+// breadth-first discovery order from the highest-degree vertex of each
+// component, so neighborhoods become index-local and a BFS frontier touches
+// few cache lines.
 
 #ifndef HCORE_GRAPH_ORDERING_H_
 #define HCORE_GRAPH_ORDERING_H_
@@ -21,12 +19,9 @@
 
 namespace hcore {
 
-/// Permutation (new-id -> old-id) sorting vertices by descending degree;
-/// ties broken by ascending old id (deterministic).
-std::vector<VertexId> DegreeDescendingOrder(const Graph& g);
-
 /// Permutation (new-id -> old-id) in BFS discovery order, seeded from the
-/// highest-degree vertex of each connected component (deterministic).
+/// highest-degree vertex of each connected component (deterministic; degree
+/// ties go to the lower id).
 std::vector<VertexId> BfsOrder(const Graph& g);
 
 /// Inverse of a permutation: out[perm[i]] = i.

@@ -33,11 +33,4 @@ Graph SnowballSample(const Graph& g, VertexId target_size, Rng* rng) {
   return g.InducedSubgraph(std::move(collected)).first;
 }
 
-Graph RandomVertexSample(const Graph& g, VertexId target_size, Rng* rng) {
-  const VertexId n = g.num_vertices();
-  target_size = std::min(target_size, n);
-  std::vector<VertexId> picked = rng->SampleWithoutReplacement(n, target_size);
-  return g.InducedSubgraph(std::move(picked)).first;
-}
-
 }  // namespace hcore

@@ -18,9 +18,6 @@ namespace hcore {
 /// a fresh random unvisited vertex until enough vertices are gathered.
 Graph SnowballSample(const Graph& g, VertexId target_size, Rng* rng);
 
-/// Uniform random induced subgraph on `target_size` vertices.
-Graph RandomVertexSample(const Graph& g, VertexId target_size, Rng* rng);
-
 }  // namespace hcore
 
 #endif  // HCORE_GRAPH_SAMPLING_H_

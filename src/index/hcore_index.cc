@@ -9,7 +9,6 @@
 namespace hcore {
 
 void HCoreIndexStats::Add(const HCoreIndexStats& other) {
-  csr_rebuilds += other.csr_rebuilds;
   batches_applied += other.batches_applied;
   edits_applied += other.edits_applied;
   edits_rejected += other.edits_rejected;
@@ -57,11 +56,6 @@ std::vector<uint32_t> HCoreSnapshot::Spectrum(VertexId v) const {
 uint32_t HCoreSnapshot::Degeneracy(int h) const {
   HCORE_CHECK(h >= 1 && h <= max_h());
   return levels_[h - 1].degeneracy;
-}
-
-bool HCoreSnapshot::LevelReused(int h) const {
-  HCORE_CHECK(h >= 1 && h <= max_h());
-  return levels_[h - 1].reused;
 }
 
 const CoreHierarchy& HCoreSnapshot::Hierarchy(int h) const {
@@ -211,7 +205,6 @@ std::vector<HCoreSnapshot::Level> HCoreIndex::DecomposeAll(
     if (old_core == core) {
       // Dirty flag stayed clean: share the previous epoch's vector.
       level.core = prev.levels_[h - 1].core;
-      level.reused = true;
       ++stats->levels_unchanged;
     } else {
       level.core =
@@ -272,7 +265,6 @@ void HCoreIndex::CommitGroup(std::span<PendingWrite* const> group) {
     // rebuilt.
     auto graph = std::make_shared<const Graph>(
         prev->graph().ApplyCanonicalEdits(effective));
-    delta.csr_rebuilds = 1;
     delta.batches_applied = 1;
     delta.edits_applied = summary.applied();
     delta.pages_shared = CountSharedPages(prev->graph(), *graph);

@@ -34,10 +34,11 @@
 // callers' readers and writers.
 //
 // Dirty flags: after a batch, levels whose core vector came out identical
-// to the previous epoch share the old vector (pointer equality, see
-// LevelReused) and their derived artifacts are simply not rebuilt unless
-// queried — each level's core hierarchy is the snapshot's one lazy cache,
-// and component, community and densest queries all read it.
+// to the previous epoch share the old vector (Cores(h) returns the same
+// reference in both epochs) and their derived artifacts are simply not
+// rebuilt unless queried — each level's core hierarchy is the snapshot's
+// one lazy cache, and component, community and densest queries all read
+// it.
 
 #ifndef HCORE_INDEX_HCORE_INDEX_H_
 #define HCORE_INDEX_HCORE_INDEX_H_
@@ -74,10 +75,9 @@ struct HCoreIndexOptions {
 /// Cumulative cost counters for one index (Table-3-style: serving queries
 /// must leave `decomposition` flat; only Build/ApplyBatch may move it).
 struct HCoreIndexStats {
-  /// CSR rebuilds performed — exactly one per published epoch.
-  uint64_t csr_rebuilds = 0;
   /// Epochs published: batches (one coalesced group under concurrent
-  /// writers) that applied at least one edit.
+  /// writers) that applied at least one edit. Each epoch is exactly one
+  /// copy-on-write page splice of the graph.
   uint64_t batches_applied = 0;
   /// Individual edge edits that had an effect.
   uint64_t edits_applied = 0;
@@ -126,10 +126,6 @@ class HCoreSnapshot {
 
   /// h-degeneracy Ĉ_h at level h.
   uint32_t Degeneracy(int h) const;
-
-  /// True if this epoch reused the previous epoch's core vector for level h
-  /// (the batch left it unchanged; the vectors are physically shared).
-  bool LevelReused(int h) const;
 
   /// Core-component dendrogram at level h, with its per-level core sizes
   /// and edge counts. Built lazily on first call (one O(n α(n) + m) sweep)
@@ -187,7 +183,6 @@ class HCoreSnapshot {
   struct Level {
     std::shared_ptr<const std::vector<uint32_t>> core;
     uint32_t degeneracy = 0;
-    bool reused = false;
   };
 
   HCoreSnapshot(std::shared_ptr<const Graph> graph, std::vector<Level> levels,

@@ -75,6 +75,8 @@ class BoundedBfs {
 
   /// Process-wide count of scratch growths (every EnsureCapacity that had
   /// to allocate), for tests asserting that h = 1 fast paths never allocate.
+  /// lint:allow(test-only-api): the count must be taken where the scratch
+  /// grows, so no test-side reference can stand in for it.
   static uint64_t total_scratch_allocations();
 
   /// BFS from `src` through alive vertices, truncated at depth `h`. Calls
@@ -115,6 +117,8 @@ class BoundedBfs {
 
   /// Test-only: fast-forwards the epoch stamp so suites can exercise the
   /// wraparound path without ~4B traversals.
+  /// lint:allow(test-only-api): the stamp is private state; only this hook
+  /// reaches the wraparound in a test-sized run.
   void set_stamp_for_testing(uint32_t stamp) { stamp_ = stamp; }
 
  private:

@@ -101,19 +101,4 @@ uint32_t EstimateDiameter(const Graph& g, int sweeps, Rng* rng) {
   return best;
 }
 
-bool IsHClub(const Graph& g, const std::vector<VertexId>& vertices, int h) {
-  if (vertices.size() <= 1) return true;
-  [[maybe_unused]] auto [sub, map] = g.InducedSubgraph(vertices);
-  const VertexId n = sub.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    std::vector<uint32_t> dist = BfsDistances(sub, v);
-    for (VertexId u = 0; u < n; ++u) {
-      if (dist[u] == kUnreachable || dist[u] > static_cast<uint32_t>(h)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace hcore

@@ -36,11 +36,6 @@ uint32_t ExactDiameter(const Graph& g);
 /// from random sources. Cheap and usually tight on real-world graphs.
 uint32_t EstimateDiameter(const Graph& g, int sweeps, Rng* rng);
 
-/// True if the subgraph induced by `vertices` has diameter <= h, i.e. is an
-/// h-club (paper Def. 5). Distances are measured inside the induced
-/// subgraph. The empty set and singletons are h-clubs.
-bool IsHClub(const Graph& g, const std::vector<VertexId>& vertices, int h);
-
 }  // namespace hcore
 
 #endif  // HCORE_TRAVERSAL_DISTANCES_H_

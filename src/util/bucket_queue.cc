@@ -63,12 +63,4 @@ uint32_t BucketQueue::PopFront(uint32_t key) {
   return v;
 }
 
-void BucketQueue::Clear() {
-  std::fill(head_.begin(), head_.end(), kNone);
-  std::fill(next_.begin(), next_.end(), kNone);
-  std::fill(prev_.begin(), prev_.end(), kNone);
-  std::fill(in_queue_.begin(), in_queue_.end(), 0);
-  size_ = 0;
-}
-
 }  // namespace hcore

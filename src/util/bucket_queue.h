@@ -75,9 +75,6 @@ class BucketQueue {
   uint32_t max_key() const { return static_cast<uint32_t>(head_.size() - 1); }
   uint32_t capacity() const { return static_cast<uint32_t>(key_.size()); }
 
-  /// Removes all entries (O(n) reset; buckets become empty).
-  void Clear();
-
  private:
   std::vector<uint32_t> head_;   // head_[k]: first vertex in bucket k.
   std::vector<uint32_t> next_;   // next_[v]: successor of v in its bucket.

@@ -38,16 +38,6 @@ class Rng {
   /// Bernoulli draw with success probability p in [0, 1].
   bool NextBool(double p);
 
-  /// Fisher-Yates shuffle of an index vector.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    if (v->empty()) return;
-    for (uint64_t i = v->size() - 1; i > 0; --i) {
-      uint64_t j = NextBounded(i + 1);
-      std::swap((*v)[i], (*v)[j]);
-    }
-  }
-
   /// Samples `count` distinct values from [0, n) without replacement.
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t count);
 

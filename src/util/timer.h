@@ -12,16 +12,10 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last Reset().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds since construction or the last Reset().
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

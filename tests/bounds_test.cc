@@ -20,6 +20,7 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::BruteForceKhCore;
 using ::hcore::testing::Corpus;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;

@@ -13,6 +13,9 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::Cycle;
+using ::hcore::testing::Path;
+
 TEST(Closeness, StarHubDominates) {
   Graph g = gen::Star(9);
   std::vector<double> c = ClosenessCentrality(g);
@@ -23,7 +26,7 @@ TEST(Closeness, StarHubDominates) {
 }
 
 TEST(Closeness, PathCenterBeatsEnds) {
-  Graph g = gen::Path(7);
+  Graph g = Path(7);
   std::vector<double> c = ClosenessCentrality(g);
   EXPECT_GT(c[3], c[0]);
   EXPECT_GT(c[3], c[6]);
@@ -59,7 +62,7 @@ TEST(Closeness, TopKOrderingAndTies) {
 
 TEST(Betweenness, PathInteriorCounts) {
   // On a path a-b-c, b lies on exactly the one a..c shortest path.
-  Graph g = gen::Path(3);
+  Graph g = Path(3);
   std::vector<double> bc = BetweennessCentrality(g);
   EXPECT_DOUBLE_EQ(bc[0], 0.0);
   EXPECT_DOUBLE_EQ(bc[1], 1.0);
@@ -77,7 +80,7 @@ TEST(Betweenness, StarHubCarriesAllPairs) {
 TEST(Betweenness, CycleSplitsPathsEvenly) {
   // On C5, for each source there are two equidistant routes to the
   // farthest vertices; every vertex gets the same score by symmetry.
-  Graph g = gen::Cycle(5);
+  Graph g = Cycle(5);
   std::vector<double> bc = BetweennessCentrality(g);
   for (VertexId v = 1; v < 5; ++v) EXPECT_NEAR(bc[v], bc[0], 1e-12);
 }
@@ -85,26 +88,6 @@ TEST(Betweenness, CycleSplitsPathsEvenly) {
 TEST(Betweenness, CompleteGraphIsAllZero) {
   Graph g = gen::Complete(5);
   for (double x : BetweennessCentrality(g)) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(Betweenness, ApproxConvergesToExactWithAllSamples) {
-  Rng rng(51);
-  Graph g = gen::BarabasiAlbert(60, 2, &rng);
-  std::vector<double> exact = BetweennessCentrality(g);
-  Rng sample_rng(52);
-  std::vector<double> approx =
-      ApproxBetweennessCentrality(g, g.num_vertices(), &sample_rng);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_NEAR(approx[v], exact[v], 1e-9);
-  }
-}
-
-TEST(Betweenness, ApproxRanksHubsHighly) {
-  Rng rng(53);
-  Graph g = gen::Star(40);
-  Rng sample_rng(54);
-  std::vector<double> approx = ApproxBetweennessCentrality(g, 10, &sample_rng);
-  EXPECT_EQ(TopK(approx, 1)[0], 0u);
 }
 
 }  // namespace

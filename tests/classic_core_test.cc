@@ -15,8 +15,12 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::BruteForceKhCore;
+using ::hcore::testing::CompleteBipartite;
 using ::hcore::testing::Corpus;
+using ::hcore::testing::Cycle;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 TEST(ClassicCore, EmptyGraph) {
@@ -32,13 +36,13 @@ TEST(ClassicCore, IsolatedVertices) {
 }
 
 TEST(ClassicCore, PathIsOneCore) {
-  ClassicCoreResult r = ClassicCoreDecomposition(gen::Path(10));
+  ClassicCoreResult r = ClassicCoreDecomposition(Path(10));
   for (uint32_t c : r.core) EXPECT_EQ(c, 1u);
   EXPECT_EQ(r.degeneracy, 1u);
 }
 
 TEST(ClassicCore, CycleIsTwoCore) {
-  ClassicCoreResult r = ClassicCoreDecomposition(gen::Cycle(10));
+  ClassicCoreResult r = ClassicCoreDecomposition(Cycle(10));
   for (uint32_t c : r.core) EXPECT_EQ(c, 2u);
 }
 
@@ -53,7 +57,7 @@ TEST(ClassicCore, StarIsOneCore) {
 }
 
 TEST(ClassicCore, CompleteBipartiteCoreIsMinSide) {
-  ClassicCoreResult r = ClassicCoreDecomposition(gen::CompleteBipartite(3, 7));
+  ClassicCoreResult r = ClassicCoreDecomposition(CompleteBipartite(3, 7));
   for (uint32_t c : r.core) EXPECT_EQ(c, 3u);
 }
 

@@ -16,7 +16,9 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::IsValidDistanceHColoring;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 TEST(Coloring, EmptyAndSingleton) {
@@ -27,14 +29,14 @@ TEST(Coloring, EmptyAndSingleton) {
 }
 
 TEST(Coloring, PathH1NeedsTwoColors) {
-  Graph g = gen::Path(10);
+  Graph g = Path(10);
   ColoringResult r = DistanceHColoring(g, 1);
   EXPECT_TRUE(IsValidDistanceHColoring(g, 1, r.color));
   EXPECT_EQ(r.num_colors, 2u);
 }
 
 TEST(Coloring, PathH2NeedsThreeColors) {
-  Graph g = gen::Path(10);
+  Graph g = Path(10);
   ColoringResult r = DistanceHColoring(g, 2);
   EXPECT_TRUE(IsValidDistanceHColoring(g, 2, r.color));
   EXPECT_EQ(r.num_colors, 3u);
@@ -58,7 +60,7 @@ TEST(Coloring, CompleteGraphAnyH) {
 }
 
 TEST(Coloring, InvalidColoringIsDetected) {
-  Graph g = gen::Path(3);
+  Graph g = Path(3);
   std::vector<uint32_t> same(3, 0);
   EXPECT_FALSE(IsValidDistanceHColoring(g, 1, same));
   EXPECT_TRUE(IsValidDistanceHColoring(g, 1, {0, 1, 0}));

@@ -9,16 +9,14 @@
 namespace hcore {
 namespace {
 
-TEST(Datasets, AllNamesAreKnownAndLoadable) {
+TEST(Datasets, AllNamesLoad) {
   for (const std::string& name : DatasetNames()) {
-    EXPECT_TRUE(IsKnownDataset(name));
     Dataset d = LoadDataset(name, /*scale=*/0.05);
     EXPECT_EQ(d.name, name);
     EXPECT_FALSE(d.family.empty());
     EXPECT_GT(d.graph.num_vertices(), 0u);
     EXPECT_GT(d.graph.num_edges(), 0u);
   }
-  EXPECT_FALSE(IsKnownDataset("not-a-dataset"));
 }
 
 TEST(Datasets, DeterministicAcrossLoads) {

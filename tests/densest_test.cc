@@ -15,11 +15,13 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::DensestByBruteForce;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 TEST(Densest, AverageHDegreeBasics) {
-  Graph g = gen::Path(5);
+  Graph g = Path(5);
   // Whole path, h=1: degrees 1,2,2,2,1 -> avg 8/5.
   std::vector<VertexId> all{0, 1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(AverageHDegree(g, all, 1), 8.0 / 5);

@@ -23,10 +23,13 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::BruteForceKhCore;
 using ::hcore::testing::Corpus;
 using ::hcore::testing::FreshCores;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
+using ::hcore::testing::ScrambledIds;
 
 // ---------------------------------------------------------------------------
 // VertexMask.
@@ -319,7 +322,7 @@ TEST(PeelingEngine, BallSizeOnPathCountsAliveVerticesWithinRadius) {
   // Path 0-1-2-3-4-5-6 at h = 3. Removing 3 first sees the full path
   // around it; removing 2 next no longer counts the dead 3, and removing 0
   // after 1 sees only itself.
-  const Graph g = gen::Path(7);
+  const Graph g = Path(7);
   const auto balls = BallSizesInOrder(g, 3, {3, 2, 1, 0, 4, 5, 6});
   EXPECT_EQ(balls[3], (std::vector<uint32_t>{1, 3, 5, 7}));
   EXPECT_EQ(balls[2], (std::vector<uint32_t>{1, 2, 3, 3}));
@@ -520,22 +523,17 @@ TEST(PeelingEngine, PeelRegionWithPinnedBoundaryMatchesFullRun) {
   }
 }
 
-TEST(Ordering, DegreeDescendingIsSortedPermutation) {
-  for (const auto& spec : Corpus(50, 1)) {
-    Graph g = MakeRandomGraph(spec);
-    std::vector<VertexId> order = DegreeDescendingOrder(g);
-    ASSERT_TRUE(IsPermutation(order, g.num_vertices())) << spec.Name();
-    for (size_t i = 1; i < order.size(); ++i) {
-      EXPECT_GE(g.degree(order[i - 1]), g.degree(order[i])) << spec.Name();
-    }
-  }
-}
-
-TEST(Ordering, BfsOrderIsPermutationWithLocalNeighborhoods) {
+TEST(Ordering, BfsOrderIsPermutationSeededAtAHub) {
   for (const auto& spec : Corpus(50, 1)) {
     Graph g = MakeRandomGraph(spec);
     std::vector<VertexId> order = BfsOrder(g);
     ASSERT_TRUE(IsPermutation(order, g.num_vertices())) << spec.Name();
+    // The first component's BFS starts at a maximum-degree vertex.
+    uint32_t max_degree = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      max_degree = std::max(max_degree, g.degree(v));
+    }
+    EXPECT_EQ(g.degree(order[0]), max_degree) << spec.Name();
   }
 }
 
@@ -551,7 +549,7 @@ TEST(Ordering, InvertPermutationRoundTrips) {
 TEST(Relabeled, PreservesEdgesUnderPermutation) {
   for (const auto& spec : Corpus(40, 2)) {
     Graph g = MakeRandomGraph(spec);
-    std::vector<VertexId> order = DegreeDescendingOrder(g);
+    std::vector<VertexId> order = BfsOrder(g);
     Graph r = g.Relabeled(order);
     ASSERT_EQ(r.num_vertices(), g.num_vertices());
     ASSERT_EQ(r.num_edges(), g.num_edges());
@@ -568,22 +566,18 @@ TEST(Relabeled, IdentityPermutationIsANoOp) {
   std::vector<VertexId> identity(g.num_vertices());
   std::iota(identity.begin(), identity.end(), 0);
   Graph r = g.Relabeled(identity);
-  EXPECT_EQ(r.FlattenedOffsets(), g.FlattenedOffsets());
-  EXPECT_EQ(r.FlattenedNeighbors(), g.FlattenedNeighbors());
+  EXPECT_EQ(r.num_vertices(), g.num_vertices());
+  EXPECT_EQ(r.Edges(), g.Edges());
 }
 
 TEST(Ordering, MeanNeighborGapSeparatesScrambledFromLocalIds) {
   // A long path in natural order: every neighbor is one id away.
-  Graph path = gen::Path(20000);
+  Graph path = Path(20000);
   EXPECT_LT(MeanNeighborGapFraction(path), 0.01);
   // The same path under a random permutation: gaps jump to ~n/3.
-  Rng rng(23);
-  std::vector<VertexId> perm(path.num_vertices());
-  std::iota(perm.begin(), perm.end(), 0);
-  for (VertexId i = path.num_vertices(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.NextIndex(i)]);
-  }
-  EXPECT_GT(MeanNeighborGapFraction(path.Relabeled(perm)), 0.25);
+  EXPECT_GT(MeanNeighborGapFraction(
+                ScrambledIds(path, path.num_vertices(), /*seed=*/23)),
+            0.25);
   // Degenerate inputs.
   EXPECT_EQ(MeanNeighborGapFraction(Graph()), 0.0);
   EXPECT_EQ(MeanNeighborGapFraction(path, 0), 0.0);
@@ -628,13 +622,8 @@ TEST(Ordering, HashedIdMultiComponentRelabels) {
     }
   }
   Graph contiguous = b.Build();
-  Rng rng(43);
-  std::vector<VertexId> perm(contiguous.num_vertices());
-  std::iota(perm.begin(), perm.end(), 0);
-  for (VertexId i = contiguous.num_vertices(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.NextIndex(i)]);
-  }
-  Graph hashed = contiguous.Relabeled(perm);
+  Graph hashed =
+      ScrambledIds(contiguous, contiguous.num_vertices(), /*seed=*/43);
   EXPECT_GT(MeanNeighborGapFraction(hashed), 0.15);
   EXPECT_FALSE(ResolveVertexOrdering(hashed, VertexOrdering::kAuto).empty());
   // The same components in contiguous generator order stay unrelabeled:
@@ -647,40 +636,38 @@ TEST(Ordering, HashedIdMultiComponentRelabels) {
 class OrderingInvariance
     : public ::testing::TestWithParam<std::tuple<RandomGraphSpec, int>> {};
 
-TEST_P(OrderingInvariance, AllOrderingsProduceIdenticalCores) {
+TEST_P(OrderingInvariance, AutoRelabelProducesIdenticalCores) {
   const auto& [spec, h] = GetParam();
-  Graph g = MakeRandomGraph(spec);
+  // Scattered over 4096 ids, the corpus graph looks scrambled to kAuto,
+  // which then peels a BFS-relabeled copy and maps the cores back.
+  Graph g = ScrambledIds(MakeRandomGraph(spec), kGapLocalityWindow,
+                         spec.seed * 31 + 7);
+  ASSERT_FALSE(ResolveVertexOrdering(g, VertexOrdering::kAuto).empty())
+      << spec.Name();
   KhCoreOptions base;
   base.h = h;
   base.ordering = VertexOrdering::kNone;
   KhCoreResult expect = KhCoreDecomposition(g, base);
-  // The spectrum sweep passes its ordering and the previous level's cores
-  // to KhCoreDecomposition at every level.
+  // The spectrum sweep passes its ordering to KhCoreDecomposition at every
+  // level.
   SpectrumOptions sweep;
   sweep.max_h = h;
   sweep.base.ordering = VertexOrdering::kNone;
   const SpectrumResult expect_sweep = KhCoreSpectrum(g, sweep);
   EXPECT_EQ(expect_sweep.core.back(), expect.core) << spec.Name();
-  for (VertexOrdering ordering :
-       {VertexOrdering::kAuto, VertexOrdering::kDegreeDescending,
-        VertexOrdering::kBfs}) {
-    sweep.base.ordering = ordering;
-    const SpectrumResult swept = KhCoreSpectrum(g, sweep);
-    EXPECT_EQ(swept.core, expect_sweep.core)
-        << spec.Name() << " spectrum ordering=" << static_cast<int>(ordering);
-    EXPECT_EQ(swept.degeneracy, expect_sweep.degeneracy);
-    for (KhCoreAlgorithm alg : {KhCoreAlgorithm::kBz, KhCoreAlgorithm::kLb,
-                                KhCoreAlgorithm::kLbUb}) {
-      KhCoreOptions opts;
-      opts.h = h;
-      opts.ordering = ordering;
-      opts.algorithm = alg;
-      KhCoreResult r = KhCoreDecomposition(g, opts);
-      EXPECT_EQ(r.core, expect.core)
-          << spec.Name() << " ordering=" << static_cast<int>(ordering) << " "
-          << ToString(alg);
-      EXPECT_EQ(r.degeneracy, expect.degeneracy);
-    }
+  sweep.base.ordering = VertexOrdering::kAuto;
+  const SpectrumResult swept = KhCoreSpectrum(g, sweep);
+  EXPECT_EQ(swept.core, expect_sweep.core) << spec.Name();
+  EXPECT_EQ(swept.degeneracy, expect_sweep.degeneracy);
+  for (KhCoreAlgorithm alg : {KhCoreAlgorithm::kBz, KhCoreAlgorithm::kLb,
+                              KhCoreAlgorithm::kLbUb}) {
+    KhCoreOptions opts;
+    opts.h = h;
+    opts.ordering = VertexOrdering::kAuto;
+    opts.algorithm = alg;
+    KhCoreResult r = KhCoreDecomposition(g, opts);
+    EXPECT_EQ(r.core, expect.core) << spec.Name() << " " << ToString(alg);
+    EXPECT_EQ(r.degeneracy, expect.degeneracy);
   }
 }
 
@@ -695,10 +682,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(OrderingInvariance, ExtraBoundsArePermutedWithTheGraph) {
   // Feed the h=2 cores as an external lower bound for h=3 (core indexes are
-  // monotone in h) while forcing a relabel; the bound must be permuted
+  // monotone in h) on ids kAuto relabels; the bound must be permuted
   // internally.
   RandomGraphSpec spec{"ba", 60, 3};
-  Graph g = MakeRandomGraph(spec);
+  Graph g = ScrambledIds(MakeRandomGraph(spec), kGapLocalityWindow, 5);
+  ASSERT_FALSE(ResolveVertexOrdering(g, VertexOrdering::kAuto).empty());
   KhCoreOptions h2;
   h2.h = 2;
   KhCoreResult level2 = KhCoreDecomposition(g, h2);
@@ -710,7 +698,7 @@ TEST(OrderingInvariance, ExtraBoundsArePermutedWithTheGraph) {
 
   KhCoreOptions seeded;
   seeded.h = 3;
-  seeded.ordering = VertexOrdering::kDegreeDescending;
+  seeded.ordering = VertexOrdering::kAuto;
   seeded.extra_lower_bound = &level2.core;
   KhCoreResult r = KhCoreDecomposition(g, seeded);
   EXPECT_EQ(r.core, expect.core);

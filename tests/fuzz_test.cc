@@ -3,8 +3,14 @@
 // trivially-correct reference model.
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +18,7 @@
 #include "engine/vertex_mask.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "test_util.h"
 #include "traversal/bounded_bfs.h"
 #include "traversal/distances.h"
@@ -198,6 +205,124 @@ INSTANTIATE_TEST_SUITE_P(Corpus, InducedSubgraphFuzz,
                          [](const ::testing::TestParamInfo<RandomGraphSpec>& i) {
                            return i.param.Name();
                          });
+
+// ---------------------------------------------------------------------------
+// io::ParseEdgeList vs a reference reader written in a different style.
+// ---------------------------------------------------------------------------
+
+using EdgeSet = std::set<std::pair<VertexId, VertexId>>;
+
+struct ReferenceEdgeList {
+  VertexId num_vertices = 0;
+  EdgeSet edges;
+};
+
+// Splits lines on '\n' and tokens on whitespace. A line whose first token
+// starts with '#' or '%' is a comment; any other non-blank line needs two
+// leading tokens that are whole decimal uint64 values (std::from_chars).
+// Ids are numbered by first appearance, source before target. nullopt
+// rejects the text.
+std::optional<ReferenceEdgeList> ReferenceParse(const std::string& text) {
+  ReferenceEdgeList out;
+  std::map<uint64_t, VertexId> ids;
+  auto id_of = [&ids](uint64_t raw) {
+    return ids.emplace(raw, static_cast<VertexId>(ids.size())).first->second;
+  };
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> tokens;
+    std::string token;
+    for (const char c : line + " ") {
+      if (std::isspace(static_cast<unsigned char>(c))) {
+        if (!token.empty()) tokens.push_back(token);
+        token.clear();
+      } else {
+        token += c;
+      }
+    }
+    if (tokens.empty() || tokens[0][0] == '#' || tokens[0][0] == '%') continue;
+    uint64_t raw[2] = {0, 0};
+    for (size_t t = 0; t < 2; ++t) {
+      if (t >= tokens.size()) return std::nullopt;
+      const char* last = tokens[t].data() + tokens[t].size();
+      const auto [end, error] = std::from_chars(tokens[t].data(), last, raw[t]);
+      if (error != std::errc() || end != last) return std::nullopt;
+    }
+    const VertexId u = id_of(raw[0]);
+    const VertexId v = id_of(raw[1]);
+    if (u != v) out.edges.insert(std::minmax(u, v));
+  }
+  out.num_vertices = static_cast<VertexId>(ids.size());
+  return out;
+}
+
+// A random edge-list text: numeric lines over a small id range (so ids
+// repeat, and self-loops and duplicate edges occur), blank and comment
+// lines, extra columns, CRLF endings, and now and then a junk, signed,
+// fractional, padded or overflowing token or a missing target.
+std::string RandomEdgeListText(Rng* rng) {
+  const char* const kBlanks[] = {" ", "  ", "\t", " \t "};
+  const char* const kJunk[] = {"x", "1x", "-3", "+4", "2.5", "#", "%7", "7#"};
+  auto blank = [&] { return std::string(kBlanks[rng->NextIndex(4)]); };
+  auto id = [&]() -> std::string {
+    const uint32_t pick = rng->NextIndex(100);
+    if (pick < 78) return std::to_string(rng->NextIndex(12));
+    if (pick < 83) return "000" + std::to_string(rng->NextIndex(12));
+    if (pick < 88) return std::to_string(uint64_t{1} << 40 | rng->NextIndex(4));
+    if (pick < 91) return "18446744073709551615";  // UINT64_MAX: still an id
+    if (pick < 94) return "18446744073709551616";  // one past: overflow
+    return kJunk[rng->NextIndex(8)];
+  };
+  std::string text;
+  const uint32_t lines = rng->NextIndex(12);
+  for (uint32_t i = 0; i < lines; ++i) {
+    const uint32_t kind = rng->NextIndex(100);
+    if (rng->NextBool(0.2)) text += blank();
+    if (kind < 8) {
+      text += "# comment 1 2";
+    } else if (kind < 12) {
+      text += "% 3 4";
+    } else if (kind < 18) {
+      if (rng->NextBool(0.5)) text += blank();
+    } else if (kind < 22) {
+      text += id();  // no target
+    } else {
+      text += id() + blank() + id();
+      if (rng->NextBool(0.2)) text += blank() + id();  // ignored column
+      if (rng->NextBool(0.2)) text += blank();
+    }
+    if (i + 1 < lines || rng->NextBool(0.7)) {
+      text += rng->NextBool(0.1) ? "\r\n" : "\n";
+    }
+  }
+  return text;
+}
+
+TEST(ParseEdgeListFuzz, AgreesWithReferenceReader) {
+  Rng rng(2024);
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const std::string text = RandomEdgeListText(&rng);
+    const std::optional<ReferenceEdgeList> want = ReferenceParse(text);
+    const Result<Graph> got = io::ParseEdgeList(text);
+    ASSERT_EQ(got.ok(), want.has_value()) << "text:\n" << text;
+    if (!want.has_value()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const Graph& g = got.value();
+    ASSERT_EQ(g.num_vertices(), want->num_vertices) << "text:\n" << text;
+    const auto edges = g.Edges();
+    ASSERT_EQ(EdgeSet(edges.begin(), edges.end()), want->edges)
+        << "text:\n" << text;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
+}
 
 }  // namespace
 }  // namespace hcore

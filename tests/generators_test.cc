@@ -10,10 +10,16 @@
 #include "graph/connectivity.h"
 #include "graph/power_graph.h"
 #include "graph/sampling.h"
+#include "test_util.h"
 #include "traversal/distances.h"
 
 namespace hcore {
 namespace {
+
+using ::hcore::testing::CompleteBipartite;
+using ::hcore::testing::Cycle;
+using ::hcore::testing::Path;
+using ::hcore::testing::RandomTree;
 
 // Transitivity: 3 * triangles / wedges (0 without a wedge). Each triangle
 // is seen once per corner, from the corner's pair of neighbors.
@@ -32,12 +38,11 @@ double GlobalClustering(const Graph& g) {
 }
 
 TEST(Generators, PathCycleStarCompleteShapes) {
-  EXPECT_EQ(gen::Path(5).num_edges(), 4u);
-  EXPECT_EQ(gen::Cycle(5).num_edges(), 5u);
+  EXPECT_EQ(Path(5).num_edges(), 4u);
+  EXPECT_EQ(Cycle(5).num_edges(), 5u);
   EXPECT_EQ(gen::Star(5).num_edges(), 4u);
   EXPECT_EQ(gen::Complete(5).num_edges(), 10u);
-  EXPECT_EQ(gen::CompleteBipartite(3, 4).num_edges(), 12u);
-  EXPECT_EQ(gen::BinaryTree(7).num_edges(), 6u);
+  EXPECT_EQ(CompleteBipartite(3, 4).num_edges(), 12u);
 }
 
 TEST(Generators, GridShape) {
@@ -59,17 +64,6 @@ TEST(Generators, PaperFigure1Shape) {
   EXPECT_EQ(g.degree(1), 2u);  // v2
   EXPECT_EQ(g.degree(3), 5u);  // v4 (LB1(v4) = 5 in Example 3)
   EXPECT_EQ(g.degree(8), 5u);  // v9 by symmetry
-}
-
-TEST(Generators, ErdosRenyiGnmExactEdgeCount) {
-  Rng rng(1);
-  Graph g = gen::ErdosRenyiGnm(50, 100, &rng);
-  EXPECT_EQ(g.num_vertices(), 50u);
-  EXPECT_EQ(g.num_edges(), 100u);
-  // Clamps dense requests to the complete graph.
-  Rng rng2(2);
-  Graph k = gen::ErdosRenyiGnm(5, 1000, &rng2);
-  EXPECT_EQ(k.num_edges(), 10u);
 }
 
 TEST(Generators, ErdosRenyiGnpEdgeCountConcentrates) {
@@ -166,7 +160,7 @@ TEST(Generators, CliqueOverlayIsMoreClusteredThanGnp) {
 
 TEST(Generators, RandomTreeIsAcyclicAndConnected) {
   Rng rng(12);
-  Graph g = gen::RandomTree(100, &rng);
+  Graph g = RandomTree(100, &rng);
   EXPECT_EQ(g.num_edges(), 99u);
   EXPECT_EQ(ComputeConnectedComponents(g).num_components, 1u);
 }
@@ -192,14 +186,14 @@ TEST(Generators, DeterministicForEqualSeeds) {
 }
 
 TEST(PowerGraphModule, SquareOfPathAddsDistanceTwoEdges) {
-  Graph g2 = PowerGraph(gen::Path(5), 2);
+  Graph g2 = PowerGraph(Path(5), 2);
   EXPECT_TRUE(g2.HasEdge(0, 2));
   EXPECT_FALSE(g2.HasEdge(0, 3));
   EXPECT_EQ(g2.num_edges(), 4u + 3u);
 }
 
 TEST(PowerGraphModule, HighPowerIsCompleteOnConnectedGraph) {
-  Graph g = gen::Path(6);
+  Graph g = Path(6);
   Graph gh = PowerGraph(g, 5);
   EXPECT_EQ(gh.num_edges(), 15u);  // K6
 }
@@ -224,13 +218,6 @@ TEST(Sampling, SnowballCrossesComponentsWhenNeeded) {
   Rng rng(16);
   Graph s = SnowballSample(g, 7, &rng);
   EXPECT_EQ(s.num_vertices(), 7u);
-}
-
-TEST(Sampling, RandomVertexSampleSize) {
-  Rng rng(17);
-  Graph g = gen::Cycle(50);
-  Graph s = RandomVertexSample(g, 20, &rng);
-  EXPECT_EQ(s.num_vertices(), 20u);
 }
 
 }  // namespace

@@ -19,9 +19,20 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::CompleteBipartite;
+using ::hcore::testing::Cycle;
 using ::hcore::testing::IsHClique;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
+
+// The classic maximum clique: MaxHClique at h = 1.
+HCliqueResult MaxClique(const Graph& g, uint64_t max_nodes = 0) {
+  HCliqueOptions opts;
+  opts.h = 1;
+  opts.max_nodes = max_nodes;
+  return MaxHClique(g, opts);
+}
 
 // Exhaustive maximum clique size for n <= 20.
 uint32_t BruteForceMaxCliqueSize(const Graph& g) {
@@ -45,10 +56,10 @@ uint32_t BruteForceMaxCliqueSize(const Graph& g) {
 
 TEST(MaxCliqueToy, KnownGraphs) {
   EXPECT_EQ(MaxClique(gen::Complete(7)).size(), 7u);
-  EXPECT_EQ(MaxClique(gen::Cycle(6)).size(), 2u);
-  EXPECT_EQ(MaxClique(gen::Cycle(3)).size(), 3u);
+  EXPECT_EQ(MaxClique(Cycle(6)).size(), 2u);
+  EXPECT_EQ(MaxClique(Cycle(3)).size(), 3u);
   EXPECT_EQ(MaxClique(gen::Star(9)).size(), 2u);
-  EXPECT_EQ(MaxClique(gen::CompleteBipartite(4, 4)).size(), 2u);
+  EXPECT_EQ(MaxClique(CompleteBipartite(4, 4)).size(), 2u);
   EXPECT_EQ(MaxClique(Graph()).size(), 0u);
   GraphBuilder lone(3);
   EXPECT_EQ(MaxClique(lone.Build()).size(), 1u);
@@ -68,7 +79,7 @@ TEST(MaxCliqueToy, ReturnsActualClique) {
 
 TEST(MaxHCliqueToy, PathAndStar) {
   // On a path, an h-clique is h+1 consecutive vertices.
-  Graph path = gen::Path(12);
+  Graph path = Path(12);
   for (int h = 1; h <= 4; ++h) {
     HCliqueOptions opts;
     opts.h = h;

@@ -17,8 +17,11 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::IsHClub;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
+using ::hcore::testing::RandomTree;
 
 // Exhaustive maximum h-club for graphs with n <= 16.
 uint32_t BruteForceMaxHClubSize(const Graph& g, int h) {
@@ -38,7 +41,7 @@ uint32_t BruteForceMaxHClubSize(const Graph& g, int h) {
 }
 
 TEST(HClubToy, PathMaxClubIsHPlus1) {
-  Graph g = gen::Path(12);
+  Graph g = Path(12);
   for (int h = 1; h <= 4; ++h) {
     HClubOptions opts;
     opts.h = h;
@@ -193,7 +196,7 @@ TEST(HClubWrapper, WrapperExploresNoMoreNodes) {
   // while giving the wrapper a much smaller core to work on.
   Rng rng(24);
   GraphBuilder b;
-  Graph tree = gen::RandomTree(120, &rng);
+  Graph tree = RandomTree(120, &rng);
   for (const auto& [u, v] : tree.Edges()) b.AddEdge(u, v);
   for (VertexId u = 0; u < 10; ++u) {
     for (VertexId v = u + 1; v < 10; ++v) b.AddEdge(u, v);  // K10 pocket

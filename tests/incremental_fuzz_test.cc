@@ -32,6 +32,7 @@ using ::hcore::testing::IndexOptions;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomBatch;
 using ::hcore::testing::RandomGraphSpec;
+using ::hcore::testing::ScrambledIds;
 
 enum class EditMode { kInsertOnly, kDeleteOnly, kMixed };
 
@@ -202,9 +203,9 @@ TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
       for (const auto& [u, v] : edge_set) b.AddEdge(u, v);
       Graph reference = b.Build();
       const Graph& paged = index.snapshot()->graph();
-      ASSERT_EQ(paged.FlattenedOffsets(), reference.FlattenedOffsets())
+      ASSERT_EQ(paged.num_vertices(), reference.num_vertices())
           << spec.Name() << " step=" << step;
-      ASSERT_EQ(paged.FlattenedNeighbors(), reference.FlattenedNeighbors())
+      ASSERT_EQ(paged.Edges(), reference.Edges())
           << spec.Name() << " step=" << step;
       for (int h = 1; h <= 2; ++h) {
         ASSERT_EQ(index.snapshot()->Cores(h), FreshCores(reference, h))
@@ -256,15 +257,16 @@ void CheckBatches(HCoreIndex& index, int max_h, Rng* rng, int rounds,
 }
 
 TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
-  // Preferential attachment at 5000 vertices exceeds kGapLocalityWindow
-  // and scores a high id gap, so kAuto relabels the build and every warm
-  // fallback; the corpus graphs are too small for kAuto to relabel.
-  Rng ba_rng(19);
-  const Graph ba = gen::BarabasiAlbert(5000, 3, &ba_rng);
-  ASSERT_FALSE(ResolveVertexOrdering(ba, VertexOrdering::kAuto).empty());
+  // A small-world graph with its 5000 ids scrambled scores a high id gap,
+  // so kAuto relabels the build and every warm fallback; the corpus graphs
+  // are too small for kAuto to relabel.
+  Rng ws_rng(19);
+  const Graph scrambled =
+      ScrambledIds(gen::WattsStrogatz(5000, 3, 0.1, &ws_rng), 5000, 23);
+  ASSERT_FALSE(
+      ResolveVertexOrdering(scrambled, VertexOrdering::kAuto).empty());
   for (VertexOrdering ordering :
-       {VertexOrdering::kNone, VertexOrdering::kAuto,
-        VertexOrdering::kDegreeDescending, VertexOrdering::kBfs}) {
+       {VertexOrdering::kNone, VertexOrdering::kAuto}) {
     const std::string name =
         "ordering=" + std::to_string(static_cast<int>(ordering)) + " ";
     // Small caps so overflow fallback and the batch-size gate both fire on
@@ -289,13 +291,27 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
     EXPECT_GT(total_localized, 0u) << name;
     EXPECT_GT(total_fallback, 0u) << name;
 
-    HCoreIndex index(ba, options(/*max_h=*/2));
+    HCoreIndex index(scrambled, options(/*max_h=*/2));
     Rng rng(311);
-    uint64_t ba_localized = 0;
-    uint64_t ba_fallback = 0;
+    uint64_t scrambled_localized = 0;
+    uint64_t scrambled_fallback = 0;
     CheckBatches(index, /*max_h=*/2, &rng, /*rounds=*/3, /*kinds=*/{2},
-                 name + "ba5000", &ba_localized, &ba_fallback);
-    EXPECT_GT(ba_fallback, 0u) << name;
+                 name + "scrambled_ws5000", &scrambled_localized,
+                 &scrambled_fallback);
+    EXPECT_GT(scrambled_fallback, 0u) << name;
+    // A pure-insert batch over the batch cap falls back warm with the old
+    // cores as its lower bound, which kAuto permutes into its relabel.
+    const HCoreIndexStats before = index.stats();
+    const auto inserts = RandomBatch(index.snapshot()->graph(), &rng,
+                                     /*inserts=*/6, /*deletes=*/0);
+    ASSERT_EQ(index.ApplyBatch(inserts), inserts.size()) << name;
+    ASSERT_EQ(index.stats().fallback_repeels - before.fallback_repeels, 2u)
+        << name;
+    for (int h = 1; h <= 2; ++h) {
+      ASSERT_EQ(index.snapshot()->Cores(h),
+                FreshCores(index.snapshot()->graph(), h))
+          << name << " h=" << h;
+    }
   }
 }
 

@@ -20,8 +20,11 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::BruteForceKhCore;
 using ::hcore::testing::Corpus;
+using ::hcore::testing::Cycle;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 KhCoreResult Decompose(const Graph& g, int h, KhCoreAlgorithm alg,
@@ -144,7 +147,7 @@ TEST(KhCoreToyGraphs, PathHCore) {
   // interior vertices see exactly 2h but peeling the ends erodes the path,
   // so the (k,h)-core index is h for every vertex: the whole path survives
   // at k = h (end vertices have h neighbors), and nothing survives at h+1.
-  Graph g = gen::Path(30);
+  Graph g = Path(30);
   for (int h = 1; h <= 4; ++h) {
     KhCoreResult r = Decompose(g, h, KhCoreAlgorithm::kLb);
     std::vector<uint32_t> expect = BruteForceKhCore(g, h);
@@ -156,7 +159,7 @@ TEST(KhCoreToyGraphs, PathHCore) {
 TEST(KhCoreToyGraphs, CycleHCoreIsUniform2h) {
   // On a cycle of length > 2h+1 every vertex has exactly 2h vertices within
   // distance h and symmetry keeps that true under peeling.
-  Graph g = gen::Cycle(20);
+  Graph g = Cycle(20);
   for (int h = 1; h <= 4; ++h) {
     KhCoreResult r = Decompose(g, h, KhCoreAlgorithm::kLbUb);
     for (VertexId v = 0; v < 20; ++v) {

@@ -15,6 +15,7 @@ namespace {
 
 using ::hcore::testing::Corpus;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 TEST(LandmarkSelection, AllStrategiesReturnRequestedCount) {
@@ -42,7 +43,7 @@ TEST(LandmarkSelection, MaxCoreSmallerThanRequestReturnsWholeCore) {
 }
 
 TEST(LandmarkSelection, CountClampsAndZero) {
-  Graph g = gen::Path(5);
+  Graph g = Path(5);
   Rng rng(43);
   EXPECT_TRUE(SelectLandmarks(g, 0, LandmarkStrategy::kRandom, 1, &rng).empty());
   EXPECT_EQ(
@@ -67,7 +68,7 @@ TEST(LandmarkOracle, BoundsSandwichTrueDistance) {
 }
 
 TEST(LandmarkOracle, ExactWhenQueryHitsLandmark) {
-  Graph g = gen::Path(9);
+  Graph g = Path(9);
   LandmarkOracle oracle(g, {0});
   // For s = landmark the sandwich is tight: |d(0,0)-d(0,t)| = d = d(0,0)+d(0,t).
   for (VertexId t = 1; t < 9; ++t) {
@@ -78,7 +79,7 @@ TEST(LandmarkOracle, ExactWhenQueryHitsLandmark) {
 }
 
 TEST(LandmarkOracle, PathCenterLandmarkIsExactOnOppositeSides) {
-  Graph g = gen::Path(9);  // center = 4
+  Graph g = Path(9);  // center = 4
   LandmarkOracle oracle(g, {4});
   // s, t on opposite sides of the landmark: UB is exact.
   EXPECT_EQ(oracle.UpperBound(0, 8), 8u);

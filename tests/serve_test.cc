@@ -83,7 +83,6 @@ TEST(Serve, StatsCountEffectiveBatchesAndResetZeroes) {
   // One page splice per effective batch, and every level of it served by
   // exactly one of the two repair paths.
   EXPECT_EQ(stats.batches_applied, effective_batches);
-  EXPECT_EQ(stats.csr_rebuilds, effective_batches);
   EXPECT_EQ(stats.edits_applied, effective_edits);
   EXPECT_EQ(stats.localized_updates + stats.fallback_repeels,
             effective_batches * kMaxH);
@@ -201,8 +200,8 @@ TEST(Serve, GroupCommitCoalescesConcurrentWritersExactly) {
 
   const auto got = grouped.snapshot();
   const auto want = control.snapshot();
-  EXPECT_EQ(got->graph().FlattenedNeighbors(),
-            want->graph().FlattenedNeighbors());
+  EXPECT_EQ(got->graph().num_vertices(), want->graph().num_vertices());
+  EXPECT_EQ(got->graph().Edges(), want->graph().Edges());
   for (int h = 1; h <= kMaxH; ++h) {
     EXPECT_EQ(got->Cores(h), want->Cores(h)) << "h=" << h;
   }

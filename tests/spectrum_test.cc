@@ -14,6 +14,7 @@ namespace {
 using ::hcore::testing::Corpus;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::RandomGraphSpec;
+using ::hcore::testing::SpectrumIsMonotone;
 
 TEST(Spectrum, PaperFigure1Levels) {
   Graph g = gen::PaperFigure1();
@@ -29,20 +30,6 @@ TEST(Spectrum, PaperFigure1Levels) {
   // The sweep sums every per-level counter (h = 1 reports none, so the
   // pops come from the h = 2 peel).
   EXPECT_GT(r.stats.pops, 0u);
-}
-
-TEST(Spectrum, NormalizedSpectrumInUnitInterval) {
-  Rng rng(61);
-  Graph g = gen::BarabasiAlbert(120, 3, &rng);
-  SpectrumOptions opts;
-  opts.max_h = 3;
-  SpectrumResult r = KhCoreSpectrum(g, opts);
-  for (VertexId v = 0; v < g.num_vertices(); v += 11) {
-    for (double x : r.NormalizedVertexSpectrum(v)) {
-      EXPECT_GE(x, 0.0);
-      EXPECT_LE(x, 1.0);
-    }
-  }
 }
 
 TEST(Spectrum, SelfCorrelationIsOne) {

@@ -19,12 +19,15 @@ namespace hcore {
 namespace {
 
 using ::hcore::testing::Corpus;
+using ::hcore::testing::Cycle;
 using ::hcore::testing::IsHClique;
+using ::hcore::testing::IsHClub;
 using ::hcore::testing::MakeRandomGraph;
+using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 TEST(BoundedBfs, ScratchMaterializesLazilyAndIsReused) {
-  Graph g = gen::Cycle(8);
+  Graph g = Cycle(8);
   VertexMask alive(8, true);
   const uint64_t before = BoundedBfs::total_scratch_allocations();
   BoundedBfs bfs;
@@ -41,7 +44,7 @@ TEST(BoundedBfs, ScratchMaterializesLazilyAndIsReused) {
 }
 
 TEST(BoundedBfs, PathDepthTruncation) {
-  Graph g = gen::Path(10);
+  Graph g = Path(10);
   BoundedBfs bfs(10);
   VertexMask alive(10, true);
   // From vertex 0, depth h reaches exactly vertices 1..h.
@@ -57,7 +60,7 @@ TEST(BoundedBfs, PathDepthTruncation) {
 }
 
 TEST(BoundedBfs, RespectsAliveMask) {
-  Graph g = gen::Path(5);  // 0-1-2-3-4
+  Graph g = Path(5);  // 0-1-2-3-4
   BoundedBfs bfs(5);
   VertexMask alive(5, true);
   alive.Kill(2);  // break the path
@@ -105,7 +108,7 @@ TEST(BoundedBfs, StampWraparoundKeepsResultsCorrect) {
   // few traversals, fast-forward the stamp to the edge of overflow, grow
   // the buffers with a larger graph, and check results straddling the wrap
   // — stale marks/distances from the pre-wrap runs must not leak in.
-  Graph small = gen::Path(6);
+  Graph small = Path(6);
   BoundedBfs bfs(6);
   VertexMask small_alive(6, true);
   EXPECT_EQ(bfs.HDegree(small, small_alive, 0, 3), 3u);  // populate scratch
@@ -115,7 +118,7 @@ TEST(BoundedBfs, StampWraparoundKeepsResultsCorrect) {
   EXPECT_EQ(bfs.HDegree(small, small_alive, 2, 2), 4u);
   // Next run wraps to 1 after the refill; grow the buffers first so freshly
   // resized entries and re-zeroed entries coexist.
-  Graph big = gen::Cycle(12);
+  Graph big = Cycle(12);
   VertexMask big_alive(12, true);
   EXPECT_EQ(bfs.HDegree(big, big_alive, 0, 2), 4u);
   EXPECT_EQ(bfs.HDegree(big, big_alive, 6, 3), 6u);
@@ -261,7 +264,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Distances, PathDistances) {
-  Graph g = gen::Path(6);
+  Graph g = Path(6);
   std::vector<uint32_t> d = BfsDistances(g, 0);
   for (VertexId v = 0; v < 6; ++v) EXPECT_EQ(d[v], v);
   EXPECT_EQ(Distance(g, 1, 4), 3u);
@@ -280,12 +283,12 @@ TEST(Distances, DisconnectedIsUnreachable) {
 
 TEST(Distances, DiameterOfPathAndCycle) {
   Rng rng(5);
-  EXPECT_EQ(ExactDiameter(gen::Path(10)), 9u);
-  EXPECT_EQ(ExactDiameter(gen::Cycle(10)), 5u);
+  EXPECT_EQ(ExactDiameter(Path(10)), 9u);
+  EXPECT_EQ(ExactDiameter(Cycle(10)), 5u);
   EXPECT_EQ(ExactDiameter(gen::Complete(5)), 1u);
   // The double-sweep estimate is exact on paths and never overestimates.
-  EXPECT_EQ(EstimateDiameter(gen::Path(10), 3, &rng), 9u);
-  EXPECT_LE(EstimateDiameter(gen::Cycle(10), 3, &rng), 5u);
+  EXPECT_EQ(EstimateDiameter(Path(10), 3, &rng), 9u);
+  EXPECT_LE(EstimateDiameter(Cycle(10), 3, &rng), 5u);
 }
 
 TEST(HClubPredicate, StarIsTwoClubButNotOneClub) {
@@ -305,7 +308,7 @@ TEST(HClubPredicate, InducedDistanceMattersForClubs) {
 }
 
 TEST(HClubPredicate, SingletonsAndEmptyAreAlwaysClubs) {
-  Graph g = gen::Path(3);
+  Graph g = Path(3);
   EXPECT_TRUE(IsHClub(g, {}, 1));
   EXPECT_TRUE(IsHClub(g, {2}, 1));
   EXPECT_TRUE(IsHClique(g, {}, 1));

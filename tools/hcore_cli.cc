@@ -1,7 +1,7 @@
 // hcore command-line tool.
 //
 //   hcore_cli decompose  --input=G.txt --h=2 [--algo=auto|bz|lb|lbub]
-//                        [--partition=S] [--ordering=none|auto|degree|bfs]
+//                        [--partition=S] [--ordering=none|auto]
 //                        [--output=cores.txt]
 //   hcore_cli hierarchy  --input=G.txt --h=2 [--limit=60] [--dot=G.dot]
 //   hcore_cli stats      --input=G.txt
@@ -161,13 +161,8 @@ KhCoreOptions CoreOptions(const Flags& flags) {
   } else if (alg == "lbub") {
     opts.algorithm = KhCoreAlgorithm::kLbUb;
   }
-  std::string ordering = flags.Get("ordering", "auto");
-  if (ordering == "none") {
+  if (flags.Get("ordering", "auto") == "none") {
     opts.ordering = VertexOrdering::kNone;
-  } else if (ordering == "degree") {
-    opts.ordering = VertexOrdering::kDegreeDescending;
-  } else if (ordering == "bfs") {
-    opts.ordering = VertexOrdering::kBfs;
   }
   return opts;
 }
@@ -413,11 +408,10 @@ void PrintServeStats(const HCoreIndex& index) {
               static_cast<unsigned long long>(snap->graph().num_edges()),
               index.max_h());
   std::printf(
-      "csr_rebuilds=%llu batches=%llu edits=%llu level_runs=%llu "
+      "batches=%llu edits=%llu level_runs=%llu "
       "levels_unchanged=%llu localized=%llu fallback_repeels=%llu\n"
       "bfs_visits=%llu hdeg_computations=%llu decrements=%llu "
       "decomposition_seconds=%.3f\n",
-      static_cast<unsigned long long>(s.csr_rebuilds),
       static_cast<unsigned long long>(s.batches_applied),
       static_cast<unsigned long long>(s.edits_applied),
       static_cast<unsigned long long>(s.level_decompositions),
@@ -659,7 +653,7 @@ const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
   static const std::map<std::string, std::vector<std::string>> kValues = {
       {"algo", {"auto", "bz", "lb", "lbub"}},
       {"algorithm", {"auto", "bz", "lb", "lbub"}},
-      {"ordering", {"none", "auto", "degree", "bfs"}},
+      {"ordering", {"none", "auto"}},
       {"solver", {"bb", "it"}},
   };
   return kValues;

@@ -28,8 +28,17 @@ enforces repo conventions that keep the annotated world airtight:
                    entry point on a shared page is a data race with every
                    concurrent reader of every epoch that shares it.
 
+  test-only-api    A function declared in a src/ header must have a caller
+                   in a program: something under src/, tools/, bench/,
+                   examples/ or perfbench/ must reference it beyond its
+                   declaration and definition. A function only tests/ call
+                   belongs in tests/ (e.g. tests/test_util.h) or nowhere.
+                   Matching is by name, so a name some program uses for
+                   anything counts as used.
+
 A line (or the statement it ends) can be exempted with a justifying comment
-containing `lint:allow(<rule>)`.
+containing `lint:allow(<rule>)`; for test-only-api, put it with a reason in
+the comment above the declaration.
 
 Usage:
   lint_invariants.py [--root DIR]   # lint the tree; exit 1 on violations
@@ -37,6 +46,7 @@ Usage:
 """
 
 import argparse
+import bisect
 import os
 import re
 import sys
@@ -51,6 +61,11 @@ PAGE_BUFFER_CLASSES = ("AdjacencyPage", "Graph")
 
 # Directories scanned, relative to --root.
 SCAN_DIRS = ("src", "tools", "bench", "tests", "examples")
+
+# Programs whose references keep a src/ function alive (rule:
+# test-only-api), and the tree whose references do not.
+API_USER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+API_TEST_DIR = "tests"
 
 # The one file allowed to name the raw primitives: the annotated wrapper.
 MUTEX_WRAPPER = os.path.join("src", "util", "mutex.h")
@@ -398,12 +413,173 @@ def check_stats_add(header_path, header_text, cc_texts):
 
 
 # ---------------------------------------------------------------------------
+# Rule: test-only-api
+# ---------------------------------------------------------------------------
+
+# Comments, string literals and char literals (not digit separators, which
+# follow a word character).
+_NON_CODE_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|(?<!\w)\'(?:\\.|[^\'\\\n])*\'',
+    re.S)
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+_DELIM_RE = re.compile(r"[;{}]|^[ \t]*#[^\n]*$", re.M)
+_NOT_DECL_FIRST_WORDS = frozenset((
+    "return", "else", "case", "default", "throw", "new", "delete", "goto",
+    "do", "using", "typedef", "co_return", "co_yield", "co_await",
+))
+
+
+def _code_only(text):
+    """Blanks comments and literal contents, keeping offsets and newlines."""
+    def blank(m):
+        s = m.group(0)
+        if s[0] in "\"'":
+            return s[0] + re.sub(r"[^\n]", " ", s[1:-1]) + s[-1]
+        return re.sub(r"[^\n]", " ", s)
+    return _NON_CODE_RE.sub(blank, text)
+
+
+def _is_declarator_prefix(prefix):
+    """True if `prefix` (the statement text before a name) is a return type
+    plus an optional `Class::` qualifier, i.e. the name is being declared or
+    defined rather than referenced."""
+    p = prefix.strip()
+    while True:
+        m = re.match(r"(?:public|private|protected)\s*:\s*|\[\[[^\]]*\]\]\s*",
+                     p)
+        if m:
+            p = p[m.end():]
+            continue
+        if re.match(r"template\s*<", p):
+            depth = 0
+            for i, c in enumerate(p):
+                if c == "<":
+                    depth += 1
+                elif c == ">":
+                    depth -= 1
+                    if depth == 0:
+                        p = p[i + 1:].lstrip()
+                        break
+            else:
+                return False
+            continue
+        break
+    if not p or "<<" in p or not re.fullmatch(r"[\w:<>,*&\s]+", p):
+        return False
+    type_part = re.sub(r"(?:\w+::)+$", "", p).strip()
+    if not type_part or not re.match(r"[A-Za-z_]", type_part):
+        return False
+    return type_part.split()[0] not in _NOT_DECL_FIRST_WORDS
+
+
+def _name_sites(code, names=None):
+    """Yields (name, offset, is_declarator, statement_start) for every
+    identifier in `code` (only those in `names` when given). A site is a
+    declarator when a parameter list follows and the statement before it is
+    a type."""
+    delims = [m.end() for m in _DELIM_RE.finditer(code)]
+    for m in _IDENT_RE.finditer(code):
+        name = m.group(0)
+        if names is not None and name not in names:
+            continue
+        i = bisect.bisect_right(delims, m.start())
+        start = delims[i - 1] if i > 0 else 0
+        declarator = (re.match(r"\s*\(", code[m.end():m.end() + 64])
+                      is not None
+                      and _is_declarator_prefix(code[start:m.start()]))
+        yield name, m.start(), declarator, start
+
+
+def _declaration_scopes(code):
+    """Sorted (offset, in_declaration_scope, class_name) after every brace:
+    declaration scope means every enclosing brace is a namespace or a
+    class body (not a function body, initializer or enum)."""
+    events = []
+    stack = []  # (kind, class name)
+    last_delim = 0
+    for m in re.finditer(r"[;{}]", code):
+        if m.group(0) == "{":
+            head = code[last_delim:m.start()]
+            cls = re.search(r"\b(?:class|struct|union)\s+(\w+)[^()]*$", head)
+            if re.search(r"\bnamespace\b|\bextern\s*\"", head):
+                stack.append(("ns", None))
+            elif re.search(r"\benum\b", head):
+                stack.append(("enum", None))
+            elif cls:
+                stack.append(("class", cls.group(1)))
+            else:
+                stack.append(("block", None))
+        elif m.group(0) == "}" and stack:
+            stack.pop()
+        last_delim = m.end()
+        in_decl = all(kind in ("ns", "class") for kind, _ in stack)
+        cls_name = stack[-1][1] if stack and stack[-1][0] == "class" else None
+        events.append((m.end(), in_decl, cls_name))
+    return events
+
+
+def _header_functions(code):
+    """Yields (name, offset, statement_start) for every function declared or
+    defined at namespace or class scope of a header."""
+    events = _declaration_scopes(code)
+    offsets = [e[0] for e in events]
+    for name, off, declarator, start in _name_sites(code):
+        if not declarator:
+            continue
+        i = bisect.bisect_right(offsets, off)
+        in_decl, cls_name = (events[i - 1][1:] if i > 0 else (True, None))
+        if (not in_decl or name == cls_name or name in _FUNC_SKIP_NAMES
+                or _MACRO_NAME_RE.match(name) or name == "operator"
+                or code[off - 1:off] == "~"):
+            continue
+        yield name, off, start
+
+
+def check_test_only_api(texts):
+    """texts: {relative path: text} over API_USER_DIRS and API_TEST_DIR."""
+    def top(path):
+        return path.replace(os.sep, "/").split("/", 1)[0]
+
+    codes = {p: _code_only(t) for p, t in texts.items()}
+    declared = {}  # name -> [(path, offset, statement start)]
+    for path, code in codes.items():
+        if top(path) == "src" and path.endswith(".h"):
+            for name, off, start in _header_functions(code):
+                declared.setdefault(name, []).append((path, off, start))
+    names = set(declared)
+    used, tested = set(), {}
+    for path, code in codes.items():
+        where = top(path)
+        for name, _off, declarator, _start in _name_sites(code, names):
+            if declarator:
+                continue
+            if where in API_USER_DIRS:
+                used.add(name)
+            elif where == API_TEST_DIR:
+                tested.setdefault(name, path)
+
+    violations = []
+    for name in sorted(set(tested) - used):
+        for path, off, start in declared[name]:
+            text = texts[path]
+            end = min(len(text), text.find("\n", off) + 1 or len(text))
+            if _allowed("test-only-api", text[start:end]):
+                continue
+            violations.append(Violation(
+                path, _line_of(text, off), "test-only-api",
+                f"{name} is referenced from {tested[name]} but from no "
+                "program under " + "/, ".join(API_USER_DIRS) + "/ — move it "
+                "into tests/ or delete it"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
-def collect_files(root):
+def collect_files(root, dirs=SCAN_DIRS):
     files = []
-    for d in SCAN_DIRS:
+    for d in dirs:
         top = os.path.join(root, d)
         for dirpath, _dirnames, filenames in os.walk(top):
             for fn in sorted(filenames):
@@ -428,6 +604,12 @@ def lint_tree(root):
             violations += check_published_type(rel, text)
             violations += check_page_buffer(rel, text)
             violations += check_stats_add(rel, text, cc_texts)
+
+    api_texts = {}
+    for path in collect_files(root, API_USER_DIRS + (API_TEST_DIR,)):
+        with open(path, encoding="utf-8") as f:
+            api_texts[os.path.relpath(path, root)] = f.read()
+    violations += check_test_only_api(api_texts)
     return violations
 
 
@@ -545,6 +727,54 @@ struct FooStats {
            "stats-add: missed unaccumulated counter")
     expect(not check_stats_add("x.h", ok_stats, {}),
            "stats-add: false positive on complete Add")
+
+    # test-only-api fires on src/ functions only tests/ reference (a free
+    # function and a member defined out of line), stays quiet once a tools/
+    # caller exists, and honors lint:allow above the declaration.
+    api_tree = {
+        "src/x.h": ("#include <vector>\n"
+                    "namespace hcore {\n"
+                    "/// Doubles x.\n"
+                    "int Twice(int x);\n"
+                    "int Used(int x);\n"
+                    "struct Box {\n"
+                    "  Box() = default;\n"
+                    "  const std::vector<int>& Items() const;\n"
+                    "};\n"
+                    "}  // namespace hcore\n"),
+        "src/x.cc": ("#include \"x.h\"\n"
+                     "namespace hcore {\n"
+                     "int Twice(int x) { return 2 * x; }\n"
+                     "int Used(int x) { return x; }\n"
+                     "const std::vector<int>& Box::Items() const {\n"
+                     "  static const std::vector<int> kNone;\n"
+                     "  return kNone;\n"
+                     "}\n"
+                     "}  // namespace hcore\n"),
+        "tests/x_test.cc": ("TEST(X, Twice) {\n"
+                            "  EXPECT_EQ(Twice(2), Used(4));\n"
+                            "  EXPECT_TRUE(Box().Items().empty());\n"
+                            "}\n"),
+        "examples/e.cc": "int main() { return hcore::Used(0); }\n",
+    }
+    got = sorted(v.message.split()[0] for v in check_test_only_api(api_tree))
+    expect(got == ["Items", "Twice"],
+           f"test-only-api: expected Items and Twice flagged, got {got}")
+    with_caller = dict(api_tree)
+    with_caller["tools/t.cc"] = ("int Run(const hcore::Box& b) {\n"
+                                 "  return hcore::Twice(b.Items().size());\n"
+                                 "}\n")
+    expect(not check_test_only_api(with_caller),
+           "test-only-api: fired although tools/ calls the functions")
+    allowed = dict(with_caller)
+    allowed.pop("tools/t.cc")
+    allow = "lint:allow(test-only-api): reason"
+    allowed["src/x.h"] = allowed["src/x.h"].replace(
+        "/// Doubles x.", "/// Doubles x. " + allow).replace(
+        "  const std::vector<int>& Items",
+        "  // " + allow + "\n  const std::vector<int>& Items")
+    expect(not check_test_only_api(allowed),
+           "test-only-api: ignored lint:allow")
 
     if failures:
         for f in failures:
