@@ -323,8 +323,9 @@ KhCoreAlgorithm ResolveAlgorithm(const KhCoreOptions& opts) {
                                                   : opts.algorithm;
 }
 
-}  // namespace
-
+/// Resolves a VertexOrdering for `g` to a concrete permutation
+/// (new-id -> old-id), or empty for "peel the graph as given". kAuto applies
+/// the locality heuristic here (one gap-sampling pass).
 std::vector<VertexId> ResolveVertexOrdering(const Graph& g,
                                             VertexOrdering ordering) {
   switch (ordering) {
@@ -336,11 +337,14 @@ std::vector<VertexId> ResolveVertexOrdering(const Graph& g,
       // MeanNeighborGapFraction for the measured numbers and why the score
       // is per component): locality-preserving orders score well under 0.1,
       // scrambled ids ~1/3. Relabel only when scrambled.
-      return MeanNeighborGapFraction(g) > 0.15 ? BfsOrder(g)
-                                               : std::vector<VertexId>{};
+      return MeanNeighborGapFraction(g) > kScrambledGapFraction
+                 ? BfsOrder(g)
+                 : std::vector<VertexId>{};
   }
   return {};
 }
+
+}  // namespace
 
 uint32_t KhCoreResult::NumDistinctCores() const {
   std::unordered_set<uint32_t> values(core.begin(), core.end());

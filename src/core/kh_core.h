@@ -75,8 +75,9 @@ enum class VertexOrdering {
   kNone,  ///< Peel the graph as given.
   /// Locality heuristic: relabel in BFS order (BfsOrder, graph/ordering.h)
   /// iff the mean |v - neighbor| id gap over ~1k sampled vertices exceeds
-  /// 0.15 * n. BFS order makes neighborhoods index-local. Measured at h = 2 on
-  /// 300k-500k vertex graphs: locality-preserving inputs score a gap
+  /// kScrambledGapFraction (0.15) * n. BFS order makes neighborhoods
+  /// index-local. Measured at h = 2 on 300k-500k vertex graphs:
+  /// locality-preserving inputs score a gap
   /// fraction <= 0.034 and BFS relabeling there costs 24-53% (road 1.24x,
   /// Watts-Strogatz 1.53x slower) — kAuto keeps them unrelabeled; scrambled
   /// ids score ~0.33 and relabeling saves 11-49% (scrambled road 0.51x,
@@ -191,14 +192,6 @@ struct KhCoreResult {
 /// (h < 1, partition_size < 0) abort via HCORE_CHECK; partition_size 0
 /// picks the automatic width.
 KhCoreResult KhCoreDecomposition(const Graph& g, const KhCoreOptions& options = {});
-
-/// Resolves a VertexOrdering for `g` to a concrete permutation
-/// (new-id -> old-id), or empty for "peel the graph as given". kAuto applies
-/// the locality heuristic here (one gap-sampling pass). KhCoreDecomposition
-/// is the only library caller; the declaration is public so tests can check
-/// which graphs kAuto relabels.
-std::vector<VertexId> ResolveVertexOrdering(const Graph& g,
-                                            VertexOrdering ordering);
 
 /// Vertices of the (k,h)-core {v : core[v] >= k} from a raw core vector
 /// (free-function form of KhCoreResult::CoreVertices, for precomputed or

@@ -7,50 +7,17 @@
 
 namespace hcore {
 
-Graph::Graph(VertexId num_vertices, uint64_t num_targets,
-             std::vector<std::shared_ptr<const AdjacencyPage>> pages)
-    : num_vertices_(num_vertices),
-      num_targets_(num_targets),
-      pages_(std::move(pages)) {
-  HCORE_CHECK(pages_.size() ==
-              (static_cast<size_t>(num_vertices_) + kPageVertices - 1) >>
-                  kPageVertexBits);
-  RebuildViews();
-}
-
-Graph::Graph(const std::vector<EdgeIndex>& offsets,
-             const std::vector<VertexId>& neighbors) {
+Graph::Graph(std::vector<EdgeIndex> offsets,
+             std::vector<VertexId> neighbors) {
   HCORE_CHECK(!offsets.empty());
   HCORE_CHECK(offsets.front() == 0);
   HCORE_CHECK(offsets.back() == neighbors.size());
   num_vertices_ = static_cast<VertexId>(offsets.size() - 1);
   num_targets_ = neighbors.size();
-  const size_t num_pages =
-      (static_cast<size_t>(num_vertices_) + kPageVertices - 1) >>
-      kPageVertexBits;
-  pages_.reserve(num_pages);
-  for (size_t p = 0; p < num_pages; ++p) {
-    const VertexId first = static_cast<VertexId>(p) << kPageVertexBits;
-    const VertexId size = std::min(num_vertices_ - first, kPageVertices);
-    auto page = std::make_shared<AdjacencyPage>();
-    page->offsets.resize(static_cast<size_t>(size) + 1);
-    const EdgeIndex base = offsets[first];
-    for (VertexId i = 0; i <= size; ++i) {
-      page->offsets[i] = offsets[first + i] - base;
-    }
-    page->targets.assign(neighbors.begin() + base,
-                         neighbors.begin() + offsets[first + size]);
-    pages_.push_back(std::move(page));
-  }
-  RebuildViews();
-}
-
-void Graph::RebuildViews() {
-  views_.resize(pages_.size());
-  for (size_t p = 0; p < pages_.size(); ++p) {
-    views_[p].offsets = pages_[p]->offsets.data();
-    views_[p].targets = pages_[p]->targets.data();
-  }
+  storage_ = std::make_shared<const CsrStorage>(
+      CsrStorage{std::move(offsets), std::move(neighbors)});
+  offsets_ = storage_->offsets.data();
+  targets_ = storage_->targets.data();
 }
 
 bool Graph::HasEdge(VertexId u, VertexId v) const {
@@ -73,22 +40,13 @@ double Graph::AverageDegree() const {
 }
 
 uint64_t Graph::MemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& page : pages_) {
-    bytes += sizeof(AdjacencyPage) +
-             page->offsets.size() * sizeof(EdgeIndex) +
-             page->targets.size() * sizeof(VertexId);
-  }
-  return bytes;
+  if (storage_ == nullptr) return 0;
+  return sizeof(CsrStorage) + storage_->offsets.size() * sizeof(EdgeIndex) +
+         storage_->targets.size() * sizeof(VertexId);
 }
 
 size_t CountSharedPages(const Graph& a, const Graph& b) {
-  const size_t common = std::min(a.num_pages(), b.num_pages());
-  size_t shared = 0;
-  for (size_t p = 0; p < common; ++p) {
-    if (a.PageIdentity(p) == b.PageIdentity(p)) ++shared;
-  }
-  return shared;
+  return a.storage_ == b.storage_ ? a.num_pages() : 0;
 }
 
 std::pair<Graph, std::vector<VertexId>> Graph::InducedSubgraph(
@@ -129,7 +87,7 @@ Graph Graph::Relabeled(const std::vector<VertexId>& new_to_old) const {
     }
     std::sort(adj.begin() + offsets[nv], adj.begin() + offsets[nv + 1]);
   }
-  return Graph(offsets, adj);
+  return Graph(std::move(offsets), std::move(adj));
 }
 
 std::vector<EdgeEdit> Graph::CanonicalEffectiveEdits(
@@ -196,7 +154,7 @@ Graph Graph::ApplyCanonicalEdits(std::span<const EdgeEdit> canonical) const {
   const VertexId old_n = num_vertices();
 
   // Canonical edits as directed half-edges (each touched (vertex, neighbor)
-  // pair appears once), plus the resulting vertex and target counts.
+  // pair appears once), plus the resulting vertex count.
   struct Half {
     VertexId v, nbr;
     bool insert;
@@ -204,103 +162,60 @@ Graph Graph::ApplyCanonicalEdits(std::span<const EdgeEdit> canonical) const {
   std::vector<Half> half;
   half.reserve(canonical.size() * 2);
   VertexId new_n = old_n;
-  uint64_t new_targets = num_targets_;
   for (const EdgeEdit& e : canonical) {
     half.push_back({e.u, e.v, e.insert});
     half.push_back({e.v, e.u, e.insert});
-    if (e.insert) {
-      new_n = std::max(new_n, std::max(e.u, e.v) + 1);
-      new_targets += 2;
-    } else {
-      new_targets -= 2;
-    }
+    if (e.insert) new_n = std::max(new_n, std::max(e.u, e.v) + 1);
   }
   if (half.empty()) return *this;
   std::sort(half.begin(), half.end(), [](const Half& a, const Half& b) {
     return std::tie(a.v, a.nbr) < std::tie(b.v, b.nbr);
   });
 
-  // Copy-on-write sweep: a page is rebuilt iff an edit lands in its vertex
-  // range or that range grows (the old last page filling up, or brand-new
-  // tail pages); every other page is shared by pointer.
-  const size_t num_new_pages =
-      (static_cast<size_t>(new_n) + kPageVertices - 1) >> kPageVertexBits;
-  std::vector<std::shared_ptr<const AdjacencyPage>> pages;
-  pages.reserve(num_new_pages);
-  size_t hi = 0;  // cursor into `half`, advanced page by page
-  for (size_t p = 0; p < num_new_pages; ++p) {
-    const VertexId first = static_cast<VertexId>(p) << kPageVertexBits;
-    const VertexId new_size = std::min(new_n - first, kPageVertices);
-    const VertexId old_size =
-        first < old_n ? std::min(old_n - first, kPageVertices) : 0;
-    size_t h_end = hi;
-    while (h_end < half.size() && half[h_end].v < first + new_size) ++h_end;
-    if (h_end == hi && new_size == old_size) {
-      pages.push_back(pages_[p]);
+  // New offsets: old degree plus the per-vertex edit delta. Deletes never
+  // underflow (each targets a distinct present neighbor).
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(new_n) + 1, 0);
+  for (VertexId v = 0; v < old_n; ++v) offsets[v + 1] = degree(v);
+  for (const Half& e : half) {
+    offsets[e.v + 1] += e.insert ? EdgeIndex{1} : ~EdgeIndex{0};
+  }
+  for (VertexId v = 0; v < new_n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<VertexId> targets(offsets[new_n]);
+
+  VertexId v = 0;
+  size_t h = 0;  // cursor into `half`
+  while (v < new_n) {
+    const VertexId touched = h < half.size() ? half[h].v : new_n;
+    if (v < touched) {
+      // Copy-through: the whole untouched run [v, touched) keeps its old
+      // adjacency block, contiguous in both graphs.
+      const VertexId stop = std::min(touched, old_n);
+      if (v < stop) {
+        std::copy(targets_ + offsets_[v], targets_ + offsets_[stop],
+                  targets.begin() + offsets[v]);
+      }
+      v = touched;
       continue;
     }
-
-    auto page = std::make_shared<AdjacencyPage>();
-    page->offsets.assign(static_cast<size_t>(new_size) + 1, 0);
-    const PageView old_view = old_size > 0 ? views_[p] : PageView{};
-    // Page-local offsets: old degree plus the per-vertex edit delta.
-    // Deletes never underflow (each targets a distinct present neighbor).
-    for (VertexId i = 0; i < old_size; ++i) {
-      page->offsets[i + 1] = old_view.offsets[i + 1] - old_view.offsets[i];
-    }
-    for (size_t h = hi; h < h_end; ++h) {
-      page->offsets[half[h].v - first + 1] +=
-          half[h].insert ? EdgeIndex{1} : ~EdgeIndex{0};
-    }
-    for (VertexId i = 0; i < new_size; ++i) {
-      page->offsets[i + 1] += page->offsets[i];
-    }
-    page->targets.resize(page->offsets[new_size]);
-
-    VertexId i = 0;  // page-local vertex cursor
-    size_t h = hi;
-    while (i < new_size) {
-      const VertexId touched =
-          h < h_end ? half[h].v - first : new_size;
-      if (i < touched) {
-        // Copy-through: the whole untouched run [i, touched) keeps its old
-        // adjacency block, contiguous in both pages.
-        const VertexId stop = std::min(touched, old_size);
-        if (i < stop) {
-          std::copy(old_view.targets + old_view.offsets[i],
-                    old_view.targets + old_view.offsets[stop],
-                    page->targets.begin() + page->offsets[i]);
-        }
-        i = touched;
-        continue;
+    // Splice v's list: merge the old sorted adjacency with its sorted edits.
+    const VertexId* old_it = v < old_n ? targets_ + offsets_[v] : nullptr;
+    const VertexId* old_end = v < old_n ? targets_ + offsets_[v + 1] : nullptr;
+    EdgeIndex pos = offsets[v];
+    for (; h < half.size() && half[h].v == v; ++h) {
+      const Half& e = half[h];
+      while (old_it != old_end && *old_it < e.nbr) targets[pos++] = *old_it++;
+      if (e.insert) {
+        targets[pos++] = e.nbr;
+      } else {
+        HCORE_DCHECK(old_it != old_end && *old_it == e.nbr);
+        ++old_it;
       }
-      // Splice i's list: merge the old sorted adjacency with its sorted
-      // edits.
-      const VertexId* old_it =
-          i < old_size ? old_view.targets + old_view.offsets[i] : nullptr;
-      const VertexId* old_end =
-          i < old_size ? old_view.targets + old_view.offsets[i + 1] : nullptr;
-      EdgeIndex pos = page->offsets[i];
-      for (; h < h_end && half[h].v - first == i; ++h) {
-        const Half& e = half[h];
-        while (old_it != old_end && *old_it < e.nbr) {
-          page->targets[pos++] = *old_it++;
-        }
-        if (e.insert) {
-          page->targets[pos++] = e.nbr;
-        } else {
-          HCORE_DCHECK(old_it != old_end && *old_it == e.nbr);
-          ++old_it;
-        }
-      }
-      while (old_it != old_end) page->targets[pos++] = *old_it++;
-      HCORE_DCHECK(pos == page->offsets[i + 1]);
-      ++i;
     }
-    hi = h_end;
-    pages.push_back(std::move(page));
+    while (old_it != old_end) targets[pos++] = *old_it++;
+    HCORE_DCHECK(pos == offsets[v + 1]);
+    ++v;
   }
-  return Graph(new_n, new_targets, std::move(pages));
+  return Graph(std::move(offsets), std::move(targets));
 }
 
 std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {
@@ -346,7 +261,7 @@ Graph GraphBuilder::Build() {
   }
   edges_.clear();
   edges_.shrink_to_fit();
-  return Graph(offsets, neighbors);
+  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace hcore

@@ -1,5 +1,5 @@
-// Immutable undirected graph in paged CSR (compressed sparse row) form,
-// plus a mutable builder.
+// Immutable undirected graph in CSR (compressed sparse row) form, plus a
+// mutable builder.
 //
 // All algorithms in hcore operate on this representation. Vertices are dense
 // ids in [0, num_vertices()); edges are stored twice (once per endpoint) with
@@ -7,14 +7,11 @@
 // removed by the builder, matching the paper's setting of simple, undirected,
 // unweighted graphs.
 //
-// Storage is split into fixed vertex-range pages (kPageVertices vertices
-// each), every page a self-contained mini-CSR held by shared_ptr. WithEdits
-// rebuilds only the pages whose adjacency runs changed and shares the rest
-// by pointer, so a small batch costs O(touched pages) and a graph copy costs
-// O(pages) pointer bumps — the copy-on-write substrate the epoch-snapshot
-// index and the serving front door build on. Adjacency stays contiguous
-// inside a page, so neighbors(v) still hands out a plain span and every
-// consumer above this layer is representation-agnostic.
+// The two CSR arrays live in one immutable CsrStorage held by shared_ptr, so
+// copying a Graph is one pointer bump and epochs of the index share the
+// arrays of a graph they did not change. WithEdits builds a new CsrStorage
+// in one O(n + m) merge pass: untouched adjacency runs are block-copied and
+// touched lists are spliced.
 
 #ifndef HCORE_GRAPH_GRAPH_H_
 #define HCORE_GRAPH_GRAPH_H_
@@ -55,32 +52,23 @@ struct EdgeEditSummary {
   size_t applied() const { return inserts + deletes; }
 };
 
-/// One fixed vertex-range page of the CSR: a self-contained mini-CSR for a
-/// run of kPageVertices vertices (the last page may be shorter). `offsets`
-/// has size+1 entries and is page-local (offsets[0] == 0); `targets` holds
-/// the concatenated sorted adjacency of the page's vertices.
+/// The CSR arrays of one Graph: `offsets` has n+1 entries and
+/// `targets[offsets[v] .. offsets[v+1])` is v's sorted adjacency.
 ///
-/// Pages are immutable once published: they are only ever reachable through
-/// `shared_ptr<const AdjacencyPage>` handles that snapshots and epochs share
-/// freely across threads, so the type exposes no mutating methods — builders
-/// fill the two vectors before the page is wrapped in its const handle
-/// (enforced by tools/lint_invariants.py, rule `page-buffer`).
-struct AdjacencyPage {
+/// Immutable once published: it is only ever reachable through a
+/// `shared_ptr<const CsrStorage>` that snapshots and epochs share freely
+/// across threads, so the type exposes no mutating methods — Graph's
+/// constructor moves the filled vectors in before wrapping them in the
+/// const handle (enforced by tools/lint_invariants.py, rule
+/// `shared-buffer`).
+struct CsrStorage {
   std::vector<EdgeIndex> offsets;
   std::vector<VertexId> targets;
 };
 
-/// Immutable simple undirected graph (paged CSR).
+/// Immutable simple undirected graph (CSR).
 class Graph {
  public:
-  /// Vertices per page. 2^10 vertices keeps a page's offset array at 8KiB
-  /// (one L1's worth) while an average adjacency page on the serving
-  /// substrates runs tens to a few hundred KiB — big enough that sharing
-  /// amortizes the per-page shared_ptr, small enough that one edit's
-  /// copy-on-write rebuild stays microseconds.
-  static constexpr int kPageVertexBits = 10;
-  static constexpr VertexId kPageVertices = VertexId{1} << kPageVertexBits;
-
   /// How far one batch may grow the vertex set: an insert naming an id at
   /// or beyond num_vertices() + kMaxGrowth is rejected, so a typo'd or
   /// hostile id cannot make the splice allocate gigabytes.
@@ -89,10 +77,9 @@ class Graph {
   /// Empty graph.
   Graph() = default;
 
-  /// Builds from monolithic CSR arrays, paginating them. `offsets` has n+1
-  /// entries; `neighbors[offsets[v] .. offsets[v+1])` lists v's neighbors.
-  Graph(const std::vector<EdgeIndex>& offsets,
-        const std::vector<VertexId>& neighbors);
+  /// Takes over CSR arrays. `offsets` has n+1 entries;
+  /// `neighbors[offsets[v] .. offsets[v+1])` lists v's sorted neighbors.
+  Graph(std::vector<EdgeIndex> offsets, std::vector<VertexId> neighbors);
 
   /// Number of vertices.
   VertexId num_vertices() const { return num_vertices_; }
@@ -103,17 +90,13 @@ class Graph {
   /// Degree of `v`.
   uint32_t degree(VertexId v) const {
     HCORE_DCHECK(v < num_vertices());
-    const PageView& pv = views_[v >> kPageVertexBits];
-    const VertexId i = v & (kPageVertices - 1);
-    return static_cast<uint32_t>(pv.offsets[i + 1] - pv.offsets[i]);
+    return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
-  /// Sorted neighbor list of `v` (contiguous within v's page).
+  /// Sorted neighbor list of `v`.
   std::span<const VertexId> neighbors(VertexId v) const {
     HCORE_DCHECK(v < num_vertices());
-    const PageView& pv = views_[v >> kPageVertexBits];
-    const VertexId i = v & (kPageVertices - 1);
-    return {pv.targets + pv.offsets[i], pv.targets + pv.offsets[i + 1]};
+    return {targets_ + offsets_[v], targets_ + offsets_[v + 1]};
   }
 
   /// True if edge {u, v} exists (binary search, O(log deg)).
@@ -139,10 +122,9 @@ class Graph {
 
   /// Applies a batch of edge edits and returns the resulting graph. The
   /// batch is canonicalized (see CanonicalEffectiveEdits) and then applied
-  /// copy-on-write: only pages holding a touched adjacency list (or whose
-  /// vertex range grows) are rebuilt — by a sorted splice-merge, O(page
-  /// edges) each — and every other page is shared by pointer with this
-  /// graph. Semantics of the batch:
+  /// by one O(n + m) merge copy (ApplyCanonicalEdits); a batch with no
+  /// effective edit returns a graph that shares this one's storage.
+  /// Semantics of the batch:
   ///   * for each edge, the LAST edit in the span wins; superseded edits
   ///     have no effect at all (in particular, a cancelled out-of-range
   ///     insert does not grow the vertex set);
@@ -163,7 +145,7 @@ class Graph {
   /// index's write path — use this to skip re-canonicalization.
   Graph ApplyCanonicalEdits(std::span<const EdgeEdit> canonical) const;
 
-  /// The canonicalization half of WithEdits without the page splice:
+  /// The canonicalization half of WithEdits without the splice:
   /// filters and deduplicates `edits` against this graph (same semantics as
   /// above) and returns the effective edits in canonical form (u < v, last
   /// edit of an edge wins, no-ops dropped). O(|edits| log |edits|) plus one
@@ -177,42 +159,30 @@ class Graph {
   /// All edges as (u, v) pairs with u < v.
   std::vector<std::pair<VertexId, VertexId>> Edges() const;
 
-  /// Number of storage pages (== ceil(num_vertices / kPageVertices)).
-  size_t num_pages() const { return pages_.size(); }
+  /// Benchmark compatibility (perfbench reads it): the storage counts as
+  /// one page, so this is 1 for a non-empty graph and 0 for an empty one.
+  size_t num_pages() const { return num_vertices_ > 0 ? 1 : 0; }
 
-  /// Stable identity of page `p`'s buffer: two graphs return the same
-  /// pointer for a page index iff they share that page's storage.
-  const void* PageIdentity(size_t p) const {
-    HCORE_DCHECK(p < pages_.size());
-    return pages_[p].get();
-  }
-
-  /// Heap bytes held by this graph's page buffers (counting each shared
-  /// page once from this graph's perspective).
+  /// Heap bytes of this graph's storage: 8(n+1) + 4·2m plus the
+  /// CsrStorage struct (0 for a default-constructed graph).
   uint64_t MemoryBytes() const;
 
  private:
-  // Raw per-page view cached for the hot path: one indirection instead of a
-  // shared_ptr chase per access. Entries point into page storage owned by
-  // `pages_` (stable under copy/move), never into the vectors themselves.
-  struct PageView {
-    const EdgeIndex* offsets = nullptr;
-    const VertexId* targets = nullptr;
-  };
-
-  Graph(VertexId num_vertices, uint64_t num_targets,
-        std::vector<std::shared_ptr<const AdjacencyPage>> pages);
-
-  void RebuildViews();
+  friend size_t CountSharedPages(const Graph& a, const Graph& b);
 
   VertexId num_vertices_ = 0;
-  uint64_t num_targets_ = 0;  // directed half-edges across all pages
-  std::vector<std::shared_ptr<const AdjacencyPage>> pages_;
-  std::vector<PageView> views_;
+  uint64_t num_targets_ = 0;  // directed half-edges, 2m
+  std::shared_ptr<const CsrStorage> storage_;
+  // storage_'s arrays, cached for the hot path: one load instead of a
+  // shared_ptr chase per access. The buffers they point into are owned by
+  // storage_ and stay put when a Graph is copied or moved.
+  const EdgeIndex* offsets_ = nullptr;
+  const VertexId* targets_ = nullptr;
 };
 
-/// Pages the two graphs share by pointer identity at the same page index
-/// (compared over the common prefix of their page lists).
+/// Benchmark compatibility (perfbench reads it): num_pages() of `a` when the
+/// two graphs share one storage (a copy, or a batch that changed nothing),
+/// else 0.
 size_t CountSharedPages(const Graph& a, const Graph& b);
 
 /// Accumulates edges and produces a normalized (simple, sorted) Graph.

@@ -59,6 +59,11 @@ inline constexpr VertexId kGapLocalityWindow = 4096;
 /// Deterministic.
 double MeanNeighborGapFraction(const Graph& g, VertexId samples = 1024);
 
+/// VertexOrdering::kAuto relabels a graph iff its MeanNeighborGapFraction
+/// exceeds this cut: locality-preserving orders score well under 0.1,
+/// scrambled ids ~1/3 (measurements at VertexOrdering in core/kh_core.h).
+inline constexpr double kScrambledGapFraction = 0.15;
+
 }  // namespace hcore
 
 #endif  // HCORE_GRAPH_ORDERING_H_

@@ -12,8 +12,6 @@ void HCoreIndexStats::Add(const HCoreIndexStats& other) {
   batches_applied += other.batches_applied;
   edits_applied += other.edits_applied;
   edits_rejected += other.edits_rejected;
-  pages_shared += other.pages_shared;
-  pages_copied += other.pages_copied;
   level_decompositions += other.level_decompositions;
   levels_unchanged += other.levels_unchanged;
   localized_updates += other.localized_updates;
@@ -260,15 +258,11 @@ void HCoreIndex::CommitGroup(std::span<PendingWrite* const> group) {
   delta.edits_rejected = summary.rejected;
   std::shared_ptr<const HCoreSnapshot> next;
   if (!effective.empty()) {
-    // The ONE copy-on-write page splice for the whole group: untouched
-    // pages are shared with the previous epoch's graph, touched ones
-    // rebuilt.
+    // The ONE splice for the whole group.
     auto graph = std::make_shared<const Graph>(
         prev->graph().ApplyCanonicalEdits(effective));
     delta.batches_applied = 1;
     delta.edits_applied = summary.applied();
-    delta.pages_shared = CountSharedPages(prev->graph(), *graph);
-    delta.pages_copied = graph->num_pages() - delta.pages_shared;
     // Purity is judged on the EFFECTIVE edits: a no-op edit of the opposite
     // kind (e.g. deleting an absent edge) must not disable the warm start.
     std::vector<HCoreSnapshot::Level> levels =

@@ -77,16 +77,12 @@ struct HCoreIndexOptions {
 struct HCoreIndexStats {
   /// Epochs published: batches (one coalesced group under concurrent
   /// writers) that applied at least one edit. Each epoch is exactly one
-  /// copy-on-write page splice of the graph.
+  /// splice of the graph (Graph::ApplyCanonicalEdits).
   uint64_t batches_applied = 0;
   /// Individual edge edits that had an effect.
   uint64_t edits_applied = 0;
   /// Inserts refused by the growth cap (Graph::kMaxGrowth).
   uint64_t edits_rejected = 0;
-  /// Copy-on-write page accounting: graph pages each published epoch shared
-  /// by pointer with its predecessor vs rebuilt.
-  uint64_t pages_shared = 0;
-  uint64_t pages_copied = 0;
   /// Whole-graph per-level decompositions run (initial build and fallback
   /// levels of ApplyBatch).
   uint64_t level_decompositions = 0;
@@ -214,12 +210,12 @@ class HCoreIndex {
   /// keeps the snapshot alive independently of future updates.
   std::shared_ptr<const HCoreSnapshot> snapshot() const EXCLUDES(mu_);
 
-  /// Applies a batch of edge edits: ONE copy-on-write page splice via
-  /// Graph::ApplyCanonicalEdits (O(touched pages)), then, for h = 1 up to
-  /// max_h on the writer's thread, either a LOCALIZED repair (pure batches
-  /// of up to options.localized.max_batch effective edits whose candidate
-  /// region fits the cap — see core/incremental.h; a batch with both
-  /// effective inserts and deletes never localizes) or a whole-graph
+  /// Applies a batch of edge edits: ONE splice via Graph::ApplyCanonicalEdits
+  /// (an O(n + m) merge copy), then, for h = 1 up to max_h on the writer's
+  /// thread, either a LOCALIZED repair (pure batches of up to
+  /// options.localized.max_batch effective edits whose candidate region
+  /// fits the cap — see core/incremental.h; a batch with both effective
+  /// inserts and deletes never localizes) or a whole-graph
   /// re-decomposition, which after a pure-insert batch takes the old cores
   /// as its lower bound and otherwise peels from its own bounds. The
   /// localized_updates / fallback_repeels stats record which path served

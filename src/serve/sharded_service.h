@@ -1,6 +1,6 @@
 // Benchmark-compat shim: the serving names the frozen perfbench/ adapter
 // was written against, mapped onto HCoreIndex, which serves directly (group
-// commit, epoch snapshots, page accounting). The names come from a retired
+// commit, epoch snapshots). The names come from a retired
 // design that replicated the index across shards. Delete this header, and
 // the marked accessor block on HCoreSnapshot, with the next change to the
 // benchmark.

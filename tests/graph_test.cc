@@ -296,6 +296,11 @@ TEST(GraphWithEdits, RandomBatchesMatchBuilderReference) {
       for (int i = 0; i < 12; ++i) {
         edits.push_back(EdgeEdit::Insert(rng.NextIndex(n), rng.NextIndex(n)));
       }
+      // Inserts naming ids in [n, n + 3] grow the vertex set.
+      for (int i = 0; i < 3; ++i) {
+        edits.push_back(
+            EdgeEdit::Insert(rng.NextIndex(n), n + rng.NextIndex(4)));
+      }
       auto edges = g.Edges();
       for (int i = 0; i < 12 && !edges.empty(); ++i) {
         auto [u, v] =
@@ -331,54 +336,48 @@ TEST(GraphWithEdits, RandomBatchesMatchBuilderReference) {
   }
 }
 
-TEST(GraphPaging, SingleEditCopiesOnlyTouchedPages) {
+TEST(GraphStorage, EditedGraphLeavesTheOriginalIntact) {
   Rng rng(11);
   Graph g = gen::BarabasiAlbert(5000, 3, &rng);
-  const size_t pages = g.num_pages();
-  ASSERT_EQ(pages, (5000 + Graph::kPageVertices - 1) / Graph::kPageVertices);
-  ASSERT_GT(pages, 3u);
+  ASSERT_EQ(g.num_pages(), 1u);
 
-  // One in-range edit touches at most the two pages holding its endpoints;
-  // every other page of the new epoch is the same heap object.
+  // An effective edit builds new storage; the original keeps answering
+  // from its own.
   const VertexId u = 100, v = 4000;
   ASSERT_FALSE(g.HasEdge(u, v));
   const std::vector<EdgeEdit> one = {EdgeEdit::Insert(u, v)};
   Graph next = g.WithEdits(one);
-  EXPECT_EQ(next.num_pages(), pages);
-  EXPECT_GE(CountSharedPages(g, next), pages - 2);
-  const size_t pu = u >> Graph::kPageVertexBits;
-  const size_t pv = v >> Graph::kPageVertexBits;
-  for (size_t p = 0; p < pages; ++p) {
-    if (p == pu || p == pv) {
-      EXPECT_NE(g.PageIdentity(p), next.PageIdentity(p)) << "page " << p;
-    } else {
-      EXPECT_EQ(g.PageIdentity(p), next.PageIdentity(p)) << "page " << p;
-    }
-  }
+  EXPECT_EQ(CountSharedPages(g, next), 0u);
   EXPECT_TRUE(next.HasEdge(u, v));
+  EXPECT_FALSE(g.HasEdge(u, v));
+  EXPECT_EQ(next.num_edges(), g.num_edges() + 1);
 
-  // Deleting it again restores the adjacency (fresh pages, equal bytes).
+  // Deleting it again restores the adjacency (fresh storage, equal bytes).
   const std::vector<EdgeEdit> undo = {EdgeEdit::Delete(u, v)};
   Graph back = next.WithEdits(undo);
   EXPECT_EQ(back.num_vertices(), g.num_vertices());
   EXPECT_EQ(back.Edges(), g.Edges());
-  EXPECT_GE(CountSharedPages(next, back), pages - 2);
+  EXPECT_TRUE(next.HasEdge(u, v));
 }
 
-TEST(GraphPaging, NoOpBatchSharesEveryPageAndMemoryIsAccounted) {
+TEST(GraphStorage, NoOpBatchSharesStorageAndMemoryIsAccounted) {
   Rng rng(12);
   Graph g = gen::BarabasiAlbert(3000, 3, &rng);
-  // Resident bytes cover at least every page's target buffer (2 slots per
-  // undirected edge) plus the per-vertex offset entries.
-  EXPECT_GT(g.MemoryBytes(), g.num_edges() * 2 * sizeof(VertexId));
+  // Resident bytes cover the n+1 offsets and both half-edges of every
+  // undirected edge.
+  EXPECT_GE(g.MemoryBytes(),
+            (uint64_t{g.num_vertices()} + 1) * sizeof(EdgeIndex) +
+                g.num_edges() * 2 * sizeof(VertexId));
+  EXPECT_EQ(Graph().MemoryBytes(), 0u);
   // A batch that inserts then deletes the same absent edge canonicalizes to
-  // nothing: the new epoch shares every page by pointer.
+  // nothing: the result shares the storage, as a plain copy does.
   VertexId a = 7, b = 2500;
   while (g.HasEdge(a, b)) ++b;
   const std::vector<EdgeEdit> nop = {EdgeEdit::Insert(a, b),
                                      EdgeEdit::Delete(a, b)};
   Graph same = g.WithEdits(nop);
   EXPECT_EQ(CountSharedPages(g, same), g.num_pages());
+  EXPECT_EQ(CountSharedPages(g, Graph(g)), g.num_pages());
   EXPECT_EQ(same.Edges(), g.Edges());
 }
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/ordering.h"
 #include "index/hcore_index.h"
 #include "test_util.h"
 
@@ -173,11 +174,11 @@ TEST(DynamicFuzz, DefaultCapKeepsSmallGraphUpdatesFullyLocalized) {
   EXPECT_EQ(snap->Cores(2), FreshCores(snap->graph(), 2));
 }
 
-TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
-  // The paged-vs-monolithic differential: the index maintains its graph by
-  // COW page splices; a reference edge set replayed with the same
-  // last-edit-wins semantics and rebuilt from scratch through GraphBuilder
-  // must produce byte-equal flattened CSR arrays — and equal cores — after
+TEST(IndexFuzz, SpliceMatchesBuilderRebuildEveryStep) {
+  // The splice-vs-rebuild differential: the index maintains its graph by
+  // splicing each batch into a copy; a reference edge set replayed with the
+  // same last-edit-wins semantics and rebuilt from scratch through
+  // GraphBuilder must produce equal edge lists — and equal cores — after
   // EVERY batch.
   for (const RandomGraphSpec& spec : Corpus(90, 2)) {
     Graph g = MakeRandomGraph(spec);
@@ -202,10 +203,10 @@ TEST(IndexFuzz, PagedSpliceMatchesMonolithicRebuildEveryStep) {
       GraphBuilder b(n);
       for (const auto& [u, v] : edge_set) b.AddEdge(u, v);
       Graph reference = b.Build();
-      const Graph& paged = index.snapshot()->graph();
-      ASSERT_EQ(paged.num_vertices(), reference.num_vertices())
+      const Graph& spliced = index.snapshot()->graph();
+      ASSERT_EQ(spliced.num_vertices(), reference.num_vertices())
           << spec.Name() << " step=" << step;
-      ASSERT_EQ(paged.Edges(), reference.Edges())
+      ASSERT_EQ(spliced.Edges(), reference.Edges())
           << spec.Name() << " step=" << step;
       for (int h = 1; h <= 2; ++h) {
         ASSERT_EQ(index.snapshot()->Cores(h), FreshCores(reference, h))
@@ -263,8 +264,7 @@ TEST(IndexFuzz, ApplyBatchMatchesFreshAndLevelCountersBalance) {
   Rng ws_rng(19);
   const Graph scrambled =
       ScrambledIds(gen::WattsStrogatz(5000, 3, 0.1, &ws_rng), 5000, 23);
-  ASSERT_FALSE(
-      ResolveVertexOrdering(scrambled, VertexOrdering::kAuto).empty());
+  ASSERT_GT(MeanNeighborGapFraction(scrambled), kScrambledGapFraction);
   for (VertexOrdering ordering :
        {VertexOrdering::kNone, VertexOrdering::kAuto}) {
     const std::string name =

@@ -80,17 +80,12 @@ TEST(Serve, StatsCountEffectiveBatchesAndResetZeroes) {
   ASSERT_GT(effective_batches, 0u);
 
   const HCoreIndexStats stats = index.stats();
-  // One page splice per effective batch, and every level of it served by
+  // One splice per effective batch, and every level of it served by
   // exactly one of the two repair paths.
   EXPECT_EQ(stats.batches_applied, effective_batches);
   EXPECT_EQ(stats.edits_applied, effective_edits);
   EXPECT_EQ(stats.localized_updates + stats.fallback_repeels,
             effective_batches * kMaxH);
-  // This 90-vertex graph fits in a single page, so every effective batch
-  // copies it; sharing across epochs is exercised on multi-page graphs in
-  // HCoreIndex.EpochSharesUntouchedGraphPages.
-  EXPECT_EQ(stats.pages_copied, effective_batches);
-  EXPECT_EQ(stats.pages_shared, 0u);
 
   const uint64_t epoch_before = index.snapshot()->epoch();
   EXPECT_EQ(epoch_before, effective_batches);
@@ -98,7 +93,6 @@ TEST(Serve, StatsCountEffectiveBatchesAndResetZeroes) {
   const HCoreIndexStats zeroed = index.stats();
   EXPECT_EQ(zeroed.batches_applied, 0u);
   EXPECT_EQ(zeroed.edits_applied, 0u);
-  EXPECT_EQ(zeroed.pages_copied, 0u);
   EXPECT_EQ(zeroed.decomposition.visited_vertices, 0u);
   // Reset is a counter operation only: the published snapshot is untouched.
   EXPECT_EQ(index.snapshot()->epoch(), epoch_before);

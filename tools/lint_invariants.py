@@ -21,11 +21,11 @@ enforces repo conventions that keep the annotated world airtight:
                    Add body — a counter missing from Add silently vanishes
                    from cross-epoch aggregation.
 
-  page-buffer      COW page buffer types reachable from published snapshots
-                   (AdjacencyPage, Graph) are shared by pointer across
-                   epochs and reader threads: they must expose no
-                   public mutating (non-const) member functions. A mutation
-                   entry point on a shared page is a data race with every
+  shared-buffer    Graph storage reachable from published snapshots
+                   (CsrStorage, Graph) is shared by pointer across epochs
+                   and reader threads: these types must expose no public
+                   mutating (non-const) member functions. A mutation entry
+                   point on shared storage is a data race with every
                    concurrent reader of every epoch that shares it.
 
   test-only-api    A function declared in a src/ header must have a caller
@@ -54,10 +54,10 @@ import sys
 # Classes with the published-immutable contract (rule: published-type).
 PUBLISHED_CLASSES = ("HCoreSnapshot",)
 
-# COW page buffer types shared across epochs (rule: page-buffer).
+# Graph storage types shared across epochs (rule: shared-buffer).
 # Reachable from every published snapshot; a public mutating method here
-# would let one epoch scribble on pages other epochs still serve.
-PAGE_BUFFER_CLASSES = ("AdjacencyPage", "Graph")
+# would let one epoch scribble on arrays other epochs still serve.
+SHARED_BUFFER_CLASSES = ("CsrStorage", "Graph")
 
 # Directories scanned, relative to --root.
 SCAN_DIRS = ("src", "tools", "bench", "tests", "examples")
@@ -114,33 +114,36 @@ def _matching(text, open_pos, open_ch, close_ch):
     return -1
 
 
+_COMMENT_OR_STRING_RE = re.compile(r'//|/\*|"')
+
+
 def _strip_comments(text):
     """Blanks // and /* */ comments, preserving newlines (line numbers)."""
     out = []
     i = 0
     n = len(text)
     while i < n:
-        if text.startswith("//", i):
+        m = _COMMENT_OR_STRING_RE.search(text, i)
+        if not m:
+            out.append(text[i:])
+            break
+        out.append(text[i:m.start()])
+        i = m.start()
+        if m.group(0) == "//":
             j = text.find("\n", i)
             j = n if j < 0 else j
             out.append(" " * (j - i))
-            i = j
-        elif text.startswith("/*", i):
+        elif m.group(0) == "/*":
             j = text.find("*/", i)
             j = n if j < 0 else j + 2
-            chunk = text[i:j]
-            out.append("".join(c if c == "\n" else " " for c in chunk))
-            i = j
-        elif text[i] == '"':
+            out.append(re.sub(r"[^\n]", " ", text[i:j]))
+        else:
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
             j = min(j + 1, n)
             out.append(text[i:j])
-            i = j
-        else:
-            out.append(text[i])
-            i += 1
+        i = j
     return "".join(out)
 
 
@@ -165,11 +168,13 @@ def _strip_bodies(text):
 # Rule: naked-mutex
 # ---------------------------------------------------------------------------
 
-def check_naked_mutex(path, text):
+def check_naked_mutex(path, text, code=None):
     violations = []
     if path.replace(os.sep, "/").endswith(MUTEX_WRAPPER.replace(os.sep, "/")):
         return violations
-    code_lines = _strip_comments(text).splitlines()
+    if code is None:
+        code = _strip_comments(text)
+    code_lines = code.splitlines()
     orig_lines = text.splitlines()
     for i, line in enumerate(code_lines, start=1):
         m = NAKED_MUTEX_RE.search(line)
@@ -210,11 +215,13 @@ def _class_body(text, name):
     return text[open_pos + 1:end - 1], open_pos + 1, m.group(1)
 
 
-def check_published_type(path, text, class_names=PUBLISHED_CLASSES):
+def check_published_type(path, text, code=None,
+                         class_names=PUBLISHED_CLASSES):
     violations = []
     # Comment stripping preserves offsets, so class-body positions found in
     # `code` are valid in `text` (where the lint:allow comments live).
-    code = _strip_comments(text)
+    if code is None:
+        code = _strip_comments(text)
     orig_lines = text.splitlines()
 
     def stmt_allowed(base_line, stmt):
@@ -283,26 +290,28 @@ def check_published_type(path, text, class_names=PUBLISHED_CLASSES):
 
 
 # ---------------------------------------------------------------------------
-# Rule: page-buffer
+# Rule: shared-buffer
 # ---------------------------------------------------------------------------
 
-def check_page_buffer(path, text, class_names=PAGE_BUFFER_CLASSES):
-    """Page buffers shared across published epochs must be read-only.
+def check_shared_buffer(path, text, code=None,
+                        class_names=SHARED_BUFFER_CLASSES):
+    """Graph storage shared across published epochs must be read-only.
 
-    Flags every public non-const, non-static member function on the COW
-    page buffer types. Constructors, destructors, operators (assignment of
-    a whole Graph *value* is fine — it rebinds shared_ptrs, it does not
-    mutate shared pages), and ALL_CAPS macros are skipped, mirroring the
+    Flags every public non-const, non-static member function on the shared
+    storage types. Constructors, destructors, operators (assignment of a
+    whole Graph *value* is fine — it rebinds a shared_ptr, it does not
+    mutate shared arrays), and ALL_CAPS macros are skipped, mirroring the
     published-type walk.
     """
     violations = []
-    code = _strip_comments(text)
+    if code is None:
+        code = _strip_comments(text)
     orig_lines = text.splitlines()
 
     def stmt_allowed(base_line, stmt):
         lo = base_line - 1
         hi = min(len(orig_lines), lo + stmt.count("\n") + 1)
-        return _allowed("page-buffer", *orig_lines[lo:hi])
+        return _allowed("shared-buffer", *orig_lines[lo:hi])
 
     for name in class_names:
         body, base, kind = _class_body(code, name)
@@ -340,9 +349,9 @@ def check_page_buffer(path, text, class_names=PAGE_BUFFER_CLASSES):
                 continue
             violations.append(Violation(
                 path, line + stmt.count("\n", 0, fn.start()),
-                "page-buffer",
+                "shared-buffer",
                 f"{name}::{fname} is a public mutating member function on a "
-                "COW page buffer type shared across published epochs"))
+                "storage type shared across published epochs"))
     return violations
 
 
@@ -366,10 +375,9 @@ def _struct_bodies(text):
 
 
 def check_stats_add(header_path, header_text, cc_texts):
-    """cc_texts: {path: text} pool to search for out-of-line Add bodies."""
+    """header_text and cc_texts ({path: text}, the pool searched for
+    out-of-line Add bodies) are comment-stripped (see _strip_comments)."""
     violations = []
-    header_text = _strip_comments(header_text)
-    cc_texts = {p: _strip_comments(t) for p, t in cc_texts.items()}
     for sname, body in _struct_bodies(header_text):
         add_decl = re.search(
             r"void\s+Add\s*\(\s*const\s+" + re.escape(sname) + r"\s*&", body)
@@ -594,16 +602,18 @@ def lint_tree(root):
     for path in files:
         with open(path, encoding="utf-8") as f:
             texts[path] = f.read()
-    cc_texts = {p: t for p, t in texts.items() if p.endswith(".cc")}
+    codes = {p: _strip_comments(t) for p, t in texts.items()}
+    cc_codes = {p: c for p, c in codes.items() if p.endswith(".cc")}
 
     violations = []
     for path, text in texts.items():
         rel = os.path.relpath(path, root)
-        violations += check_naked_mutex(rel, text)
+        code = codes[path]
+        violations += check_naked_mutex(rel, text, code)
         if path.endswith(".h"):
-            violations += check_published_type(rel, text)
-            violations += check_page_buffer(rel, text)
-            violations += check_stats_add(rel, text, cc_texts)
+            violations += check_published_type(rel, text, code)
+            violations += check_shared_buffer(rel, text, code)
+            violations += check_stats_add(rel, code, cc_codes)
 
     api_texts = {}
     for path in collect_files(root, API_USER_DIRS + (API_TEST_DIR,)):
@@ -664,26 +674,26 @@ class HCoreSnapshot {
     expect(not check_published_type("x.h", ok_cls),
            "published-type: false positive on compliant class")
 
-    # page-buffer fires on a public mutating method of a page buffer type
-    # (struct default access counts as public); quiet on the read-only twin
-    # and on an allowed line.
-    bad_page = """
-struct AdjacencyPage {
+    # shared-buffer fires on a public mutating method of a shared storage
+    # type (struct default access counts as public); quiet on the read-only
+    # twin and on an allowed line.
+    bad_storage = """
+struct CsrStorage {
   std::vector<EdgeIndex> offsets;
   std::vector<VertexId> targets;
   void Clear();
 };
 """
-    ok_page = """
-struct AdjacencyPage {
+    ok_storage = """
+struct CsrStorage {
   std::vector<EdgeIndex> offsets;
   std::vector<VertexId> targets;
   uint64_t MemoryBytes() const;
 };
 """
-    allowed_page = """
-struct AdjacencyPage {
-  void Clear();  // build-time only: lint:allow(page-buffer)
+    allowed_storage = """
+struct CsrStorage {
+  void Clear();  // build-time only: lint:allow(shared-buffer)
 };
 """
     bad_graph = """
@@ -693,16 +703,16 @@ class Graph {
   uint64_t num_edges() const;
 };
 """
-    got = check_page_buffer("x.h", bad_page)
+    got = check_shared_buffer("x.h", bad_storage)
     expect(any("Clear" in v.message for v in got),
-           "page-buffer: missed mutating method on struct (default public)")
-    expect(not check_page_buffer("x.h", ok_page),
-           "page-buffer: false positive on read-only page type")
-    expect(not check_page_buffer("x.h", allowed_page),
-           "page-buffer: ignored lint:allow")
+           "shared-buffer: missed mutating method on struct (default public)")
+    expect(not check_shared_buffer("x.h", ok_storage),
+           "shared-buffer: false positive on read-only storage type")
+    expect(not check_shared_buffer("x.h", allowed_storage),
+           "shared-buffer: ignored lint:allow")
     expect(any("CompactInPlace" in v.message
-               for v in check_page_buffer("x.h", bad_graph)),
-           "page-buffer: missed mutating method on Graph")
+               for v in check_shared_buffer("x.h", bad_graph)),
+           "shared-buffer: missed mutating method on Graph")
 
     # stats-add fires when a counter is missing from Add.
     bad_stats = """
@@ -723,9 +733,10 @@ struct FooStats {
 };
 """
     expect(any("misses" in v.message
-               for v in check_stats_add("x.h", bad_stats, {})),
+               for v in check_stats_add("x.h", _strip_comments(bad_stats),
+                                        {})),
            "stats-add: missed unaccumulated counter")
-    expect(not check_stats_add("x.h", ok_stats, {}),
+    expect(not check_stats_add("x.h", _strip_comments(ok_stats), {}),
            "stats-add: false positive on complete Add")
 
     # test-only-api fires on src/ functions only tests/ reference (a free
