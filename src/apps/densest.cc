@@ -7,7 +7,9 @@
 #include "traversal/bounded_bfs.h"
 
 namespace hcore {
+namespace {
 
+/// Average h-degree of G[S] (0 for the empty set).
 double AverageHDegree(const Graph& g, const std::vector<VertexId>& s, int h) {
   if (s.empty()) return 0.0;
   VertexMask alive(g.num_vertices(), s);
@@ -16,6 +18,8 @@ double AverageHDegree(const Graph& g, const std::vector<VertexId>& s, int h) {
   for (VertexId v : s) total += bfs.HDegree(g, alive, v, h);
   return static_cast<double>(total) / static_cast<double>(s.size());
 }
+
+}  // namespace
 
 DensestResult DensestByCoreDecomposition(const Graph& g, int h,
                                          const KhCoreOptions& core_options) {

@@ -6,7 +6,7 @@
 // (k,h)-core is a (sqrt(f_h(S*) + 1/4) - 1/2)-approximation (Theorem 4).
 // This module provides that core-picking approximation, a Charikar-style
 // greedy h-peeling baseline (a density-tracking policy over the shared
-// PeelingEngine), and an exponential exact solver for tests.
+// PeelingEngine).
 
 #ifndef HCORE_APPS_DENSEST_H_
 #define HCORE_APPS_DENSEST_H_
@@ -23,9 +23,6 @@ struct DensestResult {
   std::vector<VertexId> vertices;
   double density = 0.0;  ///< f_h of the vertex set
 };
-
-/// Average h-degree of G[S] (0 for the empty set).
-double AverageHDegree(const Graph& g, const std::vector<VertexId>& s, int h);
 
 /// Theorem-4 approximation: among all distinct (k,h)-cores, returns the one
 /// with the maximum average h-degree.

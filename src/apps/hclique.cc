@@ -64,8 +64,7 @@ uint32_t PopcountSet(const std::vector<uint64_t>& set) {
 /// coloring order, pruning when |clique| + color(v) <= |best|.
 class CliqueSearch {
  public:
-  CliqueSearch(const BitGraph& g, uint64_t max_nodes)
-      : g_(g), max_nodes_(max_nodes) {}
+  explicit CliqueSearch(const BitGraph& g) : g_(g) {}
 
   std::vector<VertexId> Solve() {
     std::vector<uint64_t> candidate(g_.words(), 0);
@@ -79,7 +78,6 @@ class CliqueSearch {
   }
 
   uint64_t nodes_explored() const { return nodes_; }
-  bool budget_exhausted() const { return budget_exhausted_; }
 
  private:
   // Greedy coloring of the candidate set; returns vertices ordered by
@@ -111,12 +109,7 @@ class CliqueSearch {
   }
 
   void Expand(const std::vector<uint64_t>& candidate) {
-    if (budget_exhausted_) return;
     ++nodes_;
-    if (max_nodes_ != 0 && nodes_ > max_nodes_) {
-      budget_exhausted_ = true;
-      return;
-    }
     std::vector<std::pair<VertexId, uint32_t>> ordered;
     ColorSort(candidate, &ordered);
     std::vector<uint64_t> remaining = candidate;
@@ -138,14 +131,12 @@ class CliqueSearch {
   }
 
   const BitGraph& g_;
-  const uint64_t max_nodes_;
   std::vector<VertexId> current_;
   std::vector<VertexId> best_;
   uint64_t nodes_ = 0;
-  bool budget_exhausted_ = false;
 };
 
-HCliqueResult SolveOnGraph(const Graph& g, uint64_t max_nodes) {
+HCliqueResult SolveOnGraph(const Graph& g) {
   HCliqueResult out;
   if (g.num_vertices() == 0) return out;
   // Classic-core shrink: a clique of size k+1 lies in the k-core, so peel
@@ -163,10 +154,9 @@ HCliqueResult SolveOnGraph(const Graph& g, uint64_t max_nodes) {
       if (map[old_v] != kInvalidVertex) back[map[old_v]] = old_v;
     }
     BitGraph bits(sub);
-    CliqueSearch search(bits, max_nodes);
+    CliqueSearch search(bits);
     std::vector<VertexId> found = search.Solve();
     out.nodes_explored += search.nodes_explored();
-    out.optimal = !search.budget_exhausted();
     if (found.size() > out.members.size()) {
       out.members.clear();
       for (VertexId v : found) out.members.push_back(back[v]);
@@ -174,7 +164,7 @@ HCliqueResult SolveOnGraph(const Graph& g, uint64_t max_nodes) {
     }
     // If the best clique exceeds the current core level, no larger clique
     // can hide in a lower core (size k+2 clique would need core >= k+1).
-    if (!out.optimal || out.size() > k || k == 0) break;
+    if (out.size() > k || k == 0) break;
     k = out.size() > 0 ? std::min(k - 1, out.size() - 1) : k - 1;
   }
   return out;
@@ -182,11 +172,11 @@ HCliqueResult SolveOnGraph(const Graph& g, uint64_t max_nodes) {
 
 }  // namespace
 
-HCliqueResult MaxHClique(const Graph& g, const HCliqueOptions& options) {
-  HCORE_CHECK(options.h >= 1);
+HCliqueResult MaxHClique(const Graph& g, int h) {
+  HCORE_CHECK(h >= 1);
   WallTimer timer;
-  Graph gh = options.h == 1 ? g : PowerGraph(g, options.h);
-  HCliqueResult out = SolveOnGraph(gh, options.max_nodes);
+  Graph gh = h == 1 ? g : PowerGraph(g, h);
+  HCliqueResult out = SolveOnGraph(gh);
   out.seconds = timer.ElapsedSeconds();
   return out;
 }

@@ -27,24 +27,14 @@ struct HCliqueResult {
   std::vector<VertexId> members;
   uint64_t nodes_explored = 0;
   double seconds = 0.0;
-  /// False only when the node budget was exhausted (members then hold the
-  /// best h-clique found so far).
-  bool optimal = true;
 
   uint32_t size() const { return static_cast<uint32_t>(members.size()); }
 };
 
-/// Options for MaxHClique.
-struct HCliqueOptions {
-  int h = 2;
-  /// Search-node budget; 0 = unlimited.
-  uint64_t max_nodes = 0;
-};
-
-/// Exact maximum h-clique of `g`. Materializes G^h: memory is
+/// Exact maximum h-clique of `g` (h >= 1). Materializes G^h: memory is
 /// Θ(Σ_v deg^h(v)); intended for small/medium graphs or after shrinking.
 /// At h = 1 it searches `g` itself: the classic maximum clique.
-HCliqueResult MaxHClique(const Graph& g, const HCliqueOptions& options);
+HCliqueResult MaxHClique(const Graph& g, int h);
 
 }  // namespace hcore
 

@@ -16,7 +16,7 @@ namespace {
 /// diam(G[S]) <= h, S is an h-club; otherwise some pair u,w has
 /// d_{G[S]}(u,w) > h and no h-club can contain both, so we branch on S\{u}
 /// and S\{w}. Branch flips and the hopeless-vertex deletions are unwound
-/// with the mask's checkpoint/restore log instead of copying whole masks.
+/// from the search's own kill trail instead of copying whole masks.
 /// The incumbent prunes every node with |S| <= |best|. Disconnected
 /// candidates are split into components (an h-club is connected for
 /// h < infinity).
@@ -97,7 +97,7 @@ class ClubSearch {
     uint32_t pivot_far = 0;
     uint32_t max_reach = 0;
     uint32_t hopeless = 0;
-    const size_t checkpoint = s->Checkpoint();
+    const size_t checkpoint = trail_.size();
     for (VertexId v = 0; v < g_.num_vertices(); ++v) {
       if (!s->IsAlive(v)) continue;
       uint32_t reach = bfs_.HDegree(g_, *s, v, h_);
@@ -106,7 +106,7 @@ class ClubSearch {
         // of the current candidate (induced distances only grow), so drop
         // it for this subtree. Rolled back before returning: the deletion
         // criterion was evaluated against this node's S, not an ancestor's.
-        s->Kill(v);
+        Kill(s, v);
         ++hopeless;
         continue;
       }
@@ -120,7 +120,7 @@ class ClubSearch {
     }
     if (hopeless > 0) {  // re-evaluate the shrunken candidate
       Recurse(s);
-      s->RestoreTo(checkpoint);
+      ReviveTo(s, checkpoint);
       return;
     }
     // No club inside S can exceed the best h-neighborhood: prune on it.
@@ -144,13 +144,27 @@ class ClubSearch {
     });
     HCORE_CHECK(partner != kInvalidVertex);
 
-    const size_t branch_point = s->Checkpoint();
-    s->Kill(pivot);
+    const size_t branch_point = trail_.size();
+    Kill(s, pivot);
     Recurse(s);
-    s->RestoreTo(branch_point);
-    s->Kill(partner);
+    ReviveTo(s, branch_point);
+    Kill(s, partner);
     Recurse(s);
-    s->RestoreTo(branch_point);
+    ReviveTo(s, branch_point);
+  }
+
+  /// Kills alive `v` in `s` and records it on the trail.
+  void Kill(VertexMask* s, VertexId v) {
+    s->Kill(v);
+    trail_.push_back(v);
+  }
+
+  /// Revives every vertex killed since the trail had `mark` entries.
+  void ReviveTo(VertexMask* s, size_t mark) {
+    while (trail_.size() > mark) {
+      s->Revive(trail_.back());
+      trail_.pop_back();
+    }
   }
 
   const Graph& g_;
@@ -160,6 +174,7 @@ class ClubSearch {
   WallTimer timer_;
   BoundedBfs bfs_;
   std::vector<uint32_t> far_count_;
+  std::vector<VertexId> trail_;  // vertices killed on the current path
   std::vector<VertexId> best_;
   uint32_t best_floor_ = 0;
   uint64_t nodes_ = 0;
@@ -208,40 +223,9 @@ HClubResult SolveIterative(const Graph& g, const HClubOptions& options,
   return out;
 }
 
-HClubResult SolveBranchAndBound(const Graph& g, const HClubOptions& options,
-                                uint32_t floor_size) {
-  const VertexId n = g.num_vertices();
-  HClubResult out;
-  // DROP incumbent gives the search a strong initial floor.
-  std::vector<VertexId> incumbent = DropHeuristicHClub(g, options.h);
-  uint32_t floor = std::max(floor_size, static_cast<uint32_t>(incumbent.size()));
-  if (incumbent.size() > floor_size) out.members = incumbent;
-
-  ClubSearch search(g, options.h, options.max_nodes,
-                    options.time_limit_seconds);
-  std::vector<VertexId> found = search.Solve(VertexMask(n, true), floor);
-  if (found.size() > out.members.size()) {
-    out.members = std::move(found);
-  }
-  out.nodes_explored = search.nodes_explored();
-  out.optimal = !search.budget_exhausted();
-  return out;
-}
-
-HClubResult SolveWith(const Graph& g, const HClubOptions& options,
-                      uint32_t floor_size) {
-  switch (options.solver) {
-    case HClubSolver::kBranchAndBound:
-      return SolveBranchAndBound(g, options, floor_size);
-    case HClubSolver::kIterative:
-      return SolveIterative(g, options, floor_size);
-  }
-  HCORE_CHECK(false);
-  return {};
-}
-
-}  // namespace
-
+/// DROP heuristic: repeatedly deletes the vertex involved in the most
+/// >h-distance pairs until the set is an h-club. Polynomial; provides the
+/// initial incumbent for the branch and bound.
 std::vector<VertexId> DropHeuristicHClub(const Graph& g, int h) {
   const VertexId n = g.num_vertices();
   if (n == 0) return {};
@@ -279,6 +263,40 @@ std::vector<VertexId> DropHeuristicHClub(const Graph& g, int h) {
   }
   return s.AliveVertices();
 }
+
+HClubResult SolveBranchAndBound(const Graph& g, const HClubOptions& options,
+                                uint32_t floor_size) {
+  const VertexId n = g.num_vertices();
+  HClubResult out;
+  // DROP incumbent gives the search a strong initial floor.
+  std::vector<VertexId> incumbent = DropHeuristicHClub(g, options.h);
+  uint32_t floor = std::max(floor_size, static_cast<uint32_t>(incumbent.size()));
+  if (incumbent.size() > floor_size) out.members = incumbent;
+
+  ClubSearch search(g, options.h, options.max_nodes,
+                    options.time_limit_seconds);
+  std::vector<VertexId> found = search.Solve(VertexMask(n, true), floor);
+  if (found.size() > out.members.size()) {
+    out.members = std::move(found);
+  }
+  out.nodes_explored = search.nodes_explored();
+  out.optimal = !search.budget_exhausted();
+  return out;
+}
+
+HClubResult SolveWith(const Graph& g, const HClubOptions& options,
+                      uint32_t floor_size) {
+  switch (options.solver) {
+    case HClubSolver::kBranchAndBound:
+      return SolveBranchAndBound(g, options, floor_size);
+    case HClubSolver::kIterative:
+      return SolveIterative(g, options, floor_size);
+  }
+  HCORE_CHECK(false);
+  return {};
+}
+
+}  // namespace
 
 HClubResult MaxHClub(const Graph& g, const HClubOptions& options) {
   HCORE_CHECK(options.h >= 1);

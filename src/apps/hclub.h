@@ -62,11 +62,6 @@ struct HClubOptions {
   double time_limit_seconds = 0.0;
 };
 
-/// DROP heuristic: repeatedly deletes the vertex involved in the most
-/// >h-distance pairs until the set is an h-club. Polynomial; provides the
-/// initial incumbent for the exact solvers.
-std::vector<VertexId> DropHeuristicHClub(const Graph& g, int h);
-
 /// Exact maximum h-club on the whole graph (no core preprocessing) — the
 /// paper's "DBC"/"ITDBC" columns of Table 6.
 HClubResult MaxHClub(const Graph& g, const HClubOptions& options);

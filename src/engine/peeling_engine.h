@@ -104,10 +104,8 @@ class PeelingEngine {
     HCORE_CHECK(alive_->size() == g.num_vertices());
   }
 
-  const Graph& graph() const { return g_; }
   int h() const { return h_; }
   VertexMask& alive() { return *alive_; }
-  BoundedBfs& bfs() { return *bfs_; }
   PeelingStats& stats() { return stats_; }
 
   /// Per-vertex keys (true degrees, not bucket-clamped). Policies may read

@@ -1,20 +1,16 @@
 // Bitset alive set over dense vertex ids — the subgraph-view layer.
 //
 // Every peeling algorithm in hcore operates on the subgraph induced by the
-// "alive" vertices, and most of them reset, shrink, or locally perturb that
-// set many times per run (per-partition resets in h-LB+UB, branch flips in
-// the h-club search, per-level views in the hierarchy). VertexMask replaces
-// the ad-hoc `std::vector<uint8_t> alive` buffers that used to be threaded
-// through graph/, traversal/, core/, and apps/ with one type that supports:
+// "alive" vertices, and most of them reset or shrink that set many times per
+// run (per-partition resets in h-LB+UB, per-level views in the hierarchy).
+// VertexMask replaces the ad-hoc `std::vector<uint8_t> alive` buffers that
+// used to be threaded through graph/, traversal/, core/, and apps/ with one
+// type that supports:
 //
 //   * O(1) IsAlive / Kill / Revive, each one bit of a packed word array
 //     (n / 8 bytes: 25 KB at 200k vertices, so the BFS inner loop's alive
 //     test stays in cache),
-//   * whole-set resets (ResetAllAlive / ResetAllDead) as one O(n / 64)
-//     word fill,
-//   * O(1) Checkpoint() plus RestoreTo() that undoes only the toggles made
-//     since the checkpoint (so branch-and-bound search and hierarchy sweeps
-//     stop copying whole masks),
+//   * whole-set resets (Assign / ResetAllDead) as one O(n / 64) word fill,
 //   * an exact alive count maintained incrementally.
 //
 // Bits at positions >= size() in the last word are always zero, so word
@@ -72,67 +68,24 @@ class VertexMask {
     return (words_[v >> 6] >> (v & 63)) & 1;
   }
 
-  /// Marks `v` dead. No-op if already dead. Logged for RestoreTo().
+  /// Marks `v` dead. No-op if already dead.
   void Kill(VertexId v) {
     if (!IsAlive(v)) return;
     Toggle(v);
     --alive_count_;
-    undo_log_.push_back(v);
   }
 
-  /// Marks `v` alive. No-op if already alive. Logged for RestoreTo().
+  /// Marks `v` alive. No-op if already alive.
   void Revive(VertexId v) {
     if (IsAlive(v)) return;
     Toggle(v);
     ++alive_count_;
-    undo_log_.push_back(v);
   }
 
-  void Set(VertexId v, bool alive) {
-    if (alive) {
-      Revive(v);
-    } else {
-      Kill(v);
-    }
-  }
-
-  /// Makes every vertex alive: one O(n / 64) fill. Invalidates outstanding
-  /// checkpoints.
-  void ResetAllAlive() {
-    undo_log_.clear();
-    std::fill(words_.begin(), words_.end(), ~uint64_t{0});
-    if (n_ % 64 != 0) words_.back() = (uint64_t{1} << (n_ % 64)) - 1;
-    alive_count_ = n_;
-  }
-
-  /// Makes every vertex dead: one O(n / 64) fill. Invalidates outstanding
-  /// checkpoints.
+  /// Makes every vertex dead: one O(n / 64) fill.
   void ResetAllDead() {
-    undo_log_.clear();
     std::fill(words_.begin(), words_.end(), uint64_t{0});
     alive_count_ = 0;
-  }
-
-  /// Opaque undo-log position. Toggles (Kill/Revive) made after the
-  /// checkpoint can be rolled back with RestoreTo(). O(1). Checkpoints are
-  /// invalidated by ResetAllAlive/ResetAllDead/Assign.
-  size_t Checkpoint() const { return undo_log_.size(); }
-
-  /// Rolls the mask back to the state captured by `checkpoint`, undoing only
-  /// the toggles made since (O(#toggles), not O(n)).
-  void RestoreTo(size_t checkpoint) {
-    HCORE_DCHECK(checkpoint <= undo_log_.size());
-    while (undo_log_.size() > checkpoint) {
-      const VertexId v = undo_log_.back();
-      undo_log_.pop_back();
-      // Every logged entry flipped its bit; flip it back without re-logging.
-      if (IsAlive(v)) {
-        --alive_count_;
-      } else {
-        ++alive_count_;
-      }
-      Toggle(v);
-    }
   }
 
   /// Calls `fn(v)` for every alive vertex, ascending. O(n / 64 + alive).
@@ -159,13 +112,19 @@ class VertexMask {
   }
 
  private:
+  /// Makes every vertex alive: one O(n / 64) fill.
+  void ResetAllAlive() {
+    std::fill(words_.begin(), words_.end(), ~uint64_t{0});
+    if (n_ % 64 != 0) words_.back() = (uint64_t{1} << (n_ % 64)) - 1;
+    alive_count_ = n_;
+  }
+
   void Toggle(VertexId v) {
     HCORE_DCHECK(v < n_);
     words_[v >> 6] ^= uint64_t{1} << (v & 63);
   }
 
   std::vector<uint64_t> words_;  // bit v % 64 of word v / 64: v alive.
-  std::vector<VertexId> undo_log_;
   VertexId n_ = 0;
   VertexId alive_count_ = 0;
 };

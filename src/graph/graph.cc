@@ -230,6 +230,8 @@ std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {
 }
 
 void GraphBuilder::AddEdge(VertexId u, VertexId v) {
+  // v + 1 below would wrap the sentinel to 0 and leave the count short.
+  HCORE_CHECK(u != kInvalidVertex && v != kInvalidVertex);
   if (u == v) return;  // No self-loops in a simple graph.
   if (u > v) std::swap(u, v);
   EnsureVertices(v + 1);

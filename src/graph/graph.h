@@ -192,8 +192,8 @@ class GraphBuilder {
   explicit GraphBuilder(VertexId num_vertices = 0)
       : num_vertices_(num_vertices) {}
 
-  /// Adds undirected edge {u, v}. Self-loops are dropped; duplicates are
-  /// deduplicated at Build() time.
+  /// Adds undirected edge {u, v}; neither id may be kInvalidVertex.
+  /// Self-loops are dropped; duplicates are deduplicated at Build() time.
   void AddEdge(VertexId u, VertexId v);
 
   /// Ensures the built graph has at least `n` vertices.
@@ -202,7 +202,6 @@ class GraphBuilder {
   }
 
   VertexId num_vertices() const { return num_vertices_; }
-  size_t num_added_edges() const { return edges_.size(); }
 
   /// Produces the normalized graph; the builder is left empty.
   Graph Build();

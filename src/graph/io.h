@@ -18,6 +18,8 @@
 namespace hcore::io {
 
 /// Parses an edge list from a string buffer (SNAP format).
+/// lint:allow(test-only-api): the fuzz leg and the boundary tests feed it
+/// text directly, without a file on disk.
 Result<Graph> ParseEdgeList(const std::string& text);
 
 /// Reads an edge list file (SNAP format).

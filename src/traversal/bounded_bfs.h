@@ -68,11 +68,6 @@ class BoundedBfs {
   /// engine fast path walks adjacency directly — pay nothing.
   explicit BoundedBfs(VertexId n = 0) { EnsureCapacity(n); }
 
-  /// Grows internal buffers to accommodate `n` vertices.
-  void EnsureCapacity(VertexId n) {
-    if (mark_.size() < n) Grow(n);
-  }
-
   /// Process-wide count of scratch growths (every EnsureCapacity that had
   /// to allocate), for tests asserting that h = 1 fast paths never allocate.
   /// lint:allow(test-only-api): the count must be taken where the scratch
@@ -122,6 +117,11 @@ class BoundedBfs {
   void set_stamp_for_testing(uint32_t stamp) { stamp_ = stamp; }
 
  private:
+  /// Grows internal buffers to accommodate `n` vertices.
+  void EnsureCapacity(VertexId n) {
+    if (mark_.size() < n) Grow(n);
+  }
+
   /// The kernel. `order` receives the source and levels 1 .. h - 1 (and
   /// level h when kKeepLast); `ball_end`, when kKeepLast, the h + 1 ball
   /// sizes. Levels below h are expanded by one loop; the last level has its

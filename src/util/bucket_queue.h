@@ -73,7 +73,6 @@ class BucketQueue {
   bool empty() const { return size_ == 0; }
 
   uint32_t max_key() const { return static_cast<uint32_t>(head_.size() - 1); }
-  uint32_t capacity() const { return static_cast<uint32_t>(key_.size()); }
 
  private:
   std::vector<uint32_t> head_;   // head_[k]: first vertex in bucket k.

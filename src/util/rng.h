@@ -21,12 +21,6 @@ class Rng {
   /// Seeds the generator; the same seed yields the same stream everywhere.
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Uniform 64-bit value.
-  uint64_t NextUint64();
-
-  /// Uniform value in [0, bound). Requires bound > 0.
-  uint64_t NextBounded(uint64_t bound);
-
   /// Uniform 32-bit index in [0, bound). Requires bound > 0.
   uint32_t NextIndex(uint32_t bound) {
     return static_cast<uint32_t>(NextBounded(bound));
@@ -42,6 +36,12 @@ class Rng {
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t count);
 
  private:
+  /// Uniform 64-bit value.
+  uint64_t NextUint64();
+
+  /// Uniform value in [0, bound). Requires bound > 0.
+  uint64_t NextBounded(uint64_t bound);
+
   uint64_t state_[4];
 };
 

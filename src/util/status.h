@@ -17,7 +17,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kOutOfRange,
   kInternal,
 };
 
@@ -35,16 +34,14 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
+  // lint:allow(test-only-api): the boundary tests pin the error kind, which
+  // the message text alone does not fix.
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
 
   std::string ToString() const {
     if (ok()) return "OK";

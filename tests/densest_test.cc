@@ -15,6 +15,7 @@
 namespace hcore {
 namespace {
 
+using ::hcore::testing::AverageHDegree;
 using ::hcore::testing::DensestByBruteForce;
 using ::hcore::testing::MakeRandomGraph;
 using ::hcore::testing::Path;

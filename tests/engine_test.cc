@@ -1,5 +1,5 @@
 // Tests for the engine layer: the bitset VertexMask (resets, tail bits,
-// checkpoint/restore, counts), the generic PeelingEngine (policy hooks,
+// counts), the generic PeelingEngine (policy hooks,
 // decrement vs recompute bookkeeping), and the cache-locality pass
 // (orderings, Graph::Relabeled, and ordering-invariance of the
 // decomposition).
@@ -75,7 +75,7 @@ TEST(VertexMask, ResetsFlipWholeSetAcrossManyEpochs) {
     EXPECT_FALSE(m.IsAlive(round % 6));
     m.Revive(round % 6);
     EXPECT_TRUE(m.IsAlive(round % 6));
-    m.ResetAllAlive();
+    m.Assign(6, true);
     EXPECT_EQ(m.num_alive(), 6u);
     m.Kill(round % 6);
     EXPECT_FALSE(m.IsAlive(round % 6));
@@ -83,52 +83,11 @@ TEST(VertexMask, ResetsFlipWholeSetAcrossManyEpochs) {
   }
 }
 
-TEST(VertexMask, CheckpointRestoreUndoesOnlyNewerToggles) {
-  VertexMask m(8, true);
-  m.Kill(0);
-  const size_t cp = m.Checkpoint();
-  m.Kill(1);
-  m.Kill(2);
-  m.Revive(0);
-  EXPECT_EQ(m.num_alive(), 6u);
-  m.RestoreTo(cp);
-  EXPECT_EQ(m.num_alive(), 7u);
-  EXPECT_FALSE(m.IsAlive(0));  // killed before the checkpoint: stays dead
-  EXPECT_TRUE(m.IsAlive(1));
-  EXPECT_TRUE(m.IsAlive(2));
-}
-
-TEST(VertexMask, NestedCheckpointsRestoreInLifoOrder) {
-  VertexMask m(6, true);
-  const size_t outer = m.Checkpoint();
-  m.Kill(1);
-  const size_t inner = m.Checkpoint();
-  m.Kill(2);
-  m.Kill(3);
-  m.RestoreTo(inner);
-  EXPECT_FALSE(m.IsAlive(1));
-  EXPECT_TRUE(m.IsAlive(2));
-  EXPECT_TRUE(m.IsAlive(3));
-  m.RestoreTo(outer);
-  EXPECT_EQ(m.num_alive(), 6u);
-}
-
-TEST(VertexMask, RepeatedTogglesOfOneVertexRestoreCleanly) {
-  VertexMask m(3, true);
-  const size_t cp = m.Checkpoint();
-  m.Kill(1);
-  m.Revive(1);
-  m.Kill(1);
-  m.RestoreTo(cp);
-  EXPECT_TRUE(m.IsAlive(1));
-  EXPECT_EQ(m.num_alive(), 3u);
-}
-
 TEST(VertexMask, TailBitsStayClearWhenSizeIsNotAWordMultiple) {
   // 130 = 2 * 64 + 2: the last word holds two vertices. A whole-set reset
   // must not report the 62 padding bits, before or after a resize.
   VertexMask m(130, false);
-  m.ResetAllAlive();
+  m.Assign(130, true);
   EXPECT_EQ(m.num_alive(), 130u);
   std::vector<VertexId> all(130);
   std::iota(all.begin(), all.end(), 0);
@@ -150,15 +109,12 @@ TEST(VertexMask, TailBitsStayClearWhenSizeIsNotAWordMultiple) {
   EXPECT_EQ(m.AliveVertices(), (std::vector<VertexId>{129}));
 }
 
-TEST(VertexMask, RestoreToAcrossWordBoundaries) {
+TEST(VertexMask, KillReviveAcrossWordBoundaries) {
   VertexMask m(200, true);
-  m.Kill(63);
-  const size_t cp = m.Checkpoint();
-  for (VertexId v : {0u, 64u, 127u, 128u, 199u}) m.Kill(v);
-  m.Revive(63);
-  m.Kill(64);  // already dead: not logged again
-  EXPECT_EQ(m.num_alive(), 195u);
-  m.RestoreTo(cp);
+  for (VertexId v : {0u, 63u, 64u, 127u, 128u, 199u}) m.Kill(v);
+  m.Kill(64);  // already dead: the count does not move
+  EXPECT_EQ(m.num_alive(), 194u);
+  for (VertexId v : {0u, 64u, 127u, 128u, 199u}) m.Revive(v);
   EXPECT_EQ(m.num_alive(), 199u);
   EXPECT_FALSE(m.IsAlive(63));
   for (VertexId v : {0u, 64u, 127u, 128u, 199u}) EXPECT_TRUE(m.IsAlive(v));
@@ -224,12 +180,13 @@ TEST(PeelingEngine, LazyRequeuePopsVertexTwice) {
   PeelingEngine engine(g, 1, &alive, &bfs, 3);
 
   struct Policy : PeelPolicyBase {
-    explicit Policy(PeelingEngine* e) : e(e), lazy(e->graph().num_vertices(), 1) {}
+    Policy(PeelingEngine* e, const Graph& g, BoundedBfs* bfs)
+        : e(e), g(g), bfs(bfs), lazy(g.num_vertices(), 1) {}
     bool OnPop(VertexId v, uint32_t k) {
       if (lazy[v]) {
         lazy[v] = 0;
         // Policies run inline in the single-threaded engine loop.
-        e->Requeue(v, e->bfs().HDegree(e->graph(), e->alive(), v, 1), k);
+        e->Requeue(v, bfs->HDegree(g, e->alive(), v, 1), k);
         return false;
       }
       core[v] = k;
@@ -239,12 +196,14 @@ TEST(PeelingEngine, LazyRequeuePopsVertexTwice) {
       return PeelAction::kDecrement;
     }
     PeelingEngine* e;
+    const Graph& g;
+    BoundedBfs* bfs;
     std::vector<uint8_t> lazy;
     std::vector<uint32_t> core = std::vector<uint32_t>(3, 0);
   };
 
   for (VertexId v = 0; v < 3; ++v) engine.Seed(v, 0);
-  Policy policy(&engine);
+  Policy policy(&engine, g, &bfs);
   engine.Peel(0, 3, policy);
   EXPECT_EQ(policy.core, (std::vector<uint32_t>{2, 2, 2}));
   EXPECT_EQ(engine.stats().pops, 6u);  // each vertex popped twice
@@ -350,10 +309,8 @@ TEST(PeelingEngine, BallSizeOnStarReachesLeavesThroughTheHub) {
 /// first pop materializes the h-degree. Above the bucket it is re-queued;
 /// at most the bucket it is peeled at once with the materializing BFS.
 struct FusedPopPolicy : PeelPolicyBase {
-  explicit FusedPopPolicy(PeelingEngine* e)
-      : e(e),
-        lazy(e->graph().num_vertices(), 1),
-        core(e->graph().num_vertices(), 0) {}
+  FusedPopPolicy(PeelingEngine* e, VertexId n)
+      : e(e), lazy(n, 1), core(n, 0) {}
   bool OnPop(VertexId v, uint32_t k) {
     if (lazy[v]) {
       lazy[v] = 0;
@@ -383,7 +340,7 @@ TEST(PeelingEngine, MaterializedVertexAtOrBelowBucketIsPeeledByThatBfs) {
   BoundedBfs bfs(5);
   PeelingEngine engine(g, 2, &alive, &bfs, 5);
   for (VertexId v = 0; v < 5; ++v) engine.Seed(v, 4);
-  FusedPopPolicy policy(&engine);
+  FusedPopPolicy policy(&engine, g.num_vertices());
   engine.Peel(0, 5, policy);
   EXPECT_EQ(policy.core, (std::vector<uint32_t>{4, 4, 4, 4, 4}));
   EXPECT_EQ(engine.stats().pops, 5u);
@@ -402,7 +359,7 @@ TEST(PeelingEngine, RequeuedVertexCollectsAfreshWhenPeeled) {
   BoundedBfs bfs(5);
   PeelingEngine engine(g, 2, &alive, &bfs, 5);
   for (VertexId v = 0; v < 5; ++v) engine.Seed(v, 0);
-  FusedPopPolicy policy(&engine);
+  FusedPopPolicy policy(&engine, g.num_vertices());
   engine.Peel(0, 5, policy);
   EXPECT_EQ(policy.core, (std::vector<uint32_t>{4, 4, 4, 4, 4}));
   EXPECT_EQ(engine.stats().pops, 10u);

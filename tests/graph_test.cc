@@ -49,6 +49,13 @@ TEST(GraphBuilder, GrowsVertexCountFromEdges) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
+TEST(GraphBuilderDeathTest, RejectsTheInvalidVertexSentinel) {
+  // v + 1 would wrap to 0, so the vertex count would never cover the edge.
+  GraphBuilder b;
+  EXPECT_DEATH(b.AddEdge(0, kInvalidVertex), "kInvalidVertex");
+  EXPECT_DEATH(b.AddEdge(kInvalidVertex, 3), "kInvalidVertex");
+}
+
 TEST(GraphBuilder, EmptyBuild) {
   GraphBuilder b;
   Graph g = b.Build();

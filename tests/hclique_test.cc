@@ -27,12 +27,7 @@ using ::hcore::testing::Path;
 using ::hcore::testing::RandomGraphSpec;
 
 // The classic maximum clique: MaxHClique at h = 1.
-HCliqueResult MaxClique(const Graph& g, uint64_t max_nodes = 0) {
-  HCliqueOptions opts;
-  opts.h = 1;
-  opts.max_nodes = max_nodes;
-  return MaxHClique(g, opts);
-}
+HCliqueResult MaxClique(const Graph& g) { return MaxHClique(g, 1); }
 
 // Exhaustive maximum clique size for n <= 20.
 uint32_t BruteForceMaxCliqueSize(const Graph& g) {
@@ -69,7 +64,6 @@ TEST(MaxCliqueToy, ReturnsActualClique) {
   Rng rng(71);
   Graph g = gen::ErdosRenyiGnp(60, 0.3, &rng);
   HCliqueResult r = MaxClique(g);
-  ASSERT_TRUE(r.optimal);
   for (size_t i = 0; i < r.members.size(); ++i) {
     for (size_t j = i + 1; j < r.members.size(); ++j) {
       EXPECT_TRUE(g.HasEdge(r.members[i], r.members[j]));
@@ -81,14 +75,10 @@ TEST(MaxHCliqueToy, PathAndStar) {
   // On a path, an h-clique is h+1 consecutive vertices.
   Graph path = Path(12);
   for (int h = 1; h <= 4; ++h) {
-    HCliqueOptions opts;
-    opts.h = h;
-    EXPECT_EQ(MaxHClique(path, opts).size(), static_cast<uint32_t>(h + 1));
+    EXPECT_EQ(MaxHClique(path, h).size(), static_cast<uint32_t>(h + 1));
   }
   // All vertices of a star are pairwise within distance 2.
-  HCliqueOptions opts;
-  opts.h = 2;
-  EXPECT_EQ(MaxHClique(gen::Star(8), opts).size(), 8u);
+  EXPECT_EQ(MaxHClique(gen::Star(8), 2).size(), 8u);
 }
 
 TEST(MaxHClique, LeavesOfStarCountUnlikeClubs) {
@@ -97,9 +87,7 @@ TEST(MaxHClique, LeavesOfStarCountUnlikeClubs) {
   GraphBuilder b(6);
   for (VertexId leaf = 1; leaf < 6; ++leaf) b.AddEdge(0, leaf);
   Graph g = b.Build();
-  HCliqueOptions opts;
-  opts.h = 2;
-  HCliqueResult clique = MaxHClique(g, opts);
+  HCliqueResult clique = MaxHClique(g, 2);
   EXPECT_EQ(clique.size(), 6u);
   EXPECT_TRUE(IsHClique(g, clique.members, 2));
 }
@@ -112,10 +100,7 @@ TEST_P(HCliqueProperty, MatchesBruteForceOnPowerGraph) {
   RandomGraphSpec small = spec;
   small.n = 16;
   Graph g = MakeRandomGraph(small);
-  HCliqueOptions opts;
-  opts.h = h;
-  HCliqueResult r = MaxHClique(g, opts);
-  ASSERT_TRUE(r.optimal);
+  HCliqueResult r = MaxHClique(g, h);
   EXPECT_TRUE(IsHClique(g, r.members, h));
   // Reference: max clique of the materialized power graph.
   Graph gh = PowerGraph(g, h);
@@ -132,9 +117,7 @@ TEST_P(HCliqueProperty, Theorem2FullChain) {
   HClubOptions club_opts;
   club_opts.h = h;
   HClubResult club = MaxHClub(g, club_opts);
-  HCliqueOptions clique_opts;
-  clique_opts.h = h;
-  HCliqueResult hclique = MaxHClique(g, clique_opts);
+  HCliqueResult hclique = MaxHClique(g, h);
   ColoringResult coloring = DistanceHColoring(g, h);
   EXPECT_LE(clique1.size(), club.size());
   EXPECT_LE(club.size(), hclique.size());
@@ -149,18 +132,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).Name() + "_h" +
              std::to_string(std::get<1>(info.param));
     });
-
-TEST(MaxClique, NodeBudgetReturnsLowerBound) {
-  Rng rng(72);
-  Graph g = gen::ErdosRenyiGnp(120, 0.35, &rng);
-  HCliqueResult r = MaxClique(g, /*max_nodes=*/2);
-  // Whatever is returned must be a clique.
-  for (size_t i = 0; i < r.members.size(); ++i) {
-    for (size_t j = i + 1; j < r.members.size(); ++j) {
-      EXPECT_TRUE(g.HasEdge(r.members[i], r.members[j]));
-    }
-  }
-}
 
 }  // namespace
 }  // namespace hcore

@@ -1,10 +1,11 @@
 // Shared helpers for the hcore test suites: toy fixture graphs, a small
 // corpus of random graphs spanning the structural classes the algorithms
 // care about, the fresh decomposition every maintained core vector is
-// checked against, the definition-level references (brute-force cores and
-// densest subgraph, the h-clique, h-club and distance-h coloring
-// predicates, spectrum monotonicity), the connected core components the
-// hierarchy is checked against, and deterministic random edit batches.
+// checked against, the definition-level references (brute-force cores,
+// average h-degree and densest subgraph, the h-clique, h-club and
+// distance-h coloring predicates, spectrum monotonicity), the connected core
+// components the hierarchy is checked against, and deterministic random edit
+// batches.
 
 #ifndef HCORE_TESTS_TEST_UTIL_H_
 #define HCORE_TESTS_TEST_UTIL_H_
@@ -170,6 +171,23 @@ inline std::vector<uint32_t> BruteForceKhCore(const Graph& g, int h) {
     alive.ForEachAlive([&](VertexId v) { core[v] = k; });
   }
   return core;
+}
+
+/// Average h-degree of G[S] (0 for the empty set): one unbounded BFS per
+/// member inside the induced subgraph, independent of the library's
+/// h-bounded BFS.
+inline double AverageHDegree(const Graph& g, const std::vector<VertexId>& s,
+                             int h) {
+  if (s.empty()) return 0.0;
+  const Graph sub = g.InducedSubgraph(s).first;
+  uint64_t total = 0;
+  for (VertexId v = 0; v < sub.num_vertices(); ++v) {
+    const std::vector<uint32_t> dist = BfsDistances(sub, v);
+    for (VertexId u = 0; u < sub.num_vertices(); ++u) {
+      if (u != v && dist[u] <= static_cast<uint32_t>(h)) ++total;
+    }
+  }
+  return static_cast<double>(total) / static_cast<double>(s.size());
 }
 
 /// Exact densest subgraph by average h-degree, by subset enumeration;

@@ -5,7 +5,7 @@
 //                        [--output=cores.txt]
 //   hcore_cli hierarchy  --input=G.txt --h=2 [--limit=60] [--dot=G.dot]
 //   hcore_cli stats      --input=G.txt
-//   hcore_cli spectrum   --input=G.txt --max-h=4 [--output=spectrum.txt]
+//   hcore_cli spectrum   --input=G.txt --h-max=4 [--output=spectrum.txt]
 //   hcore_cli hclub      --input=G.txt --h=2 [--solver=bb|it] [--no-core]
 //   hcore_cli hclique    --input=G.txt --h=2
 //   hcore_cli coloring   --input=G.txt --h=2 [--output=colors.txt]
@@ -18,7 +18,7 @@
 // Every command rejects a flag it does not read (`error: unknown flag --X`),
 // a value an enumerated flag does not list, an integer flag whose value is
 // not a whole decimal integer or is below its minimum (0 for counts, 1 for
-// --h, --h-max/--max-h and --attach), a --p or --beta that is not a number
+// --h, --h-max and --attach), a --p or --beta that is not a number
 // in [0, 1], and a malformed --query, with exit code 1 before it loads any
 // input. `generate --model=ws` also needs --n > 2 * --k.
 //
@@ -47,11 +47,10 @@
 // `apply` (and the initial build) moves them. The REPL output is locked by
 // tests/golden/serve_shards1.golden.
 //
-// The core-decomposition flags (--h, --algo/--algorithm, --partition,
-// --ordering) map 1:1 onto KhCoreOptions and apply to every
-// command that runs a decomposition (decompose, hierarchy, spectrum,
-// hclub, community, densest, serve). `spectrum` and `serve` read the sweep
-// depth from --h-max (alias: --max-h).
+// The core-decomposition flags (--h, --algo, --partition, --ordering) map
+// 1:1 onto KhCoreOptions and apply to every command that runs a
+// decomposition (decompose, hierarchy, spectrum, hclub, community, densest,
+// serve). `spectrum` and `serve` read the sweep depth from --h-max.
 //
 // Graphs are SNAP-format edge lists ('#'-comments, one "u v" per line).
 // Vertex ids printed by the tool refer to the relabeled ids (dense,
@@ -152,8 +151,7 @@ KhCoreOptions CoreOptions(const Flags& flags) {
   KhCoreOptions opts;
   opts.h = flags.GetInt("h", 2);
   opts.partition_size = flags.GetInt("partition", 0);
-  // --algo is the short alias for --algorithm; the explicit form wins.
-  std::string alg = flags.Get("algorithm", flags.Get("algo", "auto"));
+  const std::string alg = flags.Get("algo", "auto");
   if (alg == "bz") {
     opts.algorithm = KhCoreAlgorithm::kBz;
   } else if (alg == "lb") {
@@ -167,10 +165,8 @@ KhCoreOptions CoreOptions(const Flags& flags) {
   return opts;
 }
 
-/// Sweep depth for spectrum/serve: --h-max with --max-h as the legacy alias.
-int HMax(const Flags& flags) {
-  return flags.GetInt("h-max", flags.GetInt("max-h", 4));
-}
+/// Sweep depth for spectrum/serve.
+int HMax(const Flags& flags) { return flags.GetInt("h-max", 4); }
 
 /// Comma-separated decimal vertex ids, or nullopt when any token is empty,
 /// not a number, or beyond the 32-bit id range.
@@ -330,10 +326,9 @@ int CmdHClub(const Flags& flags) {
 int CmdHClique(const Flags& flags) {
   Result<Graph> g = LoadInput(flags);
   if (!g.ok()) return Fail(g.status().ToString());
-  HCliqueOptions opts;
-  opts.h = flags.GetInt("h", 2);
-  HCliqueResult r = MaxHClique(g.value(), opts);
-  std::printf("max %d-clique size: %u  (%.3fs, %llu nodes)\nmembers:", opts.h,
+  const int h = flags.GetInt("h", 2);
+  HCliqueResult r = MaxHClique(g.value(), h);
+  std::printf("max %d-clique size: %u  (%.3fs, %llu nodes)\nmembers:", h,
               r.size(), r.seconds,
               static_cast<unsigned long long>(r.nodes_explored));
   for (VertexId v : r.members) std::printf(" %u", v);
@@ -619,7 +614,7 @@ struct Command {
 
   bool Accepts(const std::string& flag) const {
     static const std::vector<std::string> kCoreFlags = {
-        "h", "algo", "algorithm", "partition", "ordering"};
+        "h", "algo", "partition", "ordering"};
     auto listed = [&flag](const std::vector<std::string>& list) {
       return std::find(list.begin(), list.end(), flag) != list.end();
     };
@@ -632,7 +627,7 @@ const std::vector<Command>& Commands() {
       {"decompose", CmdDecompose, true, {"input", "output"}},
       {"hierarchy", CmdHierarchy, true, {"input", "limit", "dot"}},
       {"stats", CmdStats, false, {"input"}},
-      {"spectrum", CmdSpectrum, true, {"input", "h-max", "max-h", "output"}},
+      {"spectrum", CmdSpectrum, true, {"input", "h-max", "output"}},
       {"hclub", CmdHClub, true, {"input", "solver", "max-nodes", "no-core"}},
       {"hclique", CmdHClique, false, {"input", "h"}},
       {"coloring", CmdColoring, false, {"input", "h", "output"}},
@@ -642,7 +637,7 @@ const std::vector<Command>& Commands() {
        CmdGenerate,
        false,
        {"model", "n", "seed", "attach", "p", "k", "beta", "output"}},
-      {"serve", CmdServe, true, {"input", "h-max", "max-h", "print-limit"}},
+      {"serve", CmdServe, true, {"input", "h-max", "print-limit"}},
   };
   return kCommands;
 }
@@ -652,7 +647,6 @@ const std::vector<Command>& Commands() {
 const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
   static const std::map<std::string, std::vector<std::string>> kValues = {
       {"algo", {"auto", "bz", "lb", "lbub"}},
-      {"algorithm", {"auto", "bz", "lb", "lbub"}},
       {"ordering", {"none", "auto"}},
       {"solver", {"bb", "it"}},
   };
@@ -664,10 +658,10 @@ const std::map<std::string, std::vector<std::string>>& EnumFlagValues() {
 /// any --seed.
 const std::map<std::string, int>& IntFlagMinimums() {
   static const std::map<std::string, int> kMinimums = {
-      {"h", 1},           {"h-max", 1},     {"max-h", 1},
-      {"partition", 0},   {"limit", 0},     {"max-nodes", 0},
-      {"print-limit", 0}, {"n", 0},         {"attach", 1},
-      {"k", 0},           {"seed", INT_MIN},
+      {"h", 1},         {"h-max", 1},       {"partition", 0},
+      {"limit", 0},     {"max-nodes", 0},   {"print-limit", 0},
+      {"n", 0},         {"attach", 1},      {"k", 0},
+      {"seed", INT_MIN},
   };
   return kMinimums;
 }

@@ -30,11 +30,12 @@ enforces repo conventions that keep the annotated world airtight:
 
   test-only-api    A function declared in a src/ header must have a caller
                    in a program: something under src/, tools/, bench/,
-                   examples/ or perfbench/ must reference it beyond its
-                   declaration and definition. A function only tests/ call
-                   belongs in tests/ (e.g. tests/test_util.h) or nowhere.
-                   Matching is by name, so a name some program uses for
-                   anything counts as used.
+                   examples/ or perfbench/ outside the declaring header and
+                   its same-stem .cc must reference it. A function only
+                   tests/ and its own files call belongs in tests/ (e.g.
+                   tests/test_util.h), in an anonymous namespace, or
+                   nowhere. Matching is by name, so a name some other
+                   program file uses for anything counts as used.
 
 A line (or the statement it ends) can be exempted with a justifying comment
 containing `lint:allow(<rule>)`; for test-only-api, put it with a reason in
@@ -555,20 +556,23 @@ def check_test_only_api(texts):
             for name, off, start in _header_functions(code):
                 declared.setdefault(name, []).append((path, off, start))
     names = set(declared)
-    used, tested = set(), {}
+    used, tested = {}, {}  # name -> program paths / first test path
     for path, code in codes.items():
         where = top(path)
         for name, _off, declarator, _start in _name_sites(code, names):
             if declarator:
                 continue
             if where in API_USER_DIRS:
-                used.add(name)
+                used.setdefault(name, set()).add(path)
             elif where == API_TEST_DIR:
                 tested.setdefault(name, path)
 
     violations = []
-    for name in sorted(set(tested) - used):
+    for name in sorted(tested):
         for path, off, start in declared[name]:
+            own = {path, path[:-len(".h")] + ".cc"}
+            if used.get(name, set()) - own:
+                continue
             text = texts[path]
             end = min(len(text), text.find("\n", off) + 1 or len(text))
             if _allowed("test-only-api", text[start:end]):
@@ -740,14 +744,16 @@ struct FooStats {
            "stats-add: false positive on complete Add")
 
     # test-only-api fires on src/ functions only tests/ reference (a free
-    # function and a member defined out of line), stays quiet once a tools/
-    # caller exists, and honors lint:allow above the declaration.
+    # function and a member defined out of line), and on one its own .cc
+    # calls too; it stays quiet once a tools/ caller exists, and honors
+    # lint:allow above the declaration.
     api_tree = {
         "src/x.h": ("#include <vector>\n"
                     "namespace hcore {\n"
                     "/// Doubles x.\n"
                     "int Twice(int x);\n"
                     "int Used(int x);\n"
+                    "int Helper(int x);\n"
                     "struct Box {\n"
                     "  Box() = default;\n"
                     "  const std::vector<int>& Items() const;\n"
@@ -756,24 +762,27 @@ struct FooStats {
         "src/x.cc": ("#include \"x.h\"\n"
                      "namespace hcore {\n"
                      "int Twice(int x) { return 2 * x; }\n"
-                     "int Used(int x) { return x; }\n"
+                     "int Used(int x) { return Helper(x); }\n"
+                     "int Helper(int x) { return x; }\n"
                      "const std::vector<int>& Box::Items() const {\n"
                      "  static const std::vector<int> kNone;\n"
                      "  return kNone;\n"
                      "}\n"
                      "}  // namespace hcore\n"),
         "tests/x_test.cc": ("TEST(X, Twice) {\n"
-                            "  EXPECT_EQ(Twice(2), Used(4));\n"
+                            "  EXPECT_EQ(Twice(2), Used(Helper(4)));\n"
                             "  EXPECT_TRUE(Box().Items().empty());\n"
                             "}\n"),
         "examples/e.cc": "int main() { return hcore::Used(0); }\n",
     }
     got = sorted(v.message.split()[0] for v in check_test_only_api(api_tree))
-    expect(got == ["Items", "Twice"],
-           f"test-only-api: expected Items and Twice flagged, got {got}")
+    expect(got == ["Helper", "Items", "Twice"],
+           "test-only-api: expected Helper, Items and Twice flagged, "
+           f"got {got}")
     with_caller = dict(api_tree)
     with_caller["tools/t.cc"] = ("int Run(const hcore::Box& b) {\n"
-                                 "  return hcore::Twice(b.Items().size());\n"
+                                 "  return hcore::Twice(b.Items().size()) +\n"
+                                 "         hcore::Helper(1);\n"
                                  "}\n")
     expect(not check_test_only_api(with_caller),
            "test-only-api: fired although tools/ calls the functions")
@@ -782,6 +791,7 @@ struct FooStats {
     allow = "lint:allow(test-only-api): reason"
     allowed["src/x.h"] = allowed["src/x.h"].replace(
         "/// Doubles x.", "/// Doubles x. " + allow).replace(
+        "int Helper", "// " + allow + "\nint Helper").replace(
         "  const std::vector<int>& Items",
         "  // " + allow + "\n  const std::vector<int>& Items")
     expect(not check_test_only_api(allowed),
